@@ -271,19 +271,17 @@ def cmd_counts(config_path, power_pw, duration_s, seed, as_json, out_dir):
 @main.command("sweep")
 @config_option
 @click.option("--index", type=int, default=0, help="Which sweep spec from the config to run.")
-@click.option("--workers", type=int, default=1)
 @json_option
 @out_option
 @cli_errors
-def cmd_sweep(config_path, index, workers, as_json, out_dir):
+def cmd_sweep(config_path, index, as_json, out_dir):
     """Run a configured parameter sweep and export the table."""
     from .errors import ConfigError
 
     config = _load(config_path)
     if not 0 <= index < len(config.sweeps):
         raise ConfigError(f"sweep index {index} out of range: config has {len(config.sweeps)} sweeps")
-    result = run_sweep(config.cross_section, config.sweeps[index],
-                       config.policy, config.solver, workers=workers)
+    result = run_sweep(config.cross_section, config.sweeps[index], config.policy, config.solver)
     out = _resolve_out(out_dir, config)
     columns, rows = sweep_to_rows(result)
     p = out.path(f"sweep_{index}.csv")

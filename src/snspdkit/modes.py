@@ -30,6 +30,13 @@ from .geometry import CrossSection, PermittivityGrid, ResolutionPolicy, rasteriz
 
 _ARNOLDI_SEED = 718281828  # fixed start-vector seed: solves are deterministic
 _DIELECTRIC_IM_CUT = 0.1   # |Im n| below this counts as a dielectric for bracketing
+# Shift-invert LU of A - sigma*I. The sparsity pattern is nearly symmetric
+# (five-point blocks plus corner couplings), so minimum degree on A^T + A with
+# diagonal pivots gives about half the fill of SciPy's default COLAMD column
+# ordering, and each Arnoldi back-solve costs about half as much. The small
+# threshold still lets SuperLU pivot off a weak diagonal.
+_SHIFT_INVERT_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                        options=dict(SymmetricMode=True))
 
 
 @dataclass(frozen=True)
@@ -297,9 +304,11 @@ def solve_modes(op: ModeOperator, config: SolverConfig | None = None) -> list[Mo
     rng = np.random.default_rng(_ARNOLDI_SEED)
     v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
 
+    lu = spla.splu(op.matrix - sigma * sp.identity(nn, format="csc"), **_SHIFT_INVERT_LU)
+    opinv = spla.LinearOperator((nn, nn), matvec=lu.solve, dtype=complex)
     try:
         vals, vecs = spla.eigs(
-            op.matrix, k=k, sigma=sigma, v0=v0, tol=0,
+            op.matrix, k=k, sigma=sigma, OPinv=opinv, v0=v0, tol=0,
             maxiter=config.max_iterations, return_eigenvectors=True,
         )
     except spla.ArpackNoConvergence as exc:

@@ -12,10 +12,9 @@ heuristic, and the returned dominance guarantee is over evaluated points.
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError, InconsistencyError
 from .geometry import CrossSection, Layer, ResolutionPolicy, alignment_margin
 from .modes import SolverConfig, modal_absorption, select_mode, solve_cross_section
 
@@ -82,11 +81,16 @@ class SweepResult:
     best: SweepPoint | None
 
     def __post_init__(self):
-        if self.best is not None:
-            assert self.best.feasible and self.best.status == "ok"
-            for p in self.points:
-                if p.feasible and p.status == "ok":
-                    assert self.best.alpha_per_cm >= p.alpha_per_cm
+        if self.best is None:
+            return
+        if not (self.best.feasible and self.best.status == "ok"):
+            raise InconsistencyError("sweep best point is not a feasible, solved point")
+        for p in self.points:
+            if p.feasible and p.status == "ok" and p.alpha_per_cm > self.best.alpha_per_cm:
+                raise InconsistencyError(
+                    f"sweep best alpha {self.best.alpha_per_cm} is below the feasible "
+                    f"point {p.params} with alpha {p.alpha_per_cm}"
+                )
 
 
 def apply_parameters(base: CrossSection, values: dict[str, float]) -> CrossSection:
@@ -147,14 +151,12 @@ def run_sweep(
     policy: ResolutionPolicy | None = None,
     solver_config: SolverConfig | None = None,
     evaluate=None,
-    workers: int = 1,
 ) -> SweepResult:
-    """Evaluate the Cartesian product of the parameter ranges.
+    """Evaluate the Cartesian product of the parameter ranges, serially.
 
-    Output row order follows the deterministic product order regardless of
-    worker completion order. ``evaluate`` may be injected for testing; it
-    receives the parameter dict and returns (n_eff, alpha_per_cm,
-    te_fraction, margin_m).
+    Output rows follow the deterministic product order. ``evaluate`` may be
+    injected for testing; it receives the parameter dict and returns
+    (n_eff, alpha_per_cm, te_fraction, margin_m).
     """
     axes = [p.values() for p in spec.parameters]
     names = [p.name for p in spec.parameters]
@@ -166,12 +168,8 @@ def run_sweep(
     if evaluate is None:
         evaluate = _default_evaluate(base, spec, policy, solver_config)
 
-    combos = [dict(zip(names, vals)) for vals in itertools.product(*axes)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(lambda v: _evaluate_point(v, spec, evaluate), combos))
-    else:
-        points = [_evaluate_point(v, spec, evaluate) for v in combos]
+    points = [_evaluate_point(dict(zip(names, vals)), spec, evaluate)
+              for vals in itertools.product(*axes)]
 
     best = None
     for p in points:

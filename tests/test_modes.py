@@ -2,11 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import snspdkit as sk
-from snspdkit.errors import ConfigError, DomainError
-from snspdkit.geometry import PermittivityGrid
+from snspdkit.errors import ConfigError, ConvergenceError, DomainError
+from snspdkit.geometry import PermittivityGrid, rasterize
 from snspdkit.modes import (
+    _ARNOLDI_SEED,
+    _core_index,
+    _finalize_mode,
     assemble_operator,
     classify_polarization,
     convergence_study,
@@ -16,6 +20,7 @@ from snspdkit.modes import (
     solve_cross_section,
     solve_modes,
 )
+from snspdkit.sweep import apply_parameters
 
 from slab_oracle import slab_neff
 
@@ -25,6 +30,15 @@ def uniform_grid(n_index, nx, ny, size):
     edges_y = np.linspace(-size / 2, size / 2, ny + 1)
     eps = np.full((nx, ny), complex(n_index, 0) ** 2)
     return PermittivityGrid(edges_x, edges_y, eps, 1300e-9)
+
+
+def step_index_grid(n_core, n_clad, cells, size):
+    """Square core of half the window width, centered."""
+    edges = np.linspace(-size / 2, size / 2, cells + 1)
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    core = (np.abs(centers)[:, None] < size / 4) & (np.abs(centers)[None, :] < size / 4)
+    eps = np.where(core, complex(n_core) ** 2, complex(n_clad) ** 2)
+    return PermittivityGrid(edges, edges, eps, 1300e-9)
 
 
 # -- operator assembly -------------------------------------------------------
@@ -71,6 +85,57 @@ def test_no_guided_modes_is_empty_result():
     modes = solve_modes(assemble_operator(uniform_grid(1.0, 24, 24, 10e-6)),
                         sk.SolverConfig(num_modes=3))
     assert modes == []
+
+
+@pytest.mark.parametrize("core_nm", [None, 350.0], ids=["shipped", "tm-design"])
+def test_factorization_matches_default_shift_invert(default_config, core_nm):
+    """The solver's own shift-invert LU gives the eigenpairs of SciPy's
+    default path (internal COLAMD LU) on a coarse grid of the shipped
+    geometry and of the thick-core TM design."""
+    cfg = default_config
+    cs = cfg.cross_section
+    if core_nm is not None:
+        cs = apply_parameters(cs, {"core_thickness_nm": core_nm})
+    op = assemble_operator(rasterize(cs, cfg.policy.bulk_refined(0.35)))
+    modes = solve_modes(op, cfg.solver)
+
+    nn = op.matrix.shape[0]
+    rng = np.random.default_rng(_ARNOLDI_SEED)
+    v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
+    sigma = (op.k0 * 0.98 * _core_index(op)) ** 2
+    vals, vecs = spla.eigs(op.matrix, cfg.solver.num_modes, sigma=sigma, v0=v0, tol=0)
+    n_effs = np.sqrt(vals.astype(complex)) / op.k0
+    n_clad, n_high = op.index_bracket()
+    nxn, nyn = op.shape
+    oracle = []
+    for i in np.argsort(-n_effs.real, kind="stable"):
+        n_eff = complex(n_effs[i])
+        if n_clad < n_eff.real < n_high:
+            hx = vecs[: nxn * nyn, i].reshape(nxn, nyn)
+            hy = vecs[nxn * nyn:, i].reshape(nxn, nyn)
+            oracle.append(_finalize_mode(op, n_eff, hx, hy))
+
+    assert len(modes) == len(oracle) > 0
+    for mode, ref in zip(modes, oracle):
+        assert abs(mode.n_eff - ref.n_eff) <= 1e-10 * abs(ref.n_eff)
+        assert mode.polarization == ref.polarization
+    if core_nm is not None:
+        assert select_mode(modes, "TM") is not None
+
+
+def test_arpack_no_convergence_is_convergence_error():
+    op = assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6))
+    with pytest.raises(ConvergenceError, match="did not converge within 1 iterations") as info:
+        solve_modes(op, sk.SolverConfig(max_iterations=1))
+    assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
+
+
+def test_residual_gate_raises_with_residual():
+    op = assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6))
+    assert solve_modes(op)   # guided modes exist, so the gate is reached
+    with pytest.raises(ConvergenceError, match="exceeds tolerance") as info:
+        solve_modes(op, sk.SolverConfig(tolerance=1e-30))
+    assert info.value.residual is not None and info.value.residual > 1e-30
 
 
 # -- guided-mode physics -----------------------------------------------------

@@ -1,10 +1,12 @@
 import pytest
 
-from snspdkit.errors import ConfigError
+from snspdkit.errors import ConfigError, InconsistencyError
 from snspdkit.io_utils import sweep_to_rows
 from snspdkit.sweep import (
     OptimizeResult,
     SweepParameter,
+    SweepPoint,
+    SweepResult,
     SweepSpec,
     apply_parameters,
     maximize_alpha,
@@ -101,10 +103,25 @@ def test_sweep_failed_points_survive(base_cs):
     assert result.best is not None
 
 
+def test_sweep_result_rejects_inconsistent_best():
+    """The invariants hold as errors, also under ``python -O``."""
+    low = SweepPoint({"core_thickness_nm": 300.0}, complex(3.15, 1e-3), 400.0, 0.9,
+                     0.5e-6, True, "ok")
+    high = SweepPoint({"core_thickness_nm": 320.0}, complex(3.15, 2e-3), 450.0, 0.9,
+                      0.5e-6, True, "ok")
+    infeasible = SweepPoint({"core_thickness_nm": 340.0}, complex(3.15, 3e-3), 500.0, 0.9,
+                            0.1e-6, False, "ok")
+    assert SweepResult((low, high, infeasible), high).best is high
+    with pytest.raises(InconsistencyError, match="not a feasible"):
+        SweepResult((low, high, infeasible), infeasible)
+    with pytest.raises(InconsistencyError, match="below the feasible point"):
+        SweepResult((low, high, infeasible), low)
+
+
 def test_sweep_deterministic_and_export(tmp_path, base_cs):
     spec = SweepSpec((SweepParameter("core_thickness_nm", 280.0, 360.0, 20.0),), min_margin_m=0.0)
     r1 = run_sweep(base_cs, spec, evaluate=synthetic())
-    r2 = run_sweep(base_cs, spec, evaluate=synthetic(), workers=4)
+    r2 = run_sweep(base_cs, spec, evaluate=synthetic())
     assert [p.params for p in r1.points] == [p.params for p in r2.points]
     assert [p.alpha_per_cm for p in r1.points] == [p.alpha_per_cm for p in r2.points]
     from snspdkit.io_utils import write_csv
