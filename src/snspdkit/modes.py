@@ -15,8 +15,11 @@ with the exp(-i w t) physics convention, so absorbing guided modes come out
 with Im(n_eff) >= 0 and a positive power absorption coefficient
 alpha = 4*pi*Im(n_eff)/lambda.
 
-Zero-field (perfect-wall) boundaries: the modes of interest are bound and
-decay well inside the mandated window clearance.
+Boundaries: the outer walls of the window are zero-field (perfect walls);
+the modes of interest are bound and decay well inside the mandated window
+clearance. A mirror plane at x = 0 needs no boundary stencil of its own: an
+exactly mirror-symmetric operator is split into its two parity classes (see
+:func:`_mirror_bases`), each solved as a half-size eigenproblem.
 """
 
 from dataclasses import dataclass, field
@@ -45,15 +48,12 @@ class SolverConfig:
     target_n_eff: float | None = None   # shift-invert target; default 0.98 * core index
     tolerance: float = 1e-10            # relative eigen-residual bound
     max_iterations: int = 400
-    boundary: str = "zero"              # zero-field walls (only supported choice)
 
     def __post_init__(self):
         if self.num_modes < 1:
             raise ConfigError("num_modes must be >= 1")
         if self.tolerance <= 0:
             raise ConfigError("solver tolerance must be > 0")
-        if self.boundary != "zero":
-            raise ConfigError(f"unsupported boundary condition {self.boundary!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +112,6 @@ class ModeSolution:
     # corner-singular E cells at the metal wire edges, which otherwise
     # dominate the raw E-energy integral on refined grids.
     te_fraction: float = 0.0
-    power_normalized: bool = True
 
     @property
     def beta(self) -> complex:
@@ -131,13 +130,6 @@ class ModeSolution:
     @property
     def polarization(self) -> str:
         return "TE" if self.te_fraction >= 0.5 else "TM"
-
-
-def classify_polarization(mode: ModeSolution) -> tuple[str, float]:
-    """('TE'|'TM', TE fraction). TE-like iff the horizontal component carries
-    more than half of the transverse field energy (see ModeSolution.te_fraction
-    for how the fraction is evaluated); ties go to TE."""
-    return mode.polarization, mode.te_fraction
 
 
 def modal_absorption(mode: ModeSolution, wavelength_m: float | None = None) -> float:
@@ -299,24 +291,22 @@ def solve_modes(op: ModeOperator, config: SolverConfig | None = None) -> list[Mo
     target = config.target_n_eff if config.target_n_eff is not None else 0.98 * _core_index(op)
     sigma = (op.k0 * target) ** 2
 
-    nn = op.matrix.shape[0]
-    k = min(config.num_modes, nn - 2)
-    rng = np.random.default_rng(_ARNOLDI_SEED)
-    v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
-
-    lu = spla.splu(op.matrix - sigma * sp.identity(nn, format="csc"), **_SHIFT_INVERT_LU)
-    opinv = spla.LinearOperator((nn, nn), matvec=lu.solve, dtype=complex)
-    try:
-        vals, vecs = spla.eigs(
-            op.matrix, k=k, sigma=sigma, OPinv=opinv, v0=v0, tol=0,
-            maxiter=config.max_iterations, return_eigenvectors=True,
-        )
-    except spla.ArpackNoConvergence as exc:
-        found = 0 if exc.eigenvalues is None else len(exc.eigenvalues)
-        raise ConvergenceError(
-            f"eigensolver did not converge within {config.max_iterations} iterations "
-            f"({found}/{k} eigenvalues found)"
-        ) from exc
+    bases = _mirror_bases(op)
+    if bases is None:
+        vals, vecs = _shift_invert_eigs(op.matrix, sigma, config)
+    else:
+        # One half-domain solve per parity class, lifted back to the full
+        # domain; the num_modes eigenvalues nearest sigma over both classes
+        # are the ones a full-domain solve returns.
+        by_row = op.matrix.tocsr()
+        vals, vecs = [], []
+        for keep, basis in bases:
+            class_vals, class_vecs = _shift_invert_eigs((by_row[keep] @ basis).tocsc(), sigma, config)
+            vals.append(class_vals)
+            vecs.append(basis @ class_vecs)
+        vals, vecs = np.concatenate(vals), np.hstack(vecs)
+        nearest = np.argsort(np.abs(vals - sigma), kind="stable")[: config.num_modes]
+        vals, vecs = vals[nearest], vecs[:, nearest]
 
     n_effs = np.sqrt(vals.astype(complex)) / op.k0
     order = np.argsort(-n_effs.real, kind="stable")
@@ -337,6 +327,69 @@ def solve_modes(op: ModeOperator, config: SolverConfig | None = None) -> list[Mo
         hy = vecs[nxn * nyn:, idx].reshape(nxn, nyn)
         modes.append(_finalize_mode(op, n_eff, hx, hy))
     return modes
+
+
+def _shift_invert_eigs(mat, sigma: float, config: SolverConfig):
+    """Eigenpairs of ``mat`` nearest ``sigma`` (shift-invert Arnoldi with an
+    explicit LU of mat - sigma*I and a seeded start vector)."""
+    nn = mat.shape[0]
+    k = min(config.num_modes, nn - 2)
+    rng = np.random.default_rng(_ARNOLDI_SEED)
+    v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
+
+    lu = spla.splu(mat - sigma * sp.identity(nn, format="csc"), **_SHIFT_INVERT_LU)
+    opinv = spla.LinearOperator((nn, nn), matvec=lu.solve, dtype=complex)
+    try:
+        return spla.eigs(
+            mat, k=k, sigma=sigma, OPinv=opinv, v0=v0, tol=0,
+            maxiter=config.max_iterations, return_eigenvectors=True,
+        )
+    except spla.ArpackNoConvergence as exc:
+        found = 0 if exc.eigenvalues is None else len(exc.eigenvalues)
+        raise ConvergenceError(
+            f"eigensolver did not converge within {config.max_iterations} iterations "
+            f"({found}/{k} eigenvalues found)"
+        ) from exc
+
+
+def _mirror_bases(op: ModeOperator):
+    """Parity-class restrictions of an exactly mirror-symmetric operator.
+
+    With an odd node count, x spacing equal to its reverse and eps equal to
+    its mirror image, the operator commutes with S = mirror * diag(+1 on Hx,
+    -1 on Hy), so every eigenvector has S v = +v (Hx even, Hy odd and zero
+    on the centre line) or S v = -v (Hx odd, Hy even). For each class this
+    returns ``(keep, basis)``: ``basis`` (2N x N, entries 0/+-1) maps the
+    unknowns on the nodes left of and on the centre line to the full vector,
+    and ``keep`` are their full-vector indices, so ``A[keep] @ basis`` is the
+    class's exact restriction and ``basis @ u`` lifts its eigenvectors.
+    Returns None when the operator is not exactly symmetric.
+    """
+    dx = np.diff(op.x_nodes_m)
+    nnx, nny = op.shape
+    if nnx % 2 == 0 or not np.array_equal(dx, dx[::-1]) or not np.array_equal(op.eps, op.eps[::-1]):
+        return None
+    nn = nnx * nny
+    centre = nnx // 2
+    node = np.arange(nn).reshape(nnx, nny)
+    off_centre = np.arange(centre * nny)
+    bases = []
+    for hx_parity in (1, -1):
+        keep, rows, cols, vals = [], [], [], []
+        col = 0
+        for comp, parity in ((0, hx_parity), (1, -hx_parity)):
+            left = node[: centre + (parity > 0)].ravel() + comp * nn   # centre row only if even
+            mirrored = node[::-1][:centre].ravel() + comp * nn
+            keep.append(left)
+            rows += [left, mirrored]
+            cols += [col + np.arange(left.size), col + off_centre]
+            vals += [np.ones(left.size), np.full(mirrored.size, float(parity))]
+            col += left.size
+        basis = sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * nn, col)
+        )
+        bases.append((np.concatenate(keep), basis))
+    return bases
 
 
 def _core_index(op: ModeOperator) -> float:

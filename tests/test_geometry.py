@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import snspdkit as sk
 from snspdkit.errors import ConfigError
@@ -93,6 +95,34 @@ def test_rasterize_mirror_symmetry(reference_cs):
     grid = sk.rasterize(reference_cs)
     assert np.array_equal(grid.x_edges_m, -grid.x_edges_m[::-1])
     assert np.array_equal(grid.eps, grid.eps[::-1, :])
+
+
+def _mirror_symmetric(grid) -> bool:
+    """Exact mirror symmetry about x = 0: odd node count, reflected edges,
+    spacing equal to its reverse and eps equal to its mirror image."""
+    x = grid.x_edges_m
+    dx = np.diff(x)
+    return (len(x) % 2 == 1 and np.array_equal(x, -x[::-1]) and np.array_equal(dx, dx[::-1])
+            and np.array_equal(grid.eps, grid.eps[::-1, :]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(1, 6), width_nm=st.integers(40, 150), gap_nm=st.integers(0, 250),
+       offset_nm=st.one_of(st.just(0), st.integers(-300, 300)))
+def test_rasterize_mirror_symmetric_iff_centred(count, width_nm, gap_nm, offset_nm):
+    ridge = sk.RidgeSpec(width_m=1.85e-6, etch_depth_m=250e-9)
+    wires = sk.NanowireArray(count=count, width_m=width_nm * 1e-9, pitch_m=(width_nm + gap_nm) * 1e-9,
+                             thickness_m=4.3e-9, cap_material="SiOx", cap_thickness_m=100e-9,
+                             offset_m=offset_nm * 1e-9)
+    assume(sk.alignment_margin(ridge, wires) >= 0)
+    stack = sk.LayerStack((
+        sk.Layer("GaAs", substrate=True),
+        sk.Layer("AlGaAs", 1.5e-6),
+        sk.Layer("GaAs", 300e-9),
+    ))
+    cs = sk.CrossSection(stack, ridge, wires, 6e-6, 3.6e-6, 1300e-9, sk.default_materials())
+    grid = sk.rasterize(cs, sk.ResolutionPolicy(base_m=50e-9))
+    assert _mirror_symmetric(grid) == (offset_nm == 0)
 
 
 def test_rasterize_deterministic(reference_cs):

@@ -1,18 +1,25 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import snspdkit as sk
+import snspdkit.modes as modes_module
 from snspdkit.errors import ConfigError, ConvergenceError, DomainError
 from snspdkit.geometry import PermittivityGrid, rasterize
 from snspdkit.modes import (
     _ARNOLDI_SEED,
     _core_index,
     _finalize_mode,
+    _mirror_bases,
+    _relative_residual,
     assemble_operator,
-    classify_polarization,
     convergence_study,
     modal_absorption,
     mode_power,
@@ -32,9 +39,14 @@ def uniform_grid(n_index, nx, ny, size):
     return PermittivityGrid(edges_x, edges_y, eps, 1300e-9)
 
 
-def step_index_grid(n_core, n_clad, cells, size):
-    """Square core of half the window width, centered."""
-    edges = np.linspace(-size / 2, size / 2, cells + 1)
+def step_index_grid(n_core, n_clad, cells, size, mirrored=False):
+    """Square core of half the window width, centered. ``mirrored`` builds
+    the edges by reflection, so the grid is exactly mirror-symmetric."""
+    if mirrored:
+        half = np.linspace(0.0, size / 2, cells // 2 + 1)
+        edges = np.concatenate([-half[:0:-1], half])
+    else:
+        edges = np.linspace(-size / 2, size / 2, cells + 1)
     centers = 0.5 * (edges[1:] + edges[:-1])
     core = (np.abs(centers)[:, None] < size / 4) & (np.abs(centers)[None, :] < size / 4)
     eps = np.where(core, complex(n_core) ** 2, complex(n_clad) ** 2)
@@ -87,47 +99,103 @@ def test_no_guided_modes_is_empty_result():
     assert modes == []
 
 
+@pytest.fixture()
+def solve_sizes(monkeypatch):
+    """Unknown counts of the shift-invert eigensolves solve_modes runs:
+    one full-size solve, or one half-size solve per mirror parity class."""
+    sizes = []
+    inner = modes_module._shift_invert_eigs
+
+    def spy(mat, sigma, config):
+        sizes.append(mat.shape[0])
+        return inner(mat, sigma, config)
+
+    monkeypatch.setattr(modes_module, "_shift_invert_eigs", spy)
+    return sizes
+
+
+def full_domain_eigs(op, k, return_eigenvectors=True):
+    """Oracle: SciPy's default shift-invert eigs (internal COLAMD LU) on the
+    full-domain operator, with the solver's start vector and default shift."""
+    nn = op.matrix.shape[0]
+    rng = np.random.default_rng(_ARNOLDI_SEED)
+    v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
+    sigma = (op.k0 * 0.98 * _core_index(op)) ** 2
+    return spla.eigs(op.matrix, k, sigma=sigma, v0=v0, tol=0,
+                     return_eigenvectors=return_eigenvectors)
+
+
+def mode_residual(op, mode):
+    """Eigen-residual of a returned mode against the full-domain operator."""
+    vec = np.concatenate([mode.hx.ravel(), mode.hy.ravel()])
+    return _relative_residual(op.matrix, mode.beta ** 2, vec)
+
+
 @pytest.mark.parametrize("core_nm", [None, 350.0], ids=["shipped", "tm-design"])
-def test_factorization_matches_default_shift_invert(default_config, core_nm):
-    """The solver's own shift-invert LU gives the eigenpairs of SciPy's
-    default path (internal COLAMD LU) on a coarse grid of the shipped
-    geometry and of the thick-core TM design."""
+def test_factorization_matches_default_shift_invert(default_config, core_nm, solve_sizes):
+    """The mirror split (two half-domain solves with the solver's own
+    shift-invert LU) gives the guided eigenpairs of SciPy's default path
+    (internal COLAMD LU) on the full domain, on a coarse grid of the
+    shipped geometry and of the thick-core TM design."""
     cfg = default_config
     cs = cfg.cross_section
     if core_nm is not None:
         cs = apply_parameters(cs, {"core_thickness_nm": core_nm})
     op = assemble_operator(rasterize(cs, cfg.policy.bulk_refined(0.35)))
     modes = solve_modes(op, cfg.solver)
+    assert solve_sizes == [op.matrix.shape[0] // 2] * 2
 
-    nn = op.matrix.shape[0]
-    rng = np.random.default_rng(_ARNOLDI_SEED)
-    v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
-    sigma = (op.k0 * 0.98 * _core_index(op)) ** 2
-    vals, vecs = spla.eigs(op.matrix, cfg.solver.num_modes, sigma=sigma, v0=v0, tol=0)
+    vals, vecs = full_domain_eigs(op, cfg.solver.num_modes)
     n_effs = np.sqrt(vals.astype(complex)) / op.k0
     n_clad, n_high = op.index_bracket()
     nxn, nyn = op.shape
-    oracle = []
+    oracle, oracle_residuals = [], []
     for i in np.argsort(-n_effs.real, kind="stable"):
         n_eff = complex(n_effs[i])
         if n_clad < n_eff.real < n_high:
             hx = vecs[: nxn * nyn, i].reshape(nxn, nyn)
             hy = vecs[nxn * nyn:, i].reshape(nxn, nyn)
             oracle.append(_finalize_mode(op, n_eff, hx, hy))
+            oracle_residuals.append(_relative_residual(op.matrix, vals[i], vecs[:, i]))
 
     assert len(modes) == len(oracle) > 0
     for mode, ref in zip(modes, oracle):
         assert abs(mode.n_eff - ref.n_eff) <= 1e-10 * abs(ref.n_eff)
         assert mode.polarization == ref.polarization
+    # 100x headroom under the gate, except where the full operator's round-off
+    # floor (about 1e-12 on these grids, for the oracle too) rules that out:
+    # there the split must be no less accurate than the full-domain solve.
+    worst = max(mode_residual(op, mode) for mode in modes)
+    assert worst <= max(cfg.solver.tolerance / 100, max(oracle_residuals))
     if core_nm is not None:
         assert select_mode(modes, "TM") is not None
 
 
-def test_arpack_no_convergence_is_convergence_error():
-    op = assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6))
+@pytest.mark.parametrize("num_modes", [1, 3])
+def test_mirror_split_keeps_modes_nearest_target(num_modes, solve_sizes):
+    """Merging the parity classes keeps the num_modes eigenvalues nearest the
+    shift, as one full-domain solve does."""
+    op = assemble_operator(step_index_grid(3.4, 3.2, 40, 4e-6, mirrored=True))
+    config = sk.SolverConfig(num_modes=num_modes)
+    modes = solve_modes(op, config)
+    assert solve_sizes == [op.matrix.shape[0] // 2] * 2
+
+    vals = full_domain_eigs(op, num_modes, return_eigenvectors=False)
+    oracle = sorted(np.sqrt(vals.astype(complex)) / op.k0, key=lambda n: -n.real)
+    assert len(modes) == len(oracle) == num_modes
+    for mode, n_eff in zip(modes, oracle):
+        assert abs(mode.n_eff - n_eff) <= 1e-10 * abs(n_eff)
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["full", "split"])
+def test_arpack_no_convergence_is_convergence_error(mirrored, solve_sizes):
+    op = assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6, mirrored))
     with pytest.raises(ConvergenceError, match="did not converge within 1 iterations") as info:
         solve_modes(op, sk.SolverConfig(max_iterations=1))
     assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
+    # linspace edges are not exactly symmetric: one full-domain solve; the
+    # reflected grid is split and its first parity class already fails
+    assert solve_sizes == [op.matrix.shape[0] // 2 if mirrored else op.matrix.shape[0]]
 
 
 def test_residual_gate_raises_with_residual():
@@ -173,11 +241,32 @@ def test_guided_modes_bracketed_and_sorted(reference_solve, default_config):
 
 
 def test_fundamental_symmetry(reference_solve):
+    """TE0 of the mirror-symmetric reference section: Hy even, Hx odd, exactly."""
     modes, _seconds = reference_solve
     te = select_mode(modes, "TE")
-    f = te.hy
-    asym = float(np.max(np.abs(f - f[::-1, :])) / np.max(np.abs(f)))
-    assert asym < 1e-6
+    assert np.array_equal(te.hy, te.hy[::-1, :])
+    assert np.array_equal(te.hx, -te.hx[::-1, :])
+
+
+def test_asymmetric_operators_take_full_path(default_config, solve_sizes):
+    """An offset array, and a symmetric grid with one eps cell changed, are
+    solved on the full domain and pass the residual gate."""
+    cfg = default_config
+    policy = cfg.policy.bulk_refined(0.35)
+    offset = rasterize(apply_parameters(cfg.cross_section, {"array_offset_nm": 100}), policy)
+    grid = rasterize(cfg.cross_section, policy)
+    assert _mirror_bases(assemble_operator(grid)) is not None
+    eps = grid.eps.copy()
+    eps[3, 5] = 1.5 ** 2
+    perturbed = PermittivityGrid(grid.x_edges_m, grid.y_edges_m, eps, grid.wavelength_m)
+    for g in (offset, perturbed):
+        op = assemble_operator(g)
+        assert _mirror_bases(op) is None
+        solve_sizes.clear()
+        found = solve_modes(op, cfg.solver)
+        assert solve_sizes == [op.matrix.shape[0]]
+        assert select_mode(found, "TE") is not None
+        assert all(mode_residual(op, m) <= cfg.solver.tolerance for m in found)
 
 
 def test_solve_is_deterministic(default_config):
@@ -190,21 +279,62 @@ def test_solve_is_deterministic(default_config):
     assert all(np.array_equal(a.hx, b.hx) for a, b in zip(m1, m2))
 
 
+_REPEAT_SOLVE = """
+import json
+from dataclasses import replace
+
+import numpy as np
+
+import snspdkit as sk
+from snspdkit.config import default_config_path, load_project_config
+from snspdkit.modes import _mirror_bases
+
+cs = replace(load_project_config(default_config_path()).cross_section, window_width_m=5.2e-6)
+policy = sk.ResolutionPolicy(base_m=50e-9, far_m=125e-9)
+op = sk.assemble_operator(sk.rasterize(cs, policy))
+runs = [sk.solve_modes(op, sk.SolverConfig(num_modes=4)) for _ in range(2)]
+print(json.dumps({
+    "split": _mirror_bases(op) is not None,
+    "n_eff": [[m.n_eff.real, m.n_eff.imag] for m in runs[0]],
+    "repeat_n_eff_identical": [m.n_eff for m in runs[0]] == [m.n_eff for m in runs[1]],
+    "repeat_hx_identical": all(np.array_equal(a.hx, b.hx) for a, b in zip(*runs)),
+}))
+"""
+
+
+def test_solve_deterministic_across_blas_threads():
+    """Repeated symmetric solves in a fresh interpreter are bit-identical at
+    1 and at 2 BLAS threads; the two thread counts agree to round-off."""
+    src = str(Path(sk.__file__).resolve().parents[1])
+    results = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _REPEAT_SOLVE], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        results[threads] = json.loads(out.stdout)
+    for res in results.values():
+        assert res["split"] and res["n_eff"]
+        assert res["repeat_n_eff_identical"] and res["repeat_hx_identical"]
+    one, two = ([complex(*v) for v in results[t]["n_eff"]] for t in ("1", "2"))
+    assert len(one) == len(two)
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(one, two))
+
+
 # -- polarization and absorption --------------------------------------------
 
 def test_classify_pure_te_synthetic(reference_solve):
     modes, _seconds = reference_solve
     te = modes[0]
     pure = replace(te, hx=np.zeros_like(te.hx), te_fraction=1.0)
-    kind, fraction = classify_polarization(pure)
-    assert kind == "TE" and fraction == 1.0
+    assert pure.polarization == "TE" and pure.te_fraction == 1.0
 
 
 def test_classify_reference_fundamental(reference_solve):
     modes, _seconds = reference_solve
-    kind, fraction = classify_polarization(select_mode(modes, "TE"))
-    assert kind == "TE"
-    assert fraction > 0.8
+    te = select_mode(modes, "TE")
+    assert te.polarization == "TE"
+    assert te.te_fraction > 0.8
 
 
 def test_modal_absorption_values(reference_solve):
