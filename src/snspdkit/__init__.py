@@ -32,6 +32,7 @@ from .modes import (
     modal_absorption,
     select_mode,
     solve_cross_section,
+    solve_fundamental,
     solve_modes,
 )
 
@@ -44,5 +45,5 @@ __all__ = [
     "Material", "default_materials", "lookup_index", "make_builtin_material",
     "ModeOperator", "ModeSolution", "SolverConfig", "assemble_operator",
     "convergence_study", "modal_absorption",
-    "select_mode", "solve_cross_section", "solve_modes",
+    "select_mode", "solve_cross_section", "solve_fundamental", "solve_modes",
 ]

@@ -218,7 +218,7 @@ def cmd_efficiency(coupling, absorptance_, internal, dqe, as_json):
     payload = {"absorptance": absorptance_, "internal": internal,
                "dqe": absorptance_ * internal}
     if coupling is not None:
-        budget = det.efficiency_chain(coupling, absorptance_, internal)
+        budget = det.EfficiencyBudget(coupling, absorptance_, internal)
         payload.update({"coupling": coupling, "dqe": budget.dqe, "sqe": budget.sqe})
     emit(payload, as_json)
 

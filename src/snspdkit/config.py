@@ -149,7 +149,7 @@ def _parse_materials(entries, aluminum_fraction: float) -> dict[str, Material]:
         else:
             rows = entry["table_nm"]
             try:
-                wl = tuple(float(r[0]) * 1e-9 for r in rows)
+                wl = tuple(float(r[0]) / 1e9 for r in rows)
                 idx = tuple(complex(float(r[1]), -float(r[2])) for r in rows)
             except (TypeError, IndexError, ValueError) as exc:
                 raise ConfigError(f"{ctx}: table_nm rows must be [wavelength_nm, n, k]") from exc
@@ -325,7 +325,7 @@ def load_project_config(source: str | Path | dict) -> ProjectConfig:
     _check_keys(raw, _TOP_KEYS, "config")
 
     aluminum_fraction = _number(raw, "aluminum_fraction", "config", required=False, default=0.75)
-    wavelength = _number(raw, "wavelength_nm", "config") * 1e-9
+    wavelength = _number(raw, "wavelength_nm", "config") / 1e9
 
     materials = (_parse_materials(raw["materials"], aluminum_fraction)
                  if "materials" in raw else default_materials(aluminum_fraction))

@@ -7,7 +7,7 @@ generator per call; independent calls may run concurrently.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, curve_fit
@@ -17,6 +17,7 @@ from .constants import photon_flux
 from .errors import ConfigError, DomainError, InconsistencyError
 
 GAUSS_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0))  # FWHM / sigma
+_FLAG_NAMES = ("dark", "photon")   # CountRecord.flags, indexed by the photon mask
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,6 @@ def absorptance(alpha_per_cm: float, length_cm: float) -> float:
     if alpha_per_cm < 0 or length_cm < 0:
         raise DomainError("absorptance requires alpha >= 0 and L >= 0")
     return -math.expm1(-alpha_per_cm * length_cm)
-
-
-def efficiency_chain(coupling: float, absorptance_: float, internal: float) -> EfficiencyBudget:
-    return EfficiencyBudget(coupling, absorptance_, internal)
 
 
 def invert_internal(dqe: float, absorptance_: float) -> float:
@@ -367,18 +364,13 @@ def simulate_counting(
     t_ph = poisson_times(photon_rate)
     t_dk = poisson_times(dark_rate)
     t_all = np.concatenate([t_ph, t_dk])
-    f_all = np.array(["photon"] * len(t_ph) + ["dark"] * len(t_dk))
+    photon = np.repeat([True, False], [t_ph.size, t_dk.size])
     order = np.argsort(t_all, kind="stable")
-    t_all, f_all = t_all[order], f_all[order]
+    t_all, photon = t_all[order], photon[order]
 
-    keep = []
-    t_last = -math.inf
-    for k, t in enumerate(t_all):
-        if t - t_last >= t_dead:
-            keep.append(k)
-            t_last = t
+    keep = _dead_time_filter(t_all, t_dead)
     detected = t_all[keep]
-    flags = f_all[keep]
+    photon = photon[keep]
 
     recorded = detected + (
         rng.normal(0.0, source.jitter_sigma_s, len(detected))
@@ -388,7 +380,7 @@ def simulate_counting(
 
     return CountRecord(
         timestamps_s=recorded[order],
-        flags=tuple(flags[order]),
+        flags=tuple(map(_FLAG_NAMES.__getitem__, photon[order].tolist())),
         detection_times_s=detected,
         dead_time_s=t_dead,
         metadata={
@@ -402,6 +394,25 @@ def simulate_counting(
             "jitter_sigma_s": source.jitter_sigma_s,
         },
     )
+
+
+def _dead_time_filter(times_s: np.ndarray, dead_time_s: float) -> np.ndarray:
+    """Indices of the sorted event times a non-paralyzable dead time lets
+    through: an event counts if it comes at least ``dead_time_s`` after the
+    last counted event.
+
+    An event at least the dead time after its predecessor is at least that
+    far after the last counted event, so it always counts; only events
+    closer than that to their predecessor are decided one by one.
+    """
+    keep = np.ones(times_s.size, dtype=bool)
+    last = 0                          # index of the last counted event so far
+    for k in (np.flatnonzero(np.diff(times_s) < dead_time_s) + 1).tolist():
+        if keep[k - 1]:
+            last = k - 1
+        if times_s[k] - times_s[last] < dead_time_s:
+            keep[k] = False
+    return np.flatnonzero(keep)
 
 
 def estimate_sqe_from_sweep(
@@ -465,7 +476,3 @@ def histogram_fwhm(samples: np.ndarray, bins: int | None = None) -> float:
     popt, _ = curve_fit(gauss, centers, counts, p0=p0, maxfev=10000)
     return GAUSS_FWHM * abs(float(popt[2]))
 
-
-def detector_with(model: DetectorModel, **changes) -> DetectorModel:
-    """Copy of the model with the given fields replaced."""
-    return replace(model, **changes)

@@ -24,8 +24,11 @@ import numpy as np
 from .constants import E_CHARGE, HC
 from .errors import DomainError, WavelengthRangeError
 
-BAND_M = (1260e-9, 1360e-9)   # wavelength range covered by shipped tables
-_TABLE_STEP_M = 5e-9
+# Wavelengths given in nm are converted as nm / 1e9 (correctly rounded), so
+# 1360 nm maps to exactly BAND_M[1]; the shipped tables sample whole nm.
+BAND_NM = (1260, 1360)
+BAND_M = (BAND_NM[0] / 1e9, BAND_NM[1] / 1e9)   # wavelength range covered by shipped tables
+_TABLE_STEP_NM = 5
 
 NBN_INDEX_1300 = complex(5.23, -5.82)
 
@@ -128,8 +131,8 @@ def silica_index(wavelength_m: float) -> float:
     return float(np.sqrt(n2))
 
 
-def _sampled_material(name, model, band=BAND_M, step=_TABLE_STEP_M) -> Material:
-    wl = np.arange(band[0], band[1] + step / 2, step)
+def _sampled_material(name, model) -> Material:
+    wl = np.arange(BAND_NM[0], BAND_NM[1] + 1, _TABLE_STEP_NM) / 1e9
     return Material(name, tuple(float(w) for w in wl), tuple(complex(model(w), 0.0) for w in wl))
 
 

@@ -129,7 +129,7 @@ class ModeSolution:
 
     @property
     def polarization(self) -> str:
-        return "TE" if self.te_fraction >= 0.5 else "TM"
+        return _polarization(self.te_fraction)
 
 
 def modal_absorption(mode: ModeSolution, wavelength_m: float | None = None) -> float:
@@ -287,69 +287,151 @@ def solve_modes(op: ModeOperator, config: SolverConfig | None = None) -> list[Mo
     """
     if config is None:
         config = SolverConfig()
+    sigma = _shift(op, config)
+
+    # One solve per operator, lifted back to the full domain; over the two
+    # mirror parity classes, the num_modes eigenvalues nearest sigma are the
+    # ones a full-domain solve returns.
+    vals, vecs = [], []
+    for mat, lift in _operators(op):
+        class_vals, class_vecs = _shift_invert(mat, sigma, config)(_max_k(config, mat))
+        vals.append(class_vals)
+        vecs.append(class_vecs if lift is None else lift @ class_vecs)
+    vals, vecs = np.concatenate(vals), np.hstack(vecs)
+    nearest = np.argsort(np.abs(vals - sigma), kind="stable")[: config.num_modes]
+    vals, vecs = vals[nearest], vecs[:, nearest]
+
     n_clad, n_high = op.index_bracket()
-    target = config.target_n_eff if config.target_n_eff is not None else 0.98 * _core_index(op)
-    sigma = (op.k0 * target) ** 2
-
-    bases = _mirror_bases(op)
-    if bases is None:
-        vals, vecs = _shift_invert_eigs(op.matrix, sigma, config)
-    else:
-        # One half-domain solve per parity class, lifted back to the full
-        # domain; the num_modes eigenvalues nearest sigma over both classes
-        # are the ones a full-domain solve returns.
-        by_row = op.matrix.tocsr()
-        vals, vecs = [], []
-        for keep, basis in bases:
-            class_vals, class_vecs = _shift_invert_eigs((by_row[keep] @ basis).tocsc(), sigma, config)
-            vals.append(class_vals)
-            vecs.append(basis @ class_vecs)
-        vals, vecs = np.concatenate(vals), np.hstack(vecs)
-        nearest = np.argsort(np.abs(vals - sigma), kind="stable")[: config.num_modes]
-        vals, vecs = vals[nearest], vecs[:, nearest]
-
     n_effs = np.sqrt(vals.astype(complex)) / op.k0
-    order = np.argsort(-n_effs.real, kind="stable")
-
-    nxn, nyn = op.shape
     modes = []
-    for idx in order:
+    for idx in np.argsort(-n_effs.real, kind="stable"):
         n_eff = complex(n_effs[idx])
-        if not (n_clad < n_eff.real < n_high):
-            continue
-        resid = _relative_residual(op.matrix, vals[idx], vecs[:, idx])
-        if resid > config.tolerance:
-            raise ConvergenceError(
-                f"eigenpair residual {resid:.2e} exceeds tolerance {config.tolerance:.1e}",
-                residual=resid,
-            )
-        hx = vecs[: nxn * nyn, idx].reshape(nxn, nyn)
-        hy = vecs[nxn * nyn:, idx].reshape(nxn, nyn)
-        modes.append(_finalize_mode(op, n_eff, hx, hy))
+        if n_clad < n_eff.real < n_high:
+            modes.append(_gated_mode(op, n_eff, vals[idx], vecs[:, idx], config))
     return modes
 
 
-def _shift_invert_eigs(mat, sigma: float, config: SolverConfig):
-    """Eigenpairs of ``mat`` nearest ``sigma`` (shift-invert Arnoldi with an
-    explicit LU of mat - sigma*I and a seeded start vector)."""
+def solve_fundamental(
+    op: ModeOperator, kind: str, config: SolverConfig | None = None
+) -> ModeSolution | None:
+    """The mode ``select_mode(solve_modes(op, config), kind)`` picks, computed
+    from as few eigenpairs as the query needs.
+
+    Each operator (the full domain, or each mirror parity class in turn) is
+    factored once, and Arnoldi runs for the k = 1, 2, 4, ... eigenpairs
+    nearest the shift (at most ``num_modes``) until the computed set holds a
+    guided ``kind`` mode and reaches at least (k0 * n_core)^2 - sigma from
+    the shift, so that every dielectric-guided eigenvalue above the shift has
+    been seen. The highest-Re(n_eff) guided ``kind`` mode over all computed
+    pairs passes the residual gate against the full operator and is the only
+    one finalized. Returns None if no such mode is found within the cap.
+    """
+    kind = _mode_kind(kind)
+    if config is None:
+        config = SolverConfig()
+    sigma = _shift(op, config)
+    reach = max(0.0, (op.k0 * _core_index(op)) ** 2 - sigma)
+    best = None
+    for mat, lift in _operators(op):
+        found = _fundamental_pair(op, mat, lift, sigma, reach, kind, config)
+        if found is not None and (best is None or found[0].real > best[0].real):
+            best = found
+    return None if best is None else _gated_mode(op, *best, config)
+
+
+def _fundamental_pair(op, mat, lift, sigma, reach, kind, config):
+    """(n_eff, eigenvalue, full-domain vector) of the highest-Re(n_eff) guided
+    ``kind`` mode among the eigenpairs of ``mat`` nearest sigma, or None.
+    Grows k from 1 on one factorization, which dies with this call."""
+    n_clad, n_high = op.index_bracket()
+    area = _cell_area(op)
+    nearest = _shift_invert(mat, sigma, config)
+    cap = _max_k(config, mat)
+    k = 1
+    while True:
+        vals, vecs = nearest(k)
+        if lift is not None:
+            vecs = lift @ vecs
+        n_effs = np.sqrt(vals.astype(complex)) / op.k0
+        found = None
+        for idx in np.argsort(-n_effs.real, kind="stable"):
+            if not n_clad < n_effs[idx].real < n_high:
+                continue
+            hx, hy = _components(op, vecs[:, idx])
+            if _polarization(_te_share(_centered(hx), _centered(hy), area)) == kind:
+                found = complex(n_effs[idx]), vals[idx], vecs[:, idx]
+                break
+        if k == cap or (found is not None and np.abs(vals - sigma).max() >= reach):
+            return found
+        k = min(2 * k, cap)
+
+
+def _shift_invert(mat, sigma: float, config: SolverConfig):
+    """Factor mat - sigma*I once and return ``nearest(k)``: the k eigenpairs
+    of ``mat`` nearest sigma, by shift-invert Arnoldi with that LU and a
+    seeded start vector. The LU lives as long as ``nearest`` does."""
     nn = mat.shape[0]
-    k = min(config.num_modes, nn - 2)
     rng = np.random.default_rng(_ARNOLDI_SEED)
     v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
 
     lu = spla.splu(mat - sigma * sp.identity(nn, format="csc"), **_SHIFT_INVERT_LU)
     opinv = spla.LinearOperator((nn, nn), matvec=lu.solve, dtype=complex)
-    try:
-        return spla.eigs(
-            mat, k=k, sigma=sigma, OPinv=opinv, v0=v0, tol=0,
-            maxiter=config.max_iterations, return_eigenvectors=True,
-        )
-    except spla.ArpackNoConvergence as exc:
-        found = 0 if exc.eigenvalues is None else len(exc.eigenvalues)
+
+    def nearest(k: int):
+        try:
+            return spla.eigs(
+                mat, k=k, sigma=sigma, OPinv=opinv, v0=v0, tol=0,
+                maxiter=config.max_iterations, return_eigenvectors=True,
+            )
+        except spla.ArpackNoConvergence as exc:
+            found = 0 if exc.eigenvalues is None else len(exc.eigenvalues)
+            raise ConvergenceError(
+                f"eigensolver did not converge within {config.max_iterations} iterations "
+                f"({found}/{k} eigenvalues found)"
+            ) from exc
+
+    return nearest
+
+
+def _operators(op: ModeOperator):
+    """The eigenproblems ``op`` is solved as, built one at a time as
+    ``(matrix, lift)``: the full operator with lift None, or, for an exactly
+    mirror-symmetric operator, each parity class's restriction with the
+    basis that lifts its eigenvectors to the full domain."""
+    bases = _mirror_bases(op)
+    if bases is None:
+        yield op.matrix, None
+        return
+    by_row = op.matrix.tocsr()
+    for keep, basis in bases:
+        yield (by_row[keep] @ basis).tocsc(), basis
+
+
+def _shift(op: ModeOperator, config: SolverConfig) -> float:
+    target = config.target_n_eff if config.target_n_eff is not None else 0.98 * _core_index(op)
+    return (op.k0 * target) ** 2
+
+
+def _max_k(config: SolverConfig, mat) -> int:
+    return min(config.num_modes, mat.shape[0] - 2)
+
+
+def _components(op: ModeOperator, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Hx, Hy) node arrays of a full-domain eigenvector."""
+    nxn, nyn = op.shape
+    return vec[: nxn * nyn].reshape(nxn, nyn), vec[nxn * nyn:].reshape(nxn, nyn)
+
+
+def _gated_mode(op: ModeOperator, n_eff: complex, val, vec, config: SolverConfig) -> ModeSolution:
+    """Finalized mode of an eigenpair whose residual against the full
+    operator is within the configured tolerance."""
+    resid = _relative_residual(op.matrix, val, vec)
+    if resid > config.tolerance:
         raise ConvergenceError(
-            f"eigensolver did not converge within {config.max_iterations} iterations "
-            f"({found}/{k} eigenvalues found)"
-        ) from exc
+            f"eigenpair residual {resid:.2e} exceeds tolerance {config.tolerance:.1e}",
+            residual=resid,
+        )
+    return _finalize_mode(op, n_eff, *_components(op, vec))
 
 
 def _mirror_bases(op: ModeOperator):
@@ -416,23 +498,34 @@ def _finalize_mode(op: ModeOperator, n_eff: complex, hx: np.ndarray, hy: np.ndar
     if not all(np.all(np.isfinite(f)) for f in (hx, hy, hz, ex, ey, ez)):
         raise ConvergenceError("non-finite field values in computed mode")
 
-    area = np.diff(op.x_nodes_m)[:, None] * np.diff(op.y_nodes_m)[None, :]
+    area = _cell_area(op)
     hxc, hyc = _centered(hx), _centered(hy)
     power = 0.5 * float(np.sum((ex * np.conj(hyc) - ey * np.conj(hxc)).real * area))
     scale = 1.0 / np.sqrt(abs(power))
     hx, hy, hz = hx * scale, hy * scale, hz * scale
     ex, ey, ez = ex * scale, ey * scale, ez * scale
 
-    e_h = float(np.sum(np.abs(hyc) ** 2 * area))
-    e_v = float(np.sum(np.abs(hxc) ** 2 * area))
-    te_fraction = e_h / (e_h + e_v)
-
     return ModeSolution(
         n_eff=n_eff, k0=op.k0,
         x_nodes_m=op.x_nodes_m, y_nodes_m=op.y_nodes_m,
         hx=hx, hy=hy, hz=hz, ex=ex, ey=ey, ez=ez,
-        te_fraction=te_fraction,
+        te_fraction=_te_share(hxc, hyc, area),
     )
+
+
+def _cell_area(op: ModeOperator) -> np.ndarray:
+    return np.diff(op.x_nodes_m)[:, None] * np.diff(op.y_nodes_m)[None, :]
+
+
+def _te_share(hxc: np.ndarray, hyc: np.ndarray, area: np.ndarray) -> float:
+    """|Hy|^2 / (|Hx|^2 + |Hy|^2) over the cells (see ModeSolution.te_fraction)."""
+    e_h = float(np.sum(np.abs(hyc) ** 2 * area))
+    e_v = float(np.sum(np.abs(hxc) ** 2 * area))
+    return e_h / (e_h + e_v)
+
+
+def _polarization(te_fraction: float) -> str:
+    return "TE" if te_fraction >= 0.5 else "TM"
 
 
 def mode_power(mode: ModeSolution) -> float:
@@ -445,13 +538,18 @@ def mode_power(mode: ModeSolution) -> float:
 def select_mode(modes: list[ModeSolution], kind: str = "TE") -> ModeSolution | None:
     """Fundamental mode of the requested polarization: the highest-Re(n_eff)
     guided mode classified as ``kind``; None if there is none."""
-    kind = kind.upper()
-    if kind not in ("TE", "TM"):
-        raise DomainError(f"mode kind must be 'TE' or 'TM', got {kind!r}")
+    kind = _mode_kind(kind)
     for mode in modes:  # already sorted by descending Re(n_eff)
         if mode.polarization == kind:
             return mode
     return None
+
+
+def _mode_kind(kind: str) -> str:
+    kind = kind.upper()
+    if kind not in ("TE", "TM"):
+        raise DomainError(f"mode kind must be 'TE' or 'TM', got {kind!r}")
+    return kind
 
 
 def solve_cross_section(
@@ -504,7 +602,7 @@ def convergence_study(
     for policy in policies:
         cell = policy.base_m
         try:
-            mode = select_mode(solve_cross_section(cs, policy, config), kind)
+            mode = solve_fundamental(assemble_operator(rasterize(cs, policy)), kind, config)
         except ConvergenceError as exc:
             rows.append(ConvergenceRow(cell, None, None, None, f"failed: {exc}"))
             continue

@@ -20,7 +20,8 @@ from .detector import EfficiencyBudget, SourceSpec, dark_count_rate, internal_ef
 from .errors import SnspdKitError
 from .fabry_perot import extract_coupling, fp_transmission, fresnel_reflectivity
 from .io_utils import OutputDir, export_grid, export_mode_fields, json_header, write_csv, write_json
-from .modes import modal_absorption, select_mode, solve_cross_section
+from .geometry import rasterize
+from .modes import assemble_operator, modal_absorption, solve_fundamental
 from .sweep import apply_parameters
 
 STAGES = ("mode-solver", "tm-design", "absorptance", "fp-extract",
@@ -154,12 +155,8 @@ def run_reproduce(config: ProjectConfig, out: OutputDir, skip: tuple[str, ...] =
 # ---------------------------------------------------------------------------
 
 def _stage_mode_solver(config: ProjectConfig, out, rec, results):
-    from .geometry import rasterize
-    from .modes import assemble_operator, solve_modes
-
     grid = rasterize(config.cross_section, config.policy)
-    modes = solve_modes(assemble_operator(grid), config.solver)
-    te = select_mode(modes, "TE")
+    te = solve_fundamental(assemble_operator(grid), "TE", config.solver)
     alpha = 0.0 if te is None else modal_absorption(te)
     lo, hi = band(config.targets["alpha_per_cm"])
     rec.checks.append(CheckResult("alpha_per_cm", alpha, lo, hi))
@@ -176,7 +173,7 @@ def _stage_tm_design(config: ProjectConfig, out, rec, results):
     base = config.cross_section
     t_nm = base.stack.top_layer.thickness_m * 1e9 + 50.0
     thick = apply_parameters(base, {"core_thickness_nm": t_nm})
-    tm = select_mode(solve_cross_section(thick, config.policy, config.solver), "TM")
+    tm = solve_fundamental(assemble_operator(rasterize(thick, config.policy)), "TM", config.solver)
     alpha = 0.0 if tm is None else modal_absorption(tm)
     rec.checks.append(CheckResult(
         "tm_alpha_per_cm", alpha, config.targets["tm_alpha_min_per_cm"], math.inf))

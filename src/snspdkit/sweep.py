@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ConvergenceError, DomainError, InconsistencyError
-from .geometry import CrossSection, Layer, ResolutionPolicy, alignment_margin
-from .modes import SolverConfig, modal_absorption, select_mode, solve_cross_section
+from .geometry import CrossSection, Layer, ResolutionPolicy, alignment_margin, rasterize
+from .modes import SolverConfig, assemble_operator, modal_absorption, solve_fundamental
 
 PARAMETERS = (
     "core_thickness_nm",
@@ -114,7 +114,7 @@ def apply_parameters(base: CrossSection, values: dict[str, float]) -> CrossSecti
                 raise ConfigError("array_offset sweep on a cross-section without wires")
             cs = replace(cs, wires=replace(cs.wires, offset_m=val * 1e-9))
         elif name == "wavelength_nm":
-            cs = replace(cs, wavelength_m=val * 1e-9)
+            cs = replace(cs, wavelength_m=val / 1e9)   # correctly rounded: 1360 nm stays in band
         else:
             raise ConfigError(f"unknown sweep parameter {name!r}")
     return cs
@@ -126,7 +126,8 @@ def _default_evaluate(base, spec, policy, solver_config):
     def evaluate(values: dict[str, float]):
         cs = apply_parameters(base, values)
         margin = alignment_margin(cs.ridge, cs.wires) if cs.wires is not None else None
-        mode = select_mode(solve_cross_section(cs, policy, solver_config), spec.mode_kind)
+        op = assemble_operator(rasterize(cs, policy))
+        mode = solve_fundamental(op, spec.mode_kind, solver_config)
         if mode is None:
             return None, None, None, margin
         return mode.n_eff, modal_absorption(mode), mode.te_fraction, margin

@@ -106,12 +106,12 @@ def test_criterion_06_fabry_perot():
 
 def test_criterion_07_efficiency_chain():
     eta_int = det.invert_internal(0.197, 0.90)
-    budget = det.efficiency_chain(0.174, 0.90, eta_int)
+    budget = det.EfficiencyBudget(0.174, 0.90, eta_int)
     sqe_ok = abs(budget.sqe - 0.034) <= 0.001
     rng = np.random.default_rng(77)
     ordering_ok = True
     for c, a, i in rng.uniform(0.0, 1.0, (2000, 3)):
-        b = det.efficiency_chain(c, a, i)
+        b = det.EfficiencyBudget(c, a, i)
         ordering_ok &= b.sqe <= b.dqe + 1e-15 and b.dqe <= b.absorptance + 1e-15
     ok = sqe_ok and ordering_ok and abs(eta_int - 0.219) <= 0.001
     report(7, ok, f"eta_int = DQE/A = {eta_int:.4f}, SQE = {budget.sqe:.4f} "

@@ -110,6 +110,20 @@ def test_custom_material_table():
     assert got.imag == pytest.approx(-0.15)
 
 
+def test_band_edge_wavelengths_in_range():
+    """Wavelengths in nm convert as nm / 1e9, so the band edges given in a
+    config land exactly on the edges of the shipped and custom tables."""
+    raw = _raw_default()
+    raw["materials"].append({"name": "probe", "table_nm": [[1260, 2.0, 0.1], [1360, 2.1, 0.2]]})
+    for nm, probe in ((1260, complex(2.0, -0.1)), (1360, complex(2.1, -0.2))):
+        raw["wavelength_nm"] = nm
+        cs = load_project_config(raw).cross_section
+        assert cs.wavelength_m == nm / 1e9
+        assert cs.index_of("probe") == probe
+        for name in cs.materials:
+            cs.index_of(name)   # no WavelengthRangeError
+
+
 def test_alternate_stack_options_solve():
     """The 0.70 aluminum fraction and 4.0 nm wire thickness options stay
     usable end to end (coarse grid; loose absorption sanity band)."""

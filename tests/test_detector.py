@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,12 +51,12 @@ def test_kinetic_inductance_reference():
 
 
 def test_kinetic_inductance_single_square():
-    one = det.detector_with(REFERENCE, wire_count=1, wire_length_m=100e-9)
+    one = replace(REFERENCE, wire_count=1, wire_length_m=100e-9)
     assert det.kinetic_inductance(one) == pytest.approx(90e-12, rel=1e-12)
 
 
 def test_kinetic_inductance_short_device():
-    short = det.detector_with(REFERENCE, wire_length_m=30e-6)
+    short = replace(REFERENCE, wire_length_m=30e-6)
     assert det.kinetic_inductance(short) == pytest.approx(108e-9, rel=1e-12)
 
 
@@ -66,12 +67,12 @@ def test_zero_width_rejected():
 
 def test_recovery_time_constant():
     assert det.recovery_time_constant(REFERENCE) == pytest.approx(3.6e-9, rel=1e-12)
-    short = det.detector_with(REFERENCE, wire_length_m=30e-6)
+    short = replace(REFERENCE, wire_length_m=30e-6)
     assert det.recovery_time_constant(short) == pytest.approx(2.16e-9, rel=1e-12)
 
 
 def test_recovery_scale_invariance():
-    doubled = det.detector_with(REFERENCE, sheet_inductance_H=180e-12, load_resistance_ohm=100.0)
+    doubled = replace(REFERENCE, sheet_inductance_H=180e-12, load_resistance_ohm=100.0)
     assert det.recovery_time_constant(doubled) == pytest.approx(
         det.recovery_time_constant(REFERENCE), rel=1e-12)
 
@@ -85,9 +86,9 @@ def test_recovery_fraction():
 
 def test_max_count_rate():
     assert det.max_count_rate(REFERENCE) == pytest.approx(92.59e6, rel=1e-3)
-    doubled = det.detector_with(REFERENCE, sheet_inductance_H=180e-12)
+    doubled = replace(REFERENCE, sheet_inductance_H=180e-12)
     assert det.max_count_rate(doubled) == pytest.approx(det.max_count_rate(REFERENCE) / 2, rel=1e-12)
-    short = det.detector_with(REFERENCE, wire_length_m=30e-6)
+    short = replace(REFERENCE, wire_length_m=30e-6)
     assert det.max_count_rate(short) == pytest.approx(154.3e6, rel=1e-3)
 
 
@@ -137,7 +138,7 @@ def test_pulse_tail_fit_robust_to_rise(ratio):
 # -- efficiency chain ---------------------------------------------------------
 
 def test_efficiency_chain_reference():
-    budget = det.efficiency_chain(0.174, 0.90, 0.219)
+    budget = det.EfficiencyBudget(0.174, 0.90, 0.219)
     assert budget.sqe == pytest.approx(0.0343, abs=0.0002)
     assert budget.dqe == pytest.approx(0.197, abs=0.001)
 
@@ -147,7 +148,7 @@ def test_invert_internal_reference():
 
 
 def test_perfect_coupling_and_internal():
-    budget = det.efficiency_chain(1.0, 0.777, 1.0)
+    budget = det.EfficiencyBudget(1.0, 0.777, 1.0)
     assert budget.sqe == budget.dqe == 0.777
 
 
@@ -159,7 +160,7 @@ def test_invert_internal_inconsistency():
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=300, deadline=None)
 def test_efficiency_ordering(coupling, absorptance_, internal):
-    budget = det.efficiency_chain(coupling, absorptance_, internal)
+    budget = det.EfficiencyBudget(coupling, absorptance_, internal)
     assert budget.sqe <= budget.dqe + 1e-15
     assert budget.dqe <= budget.absorptance + 1e-15
     assert budget.sqe == pytest.approx(budget.coupling * budget.dqe, rel=1e-12, abs=1e-300)
@@ -185,7 +186,7 @@ def test_dark_law_round_trip():
 
 
 def test_dark_law_flat_when_slope_zero():
-    model = det.detector_with(REFERENCE, dark_rate_slope=0.0, dark_rate_prefactor_hz=7.0)
+    model = replace(REFERENCE, dark_rate_slope=0.0, dark_rate_prefactor_hz=7.0)
     assert det.dark_count_rate(model, 0.5) == det.dark_count_rate(model, 0.9) == 7.0
 
 
@@ -229,7 +230,7 @@ def _budget():
 
 
 def test_simulate_empty_without_light_or_darks():
-    model = det.detector_with(REFERENCE, dark_rate_prefactor_hz=0.0 + 1e-300)
+    model = replace(REFERENCE, dark_rate_prefactor_hz=0.0 + 1e-300)
     src = det.SourceSpec(0.0, 1300e-9)
     rec = det.simulate_counting(model, _budget(), src, 1e-3, seed=7)
     assert len(rec) == 0
@@ -268,6 +269,27 @@ def test_simulate_dead_time_enforced():
     assert gaps.min() >= rec.dead_time_s * (1 - 1e-12)
     assert np.all(np.diff(rec.timestamps_s) > 0)
     assert set(rec.flags) <= {"photon", "dark"}
+
+
+def reference_dead_time_filter(times, dead_time):
+    keep, last = [], -math.inf
+    for k, t in enumerate(times):
+        if t - last >= dead_time:
+            keep.append(k)
+            last = t
+    return keep
+
+
+# whole-number gaps and dead times hit the t - last == dead time boundary exactly
+@given(st.lists(st.one_of(st.integers(0, 6), st.floats(0.0, 6.0)), max_size=60),
+       st.one_of(st.integers(0, 5), st.floats(0.0, 5.0)))
+@settings(max_examples=300, deadline=None)
+def test_dead_time_filter_matches_reference_loop(gaps, dead_time):
+    """Non-paralyzable dead time: an event counts if it is at least the dead
+    time after the last counted event, as in a plain event-by-event loop."""
+    times = np.cumsum(np.asarray(gaps, dtype=float))
+    got = det._dead_time_filter(times, float(dead_time))
+    assert got.tolist() == reference_dead_time_filter(times, float(dead_time))
 
 
 def test_power_sweep_recovers_sqe_slope():

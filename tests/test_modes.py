@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from snspdkit.modes import (
     mode_power,
     select_mode,
     solve_cross_section,
+    solve_fundamental,
     solve_modes,
 )
 from snspdkit.sweep import apply_parameters
@@ -100,18 +102,26 @@ def test_no_guided_modes_is_empty_result():
 
 
 @pytest.fixture()
-def solve_sizes(monkeypatch):
-    """Unknown counts of the shift-invert eigensolves solve_modes runs:
-    one full-size solve, or one half-size solve per mirror parity class."""
-    sizes = []
-    inner = modes_module._shift_invert_eigs
+def solves(monkeypatch):
+    """Records the shift-invert work of a solve: ``factored`` holds the
+    unknown count of each factorization (one full-size operator, or one
+    half-size operator per mirror parity class), ``runs`` the (unknowns, k)
+    of each Arnoldi run on those factorizations."""
+    record = SimpleNamespace(factored=[], runs=[])
+    inner = modes_module._shift_invert
 
     def spy(mat, sigma, config):
-        sizes.append(mat.shape[0])
-        return inner(mat, sigma, config)
+        record.factored.append(mat.shape[0])
+        nearest = inner(mat, sigma, config)
 
-    monkeypatch.setattr(modes_module, "_shift_invert_eigs", spy)
-    return sizes
+        def counted(k):
+            record.runs.append((mat.shape[0], k))
+            return nearest(k)
+
+        return counted
+
+    monkeypatch.setattr(modes_module, "_shift_invert", spy)
+    return record
 
 
 def full_domain_eigs(op, k, return_eigenvectors=True):
@@ -132,7 +142,7 @@ def mode_residual(op, mode):
 
 
 @pytest.mark.parametrize("core_nm", [None, 350.0], ids=["shipped", "tm-design"])
-def test_factorization_matches_default_shift_invert(default_config, core_nm, solve_sizes):
+def test_factorization_matches_default_shift_invert(default_config, core_nm, solves):
     """The mirror split (two half-domain solves with the solver's own
     shift-invert LU) gives the guided eigenpairs of SciPy's default path
     (internal COLAMD LU) on the full domain, on a coarse grid of the
@@ -143,7 +153,7 @@ def test_factorization_matches_default_shift_invert(default_config, core_nm, sol
         cs = apply_parameters(cs, {"core_thickness_nm": core_nm})
     op = assemble_operator(rasterize(cs, cfg.policy.bulk_refined(0.35)))
     modes = solve_modes(op, cfg.solver)
-    assert solve_sizes == [op.matrix.shape[0] // 2] * 2
+    assert solves.runs == [(op.matrix.shape[0] // 2, cfg.solver.num_modes)] * 2
 
     vals, vecs = full_domain_eigs(op, cfg.solver.num_modes)
     n_effs = np.sqrt(vals.astype(complex)) / op.k0
@@ -172,13 +182,13 @@ def test_factorization_matches_default_shift_invert(default_config, core_nm, sol
 
 
 @pytest.mark.parametrize("num_modes", [1, 3])
-def test_mirror_split_keeps_modes_nearest_target(num_modes, solve_sizes):
+def test_mirror_split_keeps_modes_nearest_target(num_modes, solves):
     """Merging the parity classes keeps the num_modes eigenvalues nearest the
     shift, as one full-domain solve does."""
     op = assemble_operator(step_index_grid(3.4, 3.2, 40, 4e-6, mirrored=True))
     config = sk.SolverConfig(num_modes=num_modes)
     modes = solve_modes(op, config)
-    assert solve_sizes == [op.matrix.shape[0] // 2] * 2
+    assert solves.runs == [(op.matrix.shape[0] // 2, num_modes)] * 2
 
     vals = full_domain_eigs(op, num_modes, return_eigenvectors=False)
     oracle = sorted(np.sqrt(vals.astype(complex)) / op.k0, key=lambda n: -n.real)
@@ -188,14 +198,14 @@ def test_mirror_split_keeps_modes_nearest_target(num_modes, solve_sizes):
 
 
 @pytest.mark.parametrize("mirrored", [False, True], ids=["full", "split"])
-def test_arpack_no_convergence_is_convergence_error(mirrored, solve_sizes):
+def test_arpack_no_convergence_is_convergence_error(mirrored, solves):
     op = assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6, mirrored))
     with pytest.raises(ConvergenceError, match="did not converge within 1 iterations") as info:
         solve_modes(op, sk.SolverConfig(max_iterations=1))
     assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
     # linspace edges are not exactly symmetric: one full-domain solve; the
     # reflected grid is split and its first parity class already fails
-    assert solve_sizes == [op.matrix.shape[0] // 2 if mirrored else op.matrix.shape[0]]
+    assert solves.factored == [op.matrix.shape[0] // 2 if mirrored else op.matrix.shape[0]]
 
 
 def test_residual_gate_raises_with_residual():
@@ -203,6 +213,106 @@ def test_residual_gate_raises_with_residual():
     assert solve_modes(op)   # guided modes exist, so the gate is reached
     with pytest.raises(ConvergenceError, match="exceeds tolerance") as info:
         solve_modes(op, sk.SolverConfig(tolerance=1e-30))
+    assert info.value.residual is not None and info.value.residual > 1e-30
+
+
+# -- query-sized solve ---------------------------------------------------------
+
+COARSE_GEOMETRIES = {
+    "shipped": {},                          # mirror-symmetric: two parity classes
+    "offset": {"array_offset_nm": 100},     # asymmetric: one full-domain operator
+    "tm-design": {"core_thickness_nm": 350.0},
+}
+
+
+@pytest.fixture(scope="module")
+def coarse_solved(default_config):
+    """Operator and solve_modes result of each geometry on a coarse grid."""
+    cfg = default_config
+    out = {}
+    for name, params in COARSE_GEOMETRIES.items():
+        cs = apply_parameters(cfg.cross_section, params)
+        op = assemble_operator(rasterize(cs, cfg.policy.bulk_refined(0.35)))
+        out[name] = op, solve_modes(op, cfg.solver)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["TE", "TM"])
+@pytest.mark.parametrize("geometry", list(COARSE_GEOMETRIES))
+def test_solve_fundamental_matches_select_mode(default_config, coarse_solved, geometry, kind,
+                                               solves):
+    op, modes = coarse_solved[geometry]
+    ref = select_mode(modes, kind)
+    mode = solve_fundamental(op, kind, default_config.solver)
+    assert ref is not None and mode is not None
+    assert abs(mode.n_eff - ref.n_eff) <= 1e-10 * abs(ref.n_eff)
+    assert mode.polarization == ref.polarization == kind
+    assert mode_power(mode) == pytest.approx(1.0, rel=1e-9)
+    assert mode_residual(op, mode) <= default_config.solver.tolerance
+    # one factorization per operator, whatever k grows to
+    split = geometry != "offset"
+    assert solves.factored == ([op.matrix.shape[0] // 2] * 2 if split else [op.matrix.shape[0]])
+
+
+def test_solve_fundamental_grows_k_only_as_needed(default_config, coarse_solved, solves):
+    """TE0 of the shipped section is nearest the shift in its class: k = 1 in
+    each class. TM0 is not, so the TM query grows k = 1, 2, ... per class."""
+    op, _modes = coarse_solved["shipped"]
+    half = op.matrix.shape[0] // 2
+    solve_fundamental(op, "TE", default_config.solver)
+    assert solves.runs == [(half, 1), (half, 1)]
+
+    solves.runs.clear()
+    solve_fundamental(op, "TM", default_config.solver)
+    ks = [k for _n, k in solves.runs]
+    assert max(ks) > 1
+    assert ks[0] == 1 and all(b in (1, 2 * a) for a, b in zip(ks, ks[1:]))
+
+
+def test_solve_fundamental_sees_modes_above_a_low_shift(default_config, coarse_solved, solves):
+    """With the shift between TE0 and a lower TE mode, nearer the lower one,
+    the first TE mode found is not TE0; k grows until every dielectric-guided
+    eigenvalue above the shift has been computed."""
+    op, modes = coarse_solved["offset"]
+    te0, te1 = [m for m in modes if m.polarization == "TE"][:2]
+    target = te1.n_eff.real + 0.2 * (te0.n_eff.real - te1.n_eff.real)
+    config = replace(default_config.solver, target_n_eff=target)
+    ref = select_mode(solve_modes(op, config), "TE")
+    solves.runs.clear()
+    mode = solve_fundamental(op, "TE", config)
+    assert abs(mode.n_eff - ref.n_eff) <= 1e-10 * abs(ref.n_eff)
+    assert abs(mode.n_eff - te0.n_eff) <= 1e-10 * abs(te0.n_eff)
+    assert max(k for _n, k in solves.runs) > 1
+
+
+def test_solve_fundamental_none_without_kind_within_cap(default_config, coarse_solved, solves):
+    op, _modes = coarse_solved["shipped"]
+    config = replace(default_config.solver, num_modes=1)
+    # each class's one nearest mode is TE-like, so no TM mode within the cap
+    assert select_mode(solve_modes(op, config), "TM") is None
+    solves.runs.clear()
+    assert solve_fundamental(op, "TM", config) is None
+    assert solves.runs == [(op.matrix.shape[0] // 2, 1)] * 2
+    # a homogeneous window guides nothing: the ladder runs up to the cap
+    empty = assemble_operator(uniform_grid(1.0, 24, 24, 10e-6))
+    solves.runs.clear()
+    assert solve_fundamental(empty, "TE", sk.SolverConfig(num_modes=3)) is None
+    assert [k for _n, k in solves.runs][-1] == 3
+    with pytest.raises(DomainError):
+        solve_fundamental(empty, "TEM")
+
+
+def test_solve_fundamental_failures_are_convergence_errors():
+    # the clustered spectrum of an empty window does not converge in one
+    # iteration even at k = 1
+    empty = assemble_operator(uniform_grid(1.0, 24, 24, 10e-6))
+    with pytest.raises(ConvergenceError, match="did not converge within 1 iterations") as info:
+        solve_fundamental(empty, "TE", sk.SolverConfig(max_iterations=1))
+    assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
+    op = assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6))
+    assert solve_fundamental(op, "TE") is not None   # the gate is reached
+    with pytest.raises(ConvergenceError, match="exceeds tolerance") as info:
+        solve_fundamental(op, "TE", sk.SolverConfig(tolerance=1e-30))
     assert info.value.residual is not None and info.value.residual > 1e-30
 
 
@@ -248,7 +358,7 @@ def test_fundamental_symmetry(reference_solve):
     assert np.array_equal(te.hx, -te.hx[::-1, :])
 
 
-def test_asymmetric_operators_take_full_path(default_config, solve_sizes):
+def test_asymmetric_operators_take_full_path(default_config, solves):
     """An offset array, and a symmetric grid with one eps cell changed, are
     solved on the full domain and pass the residual gate."""
     cfg = default_config
@@ -262,9 +372,9 @@ def test_asymmetric_operators_take_full_path(default_config, solve_sizes):
     for g in (offset, perturbed):
         op = assemble_operator(g)
         assert _mirror_bases(op) is None
-        solve_sizes.clear()
+        solves.factored.clear()
         found = solve_modes(op, cfg.solver)
-        assert solve_sizes == [op.matrix.shape[0]]
+        assert solves.factored == [op.matrix.shape[0]]
         assert select_mode(found, "TE") is not None
         assert all(mode_residual(op, m) <= cfg.solver.tolerance for m in found)
 

@@ -153,6 +153,28 @@ def test_sweep_real_path_offset_moves_alpha(default_config):
     assert p0.alpha_per_cm != p200.alpha_per_cm
 
 
+def test_sweep_wavelength_across_band_edge(default_config):
+    """Real path at coarse resolution: 1360 nm, the upper edge of the shipped
+    tables, solves; 1380 nm fails with the material named, and the sweep
+    keeps going and picks its best among the solved points."""
+    from snspdkit import ResolutionPolicy, SolverConfig, WavelengthRangeError, rasterize
+
+    cfg = default_config
+    coarse = ResolutionPolicy(base_m=50e-9, band_m=30e-9, edge_band_m=12e-9,
+                              far_m=125e-9, far_margin_m=400e-9)
+    spec = SweepSpec((SweepParameter("wavelength_nm", 1340.0, 1380.0, 20.0),))
+    result = run_sweep(cfg.cross_section, spec, coarse, SolverConfig())
+    assert [p.params["wavelength_nm"] for p in result.points] == [1340.0, 1360.0, 1380.0]
+    ok_1340, ok_1360, out = result.points
+    assert ok_1340.status == ok_1360.status == "ok"
+    with pytest.raises(WavelengthRangeError) as info:
+        rasterize(apply_parameters(cfg.cross_section, {"wavelength_nm": 1380.0}), coarse)
+    assert out.status == f"failed: {info.value}"
+    assert f"material {info.value.material!r}" in out.status
+    assert out.n_eff is None and not out.feasible
+    assert result.best in (ok_1340, ok_1360)
+
+
 def test_optimize_recovers_synthetic_argmax(base_cs):
     spec = SweepSpec(
         (SweepParameter("core_thickness_nm", 260.0, 380.0, 40.0),),
