@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit
-from scipy.stats import linregress
 
 from .constants import photon_flux
 from .errors import ConfigError, DomainError, InconsistencyError
@@ -212,7 +210,10 @@ def pulse_shape(
 
     fwhm = _crossing(t, v, 0.5, rising=False) - _crossing(t, v, 0.5, rising=True)
     tail = (t > t_peak + 5.0 * tau_rise_s) & (v > 1e-12)
-    slope = linregress(t[tail], np.log(v[tail])).slope
+    # Least-squares slope exactly as scipy.stats.linregress evaluates it,
+    # without importing scipy.stats (~0.6 s) on every ``import snspdkit``.
+    ssxm, ssxym, _, _ = np.cov(t[tail], np.log(v[tail]), bias=True).flat
+    slope = ssxym / ssxm
     decay_1e = -1.0 / slope
 
     return PulseTrace(
@@ -227,6 +228,8 @@ def fit_rise_for_fwhm(model: DetectorModel, fwhm_target_s: float) -> float:
     The FWHM of the two-exponential pulse grows monotonically with the rise
     constant from tau_fall*ln(2); a target below that is unattainable.
     """
+    from scipy.optimize import brentq
+
     tau_fall = recovery_time_constant(model)
     lo, hi = tau_fall * 1e-5, tau_fall * 0.999
 
@@ -461,6 +464,8 @@ def jitter_convolve(a_s: float, b_s: float) -> float:
 
 def histogram_fwhm(samples: np.ndarray, bins: int | None = None) -> float:
     """FWHM of a timing histogram via a Gaussian fit to the binned counts."""
+    from scipy.optimize import curve_fit
+
     samples = np.asarray(samples, dtype=float)
     if samples.size < 10:
         raise DomainError("need >= 10 samples for a histogram fit")

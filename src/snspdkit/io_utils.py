@@ -69,15 +69,22 @@ def write_json(path: Path, payload: dict, config_digest: str = "none") -> None:
 
 
 def write_matrix(path: Path, array: np.ndarray, config_digest: str = "none") -> None:
-    """Delimited-text matrix; complex entries as re+imj tokens."""
+    """Delimited-text matrix; complex entries as re+imj tokens.
+
+    Each row is formatted by one ``%`` operation over Python floats; complex
+    rows are passed as interleaved (re, im) pairs.
+    """
+    array = np.asarray(array)
+    if np.iscomplexobj(array):
+        cell = "%.9e%+.9ej"
+        rows = np.stack([array.real, array.imag], axis=-1).reshape(array.shape[0], -1).tolist()
+    else:
+        cell = "%.9e"
+        rows = array.tolist()
+    line = "\t".join([cell] * array.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header_line(config_digest) + "\n")
-        if np.iscomplexobj(array):
-            for row in array:
-                fh.write("\t".join(f"{v.real:.9e}{v.imag:+.9e}j" for v in row) + "\n")
-        else:
-            for row in array:
-                fh.write("\t".join(f"{v:.9e}" for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def export_grid(grid, out: OutputDir, prefix: str = "grid", config_digest: str = "none") -> list[str]:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import snspdkit
 from snspdkit.cli import main
 from snspdkit.config import default_config_path
 
@@ -34,6 +39,24 @@ def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "0.1.0" in result.output
+
+
+def test_cli_import_skips_stats_and_optimize():
+    """Importing the CLI and loading the shipped config does not load
+    scipy.stats or scipy.optimize: every subcommand would pay for them at
+    start-up. scipy.optimize loads on the first pulse-rise or histogram fit."""
+    code = (
+        "import sys\n"
+        "from snspdkit.cli import main\n"
+        "from snspdkit.config import default_config_path, load_project_config\n"
+        "load_project_config(default_config_path())\n"
+        "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    src = Path(snspdkit.__file__).resolve().parents[1]   # import the snspdkit under test
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.split() == []
 
 
 def test_jitter_command(runner):
@@ -161,6 +184,20 @@ def test_solve_mode_invalid_config(runner, tmp_path):
     out = tmp_path / "nothing"
     result = runner.invoke(main, ["solve-mode", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 2
+    assert not out.exists()
+
+
+def test_solve_mode_no_guided_mode_exit_code(runner, tmp_path):
+    """A search window below the cladding index holds no guided mode: exit 4
+    (convergence) with the reason on stderr, and no output directory."""
+    raw = _coarse_raw()
+    raw["solver"].update(target_n_eff=2.0, num_modes=1)
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "fields"
+    result = runner.invoke(main, ["solve-mode", "--config", str(cfg), "--json",
+                                  "--dump-fields", "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "no guided modes found in the search window" in result.stderr
     assert not out.exists()
 
 

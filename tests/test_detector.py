@@ -135,6 +135,18 @@ def test_pulse_tail_fit_robust_to_rise(ratio):
     assert trace.decay_time_1e_s == pytest.approx(tau_fall, rel=0.01)
 
 
+@pytest.mark.parametrize("tau_rise_s", [50e-12, 200e-12, 500e-12, 1e-9])
+def test_pulse_tail_fit_is_linregress_slope(tau_rise_s):
+    """The tail fit is bit-identical to scipy.stats.linregress on the same
+    samples (t beyond the peak by five rise constants, V above 1e-12)."""
+    from scipy.stats import linregress
+
+    trace = det.pulse_shape(REFERENCE, tau_rise_s)
+    t, v = trace.time_s, trace.voltage
+    tail = (t > trace.peak_time_s + 5.0 * tau_rise_s) & (v > 1e-12)
+    assert trace.decay_time_1e_s == -1.0 / linregress(t[tail], np.log(v[tail])).slope
+
+
 # -- efficiency chain ---------------------------------------------------------
 
 def test_efficiency_chain_reference():

@@ -33,6 +33,44 @@ def test_complex_matrix_round_trip(tmp_path):
     assert np.allclose(back, mat, rtol=1e-8)
 
 
+def _reference_matrix_text(array, config_digest):
+    """The per-element formatter write_matrix must reproduce byte for byte."""
+    lines = [header_line(config_digest)]
+    if np.iscomplexobj(array):
+        for row in array:
+            lines.append("\t".join(f"{v.real:.9e}{v.imag:+.9e}j" for v in row))
+    else:
+        for row in array:
+            lines.append("\t".join(f"{v:.9e}" for v in row))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_matrix_bytes_match_per_element_formatter(tmp_path):
+    rng = np.random.default_rng(11)
+    special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-310,
+               1.7976931348623157e308, 1.0 - 2.0 ** -53, 0.5e-9 + 4.9999999995e-19]
+    real = rng.standard_normal((6, 7)) * 10.0 ** rng.integers(-30, 30, (6, 7))
+    real.flat[: len(special)] = special
+    cplx = np.empty(real.shape, complex)
+    cplx.real, cplx.imag = real, real[::-1, ::-1]   # specials in both parts
+    with np.errstate(over="ignore"):
+        single = cplx.astype(np.complex64)
+    cases = {
+        "real": real,
+        "complex": cplx,
+        "complex64": single,
+        "float32": single.real,
+        "fortran": np.asfortranarray(cplx),
+        "strided": cplx[::2, ::-3],
+        "one_column": real[:, :1],
+        "no_rows": real[:0],
+    }
+    for name, mat in cases.items():
+        path = tmp_path / f"{name}.txt"
+        write_matrix(path, mat, "d")
+        assert path.read_bytes() == _reference_matrix_text(mat, "d").encode("utf-8"), name
+
+
 def test_export_grid_sidecar(tmp_path):
     mats = sk.default_materials()
     stack = sk.LayerStack((

@@ -153,6 +153,31 @@ def test_sweep_real_path_offset_moves_alpha(default_config):
     assert p0.alpha_per_cm != p200.alpha_per_cm
 
 
+def test_sweep_real_path_no_mode_points_kept(default_config):
+    """Real path at coarse resolution: with one eigenpair per operator the
+    nearest mode is TE-like, so a TM sweep finds no mode at any point. Each
+    point stays a ``no-mode`` row with its margin and feasibility, and none is
+    chosen as best although one is feasible."""
+    from snspdkit import ResolutionPolicy, SolverConfig
+
+    coarse = ResolutionPolicy(base_m=50e-9, band_m=30e-9, edge_band_m=12e-9,
+                              far_m=125e-9, far_margin_m=400e-9)
+    spec = SweepSpec((SweepParameter("array_offset_nm", 0.0, 200.0, 200.0),),
+                     min_margin_m=0.5e-6, mode_kind="TM")
+    result = run_sweep(default_config.cross_section, spec, coarse, SolverConfig(num_modes=1))
+    p0, p200 = result.points
+    assert p0.status == p200.status == "no-mode"
+    assert p0.n_eff is p0.alpha_per_cm is p0.te_fraction is None
+    assert p0.margin_m == pytest.approx(0.5e-6, rel=1e-9)
+    assert p200.margin_m == pytest.approx(0.3e-6, rel=1e-9)
+    assert p0.feasible and not p200.feasible
+    assert result.best is None
+    cols, rows = sweep_to_rows(result)
+    assert [row[cols.index("status")] for row in rows] == ["no-mode", "no-mode"]
+    assert [row[cols.index("feasible")] for row in rows] == [True, False]
+    assert rows[0][cols.index("alpha_per_cm")] == ""
+
+
 def test_sweep_wavelength_across_band_edge(default_config):
     """Real path at coarse resolution: 1360 nm, the upper edge of the shipped
     tables, solves; 1380 nm fails with the material named, and the sweep
