@@ -10,7 +10,6 @@ the ``SNSPDKIT_OUT`` environment variable, then the config's
 """
 
 import functools
-import json
 import os
 import sys
 
@@ -20,8 +19,9 @@ from . import __version__, detector as det
 from .config import default_config_path, load_project_config
 from .errors import SnspdKitError
 from .fabry_perot import FringeData, extract_coupling, read_fringe_scan
-from .io_utils import OutputDir, export_count_record, export_grid, export_mode_fields, sweep_to_rows, write_csv
-from .modes import modal_absorption
+from .io_utils import (OutputDir, canonical_json, export_count_record, export_grid,
+                       export_mode_fields, sweep_to_rows, write_csv)
+from .modes import modal_absorption, solve_cross_section
 from .pipeline import run_reproduce, write_manifest
 from .sweep import maximize_alpha, run_sweep
 
@@ -41,7 +41,7 @@ def cli_errors(fn):
 
 def emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        click.echo(json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=2))
+        click.echo(canonical_json(payload))
     else:
         width = max(len(k) for k in payload)
         for key, value in payload.items():
@@ -86,12 +86,9 @@ def main():
 def cmd_solve_mode(config_path, mode_index, dump_fields, dump_grid, as_json, out_dir):
     """Solve guided modes of the configured cross-section."""
     from .errors import ConvergenceError, DomainError
-    from .geometry import rasterize
-    from .modes import assemble_operator, solve_modes
 
     config = _load(config_path)
-    grid = rasterize(config.cross_section, config.policy)
-    modes = solve_modes(assemble_operator(grid), config.solver)
+    grid, modes = solve_cross_section(config.cross_section, config.policy, config.solver)
     if not modes:
         raise ConvergenceError("no guided modes found in the search window")
     if not 0 <= mode_index < len(modes):

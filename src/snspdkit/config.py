@@ -25,7 +25,6 @@ from .modes import SolverConfig
 from .sweep import SweepParameter, SweepSpec
 
 _LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0}
-_TIME_UNITS = {"ps": 1e-12, "ns": 1e-9, "us": 1e-6, "s": 1.0}
 
 DEFAULT_TARGETS = {
     "alpha_per_cm": {"value": 451.0, "rel_tol": 0.15},
@@ -50,26 +49,23 @@ def _check_keys(obj: dict, allowed: set[str], ctx: str) -> None:
         raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def _suffixed(obj: dict, base: str, units: dict[str, float], ctx: str,
-              required: bool = True, default: float | None = None) -> float | None:
-    hits = [(k, units[k.rsplit("_", 1)[-1]]) for k in obj
-            if k.startswith(base + "_") and k.rsplit("_", 1)[-1] in units
+def _length(obj: dict, base: str, ctx: str, required: bool = True,
+            default: float | None = None) -> float | None:
+    """The length ``base_<unit>`` in metres; exactly one unit suffix allowed."""
+    hits = [(k, _LENGTH_UNITS[k.rsplit("_", 1)[-1]]) for k in obj
+            if k.startswith(base + "_") and k.rsplit("_", 1)[-1] in _LENGTH_UNITS
             and k[: -len(k.rsplit("_", 1)[-1]) - 1] == base]
     if len(hits) > 1:
         raise ConfigError(f"{ctx}: {base} given in multiple units: {[h[0] for h in hits]}")
     if not hits:
         if required:
-            raise ConfigError(f"{ctx}: missing {base}_<{'|'.join(units)}>")
+            raise ConfigError(f"{ctx}: missing {base}_<{'|'.join(_LENGTH_UNITS)}>")
         return default
     key, scale = hits[0]
     value = obj[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{ctx}: {key} must be a number")
     return float(value) * scale
-
-
-def _length(obj, base, ctx, required=True, default=None):
-    return _suffixed(obj, base, _LENGTH_UNITS, ctx, required, default)
 
 
 def _length_keys(base: str) -> set[str]:
@@ -85,6 +81,13 @@ def _number(obj: dict, key: str, ctx: str, required: bool = True, default=None):
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f"{ctx}: {key} must be a number")
     return float(v)
+
+
+def _integer(obj: dict, key: str, ctx: str, default=None) -> int:
+    v = obj.get(key, default)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigError(f"{ctx}: {key} must be an integer")
+    return v
 
 
 @dataclass(frozen=True)
@@ -186,9 +189,7 @@ def _parse_wires(obj) -> NanowireArray:
                | _length_keys("pitch") | _length_keys("thickness")
                | _length_keys("cap_thickness") | _length_keys("offset"))
     _check_keys(obj, allowed, ctx)
-    count = obj.get("count")
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ConfigError(f"{ctx}: count must be an integer")
+    count = _integer(obj, "count", ctx)
     return NanowireArray(
         count=count,
         width_m=_length(obj, "width", ctx),
@@ -223,14 +224,11 @@ def _parse_solver(obj) -> tuple[SolverConfig, ResolutionPolicy]:
     ctx = "solver"
     _check_keys(obj, {"num_modes", "target_n_eff", "tolerance", "max_iterations", "policy"}, ctx)
     policy = _parse_policy(obj.get("policy", {}))
-    num_modes = obj.get("num_modes", 8)
-    if not isinstance(num_modes, int) or isinstance(num_modes, bool):
-        raise ConfigError(f"{ctx}: num_modes must be an integer")
     cfg = SolverConfig(
-        num_modes=num_modes,
+        num_modes=_integer(obj, "num_modes", ctx, default=8),
         target_n_eff=_number(obj, "target_n_eff", ctx, required=False),
         tolerance=_number(obj, "tolerance", ctx, required=False, default=1e-10),
-        max_iterations=int(_number(obj, "max_iterations", ctx, required=False, default=400)),
+        max_iterations=_integer(obj, "max_iterations", ctx, default=400),
     )
     return cfg, policy
 
@@ -246,11 +244,8 @@ def _parse_detector(obj) -> DetectorModel:
     _check_keys(ie, {"eta_max", "midpoint", "width"}, f"{ctx}.internal_efficiency")
     dc = obj.get("dark_counts", {})
     _check_keys(dc, {"prefactor_hz", "slope"}, f"{ctx}.dark_counts")
-    wire_count = obj.get("wire_count", 4)
-    if not isinstance(wire_count, int) or isinstance(wire_count, bool):
-        raise ConfigError(f"{ctx}: wire_count must be an integer")
     return DetectorModel(
-        wire_count=wire_count,
+        wire_count=_integer(obj, "wire_count", ctx, default=4),
         wire_length_m=_length(obj, "length", ctx),
         wire_width_m=_length(obj, "width", ctx),
         sheet_inductance_H=_number(obj, "sheet_inductance_pH_per_sq", ctx) * 1e-12,
@@ -372,14 +367,10 @@ def load_project_config(source: str | Path | dict) -> ProjectConfig:
     ji = raw.get("jitter", {})
     _check_keys(ji, {"total_ps", "source_ps"}, "jitter")
 
-    seed = raw.get("seed", 20120515)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("config: seed must be an integer")
-
     return ProjectConfig(
         raw=raw,
         digest=config_digest(raw),
-        seed=seed,
+        seed=_integer(raw, "seed", "config", default=20120515),
         output_dir=str(raw.get("output_dir", "runs")),
         cross_section=cs,
         policy=policy,

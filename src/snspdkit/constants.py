@@ -10,11 +10,6 @@ E_CHARGE = 1.602176634e-19  # elementary charge [C], used for eV conversions
 HC = H_PLANCK * C_LIGHT     # [J m]
 
 
-def photon_energy(wavelength_m: float) -> float:
-    """Energy of one photon [J] at the given vacuum wavelength [m]."""
-    return HC / wavelength_m
-
-
 def photon_flux(power_w: float, wavelength_m: float) -> float:
     """Photon rate [1/s] carried by an optical power [W] at a wavelength [m]."""
     return power_w * wavelength_m / HC

@@ -306,10 +306,6 @@ class PermittivityGrid:
             raise ConfigError("eps array shape does not match the grid edges")
 
     @property
-    def cell_count(self) -> int:
-        return int(self.eps.size)
-
-    @property
     def x_centers_m(self) -> np.ndarray:
         return 0.5 * (self.x_edges_m[1:] + self.x_edges_m[:-1])
 

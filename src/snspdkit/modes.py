@@ -52,8 +52,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.num_modes < 1:
             raise ConfigError("num_modes must be >= 1")
+        if self.target_n_eff is not None and self.target_n_eff <= 0:
+            raise ConfigError("target_n_eff must be > 0")
         if self.tolerance <= 0:
             raise ConfigError("solver tolerance must be > 0")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +121,6 @@ class ModeSolution:
     def beta(self) -> complex:
         """Propagation constant [1/m]."""
         return self.k0 * self.n_eff
-
-    @property
-    def alpha_per_m(self) -> float:
-        """Modal power absorption coefficient [1/m]."""
-        return 2.0 * self.k0 * self.n_eff.imag
 
     @property
     def wavelength_m(self) -> float:
@@ -300,15 +299,8 @@ def solve_modes(op: ModeOperator, config: SolverConfig | None = None) -> list[Mo
     vals, vecs = np.concatenate(vals), np.hstack(vecs)
     nearest = np.argsort(np.abs(vals - sigma), kind="stable")[: config.num_modes]
     vals, vecs = vals[nearest], vecs[:, nearest]
-
-    n_clad, n_high = op.index_bracket()
-    n_effs = np.sqrt(vals.astype(complex)) / op.k0
-    modes = []
-    for idx in np.argsort(-n_effs.real, kind="stable"):
-        n_eff = complex(n_effs[idx])
-        if n_clad < n_eff.real < n_high:
-            modes.append(_gated_mode(op, n_eff, vals[idx], vecs[:, idx], config))
-    return modes
+    return [_gated_mode(op, n_eff, vals[idx], vecs[:, idx], config)
+            for idx, n_eff in _guided(op, vals)]
 
 
 def solve_fundamental(
@@ -343,7 +335,6 @@ def _fundamental_pair(op, mat, lift, sigma, reach, kind, config):
     """(n_eff, eigenvalue, full-domain vector) of the highest-Re(n_eff) guided
     ``kind`` mode among the eigenpairs of ``mat`` nearest sigma, or None.
     Grows k from 1 on one factorization, which dies with this call."""
-    n_clad, n_high = op.index_bracket()
     area = _cell_area(op)
     nearest = _shift_invert(mat, sigma, config)
     cap = _max_k(config, mat)
@@ -352,18 +343,25 @@ def _fundamental_pair(op, mat, lift, sigma, reach, kind, config):
         vals, vecs = nearest(k)
         if lift is not None:
             vecs = lift @ vecs
-        n_effs = np.sqrt(vals.astype(complex)) / op.k0
         found = None
-        for idx in np.argsort(-n_effs.real, kind="stable"):
-            if not n_clad < n_effs[idx].real < n_high:
-                continue
+        for idx, n_eff in _guided(op, vals):
             hx, hy = _components(op, vecs[:, idx])
             if _polarization(_te_share(_centered(hx), _centered(hy), area)) == kind:
-                found = complex(n_effs[idx]), vals[idx], vecs[:, idx]
+                found = n_eff, vals[idx], vecs[:, idx]
                 break
         if k == cap or (found is not None and np.abs(vals - sigma).max() >= reach):
             return found
         k = min(2 * k, cap)
+
+
+def _guided(op: ModeOperator, vals: np.ndarray):
+    """``(index, n_eff)`` of the guided eigenvalues among ``vals``: n_eff =
+    sqrt(lambda)/k0 strictly inside :meth:`ModeOperator.index_bracket`, by
+    descending Re(n_eff)."""
+    n_clad, n_high = op.index_bracket()
+    n_effs = np.sqrt(vals.astype(complex)) / op.k0
+    return [(idx, complex(n_effs[idx])) for idx in np.argsort(-n_effs.real, kind="stable")
+            if n_clad < n_effs[idx].real < n_high]
 
 
 def _shift_invert(mat, sigma: float, config: SolverConfig):
@@ -500,8 +498,7 @@ def _finalize_mode(op: ModeOperator, n_eff: complex, hx: np.ndarray, hy: np.ndar
 
     area = _cell_area(op)
     hxc, hyc = _centered(hx), _centered(hy)
-    power = 0.5 * float(np.sum((ex * np.conj(hyc) - ey * np.conj(hxc)).real * area))
-    scale = 1.0 / np.sqrt(abs(power))
+    scale = 1.0 / np.sqrt(abs(_power(hxc, hyc, ex, ey, area)))
     hx, hy, hz = hx * scale, hy * scale, hz * scale
     ex, ey, ez = ex * scale, ey * scale, ez * scale
 
@@ -513,8 +510,14 @@ def _finalize_mode(op: ModeOperator, n_eff: complex, hx: np.ndarray, hy: np.ndar
     )
 
 
-def _cell_area(op: ModeOperator) -> np.ndarray:
-    return np.diff(op.x_nodes_m)[:, None] * np.diff(op.y_nodes_m)[None, :]
+def _cell_area(nodes) -> np.ndarray:
+    """Cell areas of the node grid of a :class:`ModeOperator` or :class:`ModeSolution`."""
+    return np.diff(nodes.x_nodes_m)[:, None] * np.diff(nodes.y_nodes_m)[None, :]
+
+
+def _power(hxc, hyc, ex, ey, area) -> float:
+    """Guided power 0.5 Re sum (E x H*)_z over the cells, H at cell centers."""
+    return 0.5 * float(np.sum((ex * np.conj(hyc) - ey * np.conj(hxc)).real * area))
 
 
 def _te_share(hxc: np.ndarray, hyc: np.ndarray, area: np.ndarray) -> float:
@@ -530,9 +533,7 @@ def _polarization(te_fraction: float) -> str:
 
 def mode_power(mode: ModeSolution) -> float:
     """Guided power of the stored fields (should be 1 after normalization)."""
-    area = np.diff(mode.x_nodes_m)[:, None] * np.diff(mode.y_nodes_m)[None, :]
-    hxc, hyc = _centered(mode.hx), _centered(mode.hy)
-    return 0.5 * float(np.sum((mode.ex * np.conj(hyc) - mode.ey * np.conj(hxc)).real * area))
+    return _power(_centered(mode.hx), _centered(mode.hy), mode.ex, mode.ey, _cell_area(mode))
 
 
 def select_mode(modes: list[ModeSolution], kind: str = "TE") -> ModeSolution | None:
@@ -556,11 +557,20 @@ def solve_cross_section(
     cs: CrossSection,
     policy: ResolutionPolicy | None = None,
     config: SolverConfig | None = None,
-) -> list[ModeSolution]:
-    """Rasterize, assemble and solve in one call."""
+    kind: str | None = None,
+) -> tuple[PermittivityGrid, list[ModeSolution] | ModeSolution | None]:
+    """Rasterize, assemble and solve: the path from a cross-section to its
+    modes that the CLI, the pipeline, sweeps and convergence studies share.
+
+    Returns ``(grid, result)``. With ``kind`` None, ``result`` is the
+    :func:`solve_modes` list; with ``kind`` "TE" or "TM", it is the mode
+    :func:`solve_fundamental` computes, or None if there is none.
+    """
     grid = rasterize(cs, policy)
     op = assemble_operator(grid)
-    return solve_modes(op, config)
+    if kind is None:
+        return grid, solve_modes(op, config)
+    return grid, solve_fundamental(op, kind, config)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +612,7 @@ def convergence_study(
     for policy in policies:
         cell = policy.base_m
         try:
-            mode = solve_fundamental(assemble_operator(rasterize(cs, policy)), kind, config)
+            _grid, mode = solve_cross_section(cs, policy, config, kind)
         except ConvergenceError as exc:
             rows.append(ConvergenceRow(cell, None, None, None, f"failed: {exc}"))
             continue

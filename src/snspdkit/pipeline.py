@@ -19,9 +19,8 @@ from .config import ProjectConfig
 from .detector import EfficiencyBudget, SourceSpec, dark_count_rate, internal_efficiency
 from .errors import SnspdKitError
 from .fabry_perot import extract_coupling, fp_transmission, fresnel_reflectivity
-from .io_utils import OutputDir, export_grid, export_mode_fields, json_header, write_csv, write_json
-from .geometry import rasterize
-from .modes import assemble_operator, modal_absorption, solve_fundamental
+from .io_utils import OutputDir, export_grid, export_mode_fields, write_csv, write_json
+from .modes import modal_absorption, solve_cross_section
 from .sweep import apply_parameters
 
 STAGES = ("mode-solver", "tm-design", "absorptance", "fp-extract",
@@ -155,8 +154,7 @@ def run_reproduce(config: ProjectConfig, out: OutputDir, skip: tuple[str, ...] =
 # ---------------------------------------------------------------------------
 
 def _stage_mode_solver(config: ProjectConfig, out, rec, results):
-    grid = rasterize(config.cross_section, config.policy)
-    te = solve_fundamental(assemble_operator(grid), "TE", config.solver)
+    grid, te = solve_cross_section(config.cross_section, config.policy, config.solver, "TE")
     alpha = 0.0 if te is None else modal_absorption(te)
     lo, hi = band(config.targets["alpha_per_cm"])
     rec.checks.append(CheckResult("alpha_per_cm", alpha, lo, hi))
@@ -173,7 +171,7 @@ def _stage_tm_design(config: ProjectConfig, out, rec, results):
     base = config.cross_section
     t_nm = base.stack.top_layer.thickness_m * 1e9 + 50.0
     thick = apply_parameters(base, {"core_thickness_nm": t_nm})
-    tm = solve_fundamental(assemble_operator(rasterize(thick, config.policy)), "TM", config.solver)
+    _grid, tm = solve_cross_section(thick, config.policy, config.solver, "TM")
     alpha = 0.0 if tm is None else modal_absorption(tm)
     rec.checks.append(CheckResult(
         "tm_alpha_per_cm", alpha, config.targets["tm_alpha_min_per_cm"], math.inf))
@@ -349,8 +347,5 @@ def verify_manifest(manifest: RunManifest, out: OutputDir, extra: list[str] = ()
 
 def write_manifest(manifest: RunManifest, config: ProjectConfig, out: OutputDir) -> str:
     p = out.base / "run_manifest.json"
-    payload = {"_header": json_header(config.digest), **manifest.to_payload()}
-    from .io_utils import canonical_json
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(payload) + "\n")
+    write_json(p, manifest.to_payload(), config.digest)
     return str(p)

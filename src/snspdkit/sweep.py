@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ConvergenceError, DomainError, InconsistencyError
-from .geometry import CrossSection, Layer, ResolutionPolicy, alignment_margin, rasterize
-from .modes import SolverConfig, assemble_operator, modal_absorption, solve_fundamental
+from .geometry import CrossSection, Layer, ResolutionPolicy, alignment_margin
+from .modes import SolverConfig, modal_absorption, solve_cross_section
 
 PARAMETERS = (
     "core_thickness_nm",
@@ -126,8 +126,7 @@ def _default_evaluate(base, spec, policy, solver_config):
     def evaluate(values: dict[str, float]):
         cs = apply_parameters(base, values)
         margin = alignment_margin(cs.ridge, cs.wires) if cs.wires is not None else None
-        op = assemble_operator(rasterize(cs, policy))
-        mode = solve_fundamental(op, spec.mode_kind, solver_config)
+        _grid, mode = solve_cross_section(cs, policy, solver_config, spec.mode_kind)
         if mode is None:
             return None, None, None, margin
         return mode.n_eff, modal_absorption(mode), mode.te_fraction, margin

@@ -20,7 +20,7 @@ def reference_solve(default_config):
     """Guided modes of the shipped detector geometry, with solve seconds."""
     cfg = default_config
     t0 = time.monotonic()
-    modes = solve_cross_section(cfg.cross_section, cfg.policy, cfg.solver)
+    _grid, modes = solve_cross_section(cfg.cross_section, cfg.policy, cfg.solver)
     return modes, time.monotonic() - t0
 
 
@@ -31,7 +31,7 @@ def lossless_solve(default_config):
 
     cfg = default_config
     cs = replace(cfg.cross_section, wires=None)
-    modes = solve_cross_section(cs, cfg.policy, cfg.solver)
+    _grid, modes = solve_cross_section(cs, cfg.policy, cfg.solver)
     return cs, modes
 
 
@@ -59,5 +59,5 @@ def slab_solve(default_config):
                   (-1.47e-6, -0.7e-6, 12e-9)),
     )
     t0 = time.monotonic()
-    modes = solve_cross_section(cs, policy, sk.SolverConfig(num_modes=4))
+    _grid, modes = solve_cross_section(cs, policy, sk.SolverConfig(num_modes=4))
     return cs, modes, time.monotonic() - t0

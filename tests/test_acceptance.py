@@ -42,11 +42,13 @@ def test_criterion_02_convergence_and_window(reference_solve, default_config):
     modes, _ = reference_solve
     alpha0 = modal_absorption(select_mode(modes, "TE"))
     cfg = default_config
-    refined = solve_cross_section(cfg.cross_section, cfg.policy.refined(2.0), cfg.solver)
-    alpha2 = modal_absorption(select_mode(refined, "TE"))
+    _grid, refined = solve_cross_section(cfg.cross_section, cfg.policy.refined(2.0), cfg.solver,
+                                         kind="TE")
+    alpha2 = modal_absorption(refined)
     grid_shift = abs(alpha2 - alpha0) / alpha0
-    widened = solve_cross_section(cfg.cross_section.scaled_window(1.25), cfg.policy, cfg.solver)
-    alpha_w = modal_absorption(select_mode(widened, "TE"))
+    _grid, widened = solve_cross_section(cfg.cross_section.scaled_window(1.25), cfg.policy,
+                                         cfg.solver, kind="TE")
+    alpha_w = modal_absorption(widened)
     window_shift = abs(alpha_w - alpha0) / alpha0
     ok = grid_shift < 0.02 and window_shift < 0.01
     report(2, ok, f"2x refinement moves alpha by {grid_shift:.2%} (< 2%), "

@@ -187,6 +187,17 @@ def test_solve_mode_invalid_config(runner, tmp_path):
     assert not out.exists()
 
 
+def test_solve_mode_invalid_solver_setting_exit_code(runner, tmp_path):
+    """max_iterations below 1 is a config error (exit 2), not an ARPACK
+    ValueError escaping as an unexpected failure."""
+    raw = _coarse_raw()
+    raw["solver"]["max_iterations"] = 0
+    cfg = _write(tmp_path, raw)
+    result = runner.invoke(main, ["solve-mode", "--config", str(cfg), "--json"])
+    assert result.exit_code == 2, result.output
+    assert "max_iterations must be >= 1" in result.stderr
+
+
 def test_solve_mode_no_guided_mode_exit_code(runner, tmp_path):
     """A search window below the cladding index holds no guided mode: exit 4
     (convergence) with the reason on stderr, and no output directory."""
@@ -255,6 +266,28 @@ def test_reproduce_skip_marks_not_run(runner, tmp_path):
     assert stages["pulse"] == "pass"
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["all_pass"] is True
+
+
+def test_reproduce_data_files_repeat_byte_identical(runner, tmp_path):
+    """Two reproduce-paper runs of one config write byte-identical CSV/TXT
+    data files; only the JSON manifests carry timestamps. Coarse grid: base
+    and far cells doubled."""
+    with open(default_config_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    policy = raw["solver"]["policy"]
+    policy["base_nm"] *= 2.0
+    policy["far_nm"] *= 2.0
+    cfg = _write(tmp_path, raw)
+    digests = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        result = runner.invoke(main, ["reproduce-paper", "--config", str(cfg),
+                                      "--out", str(out), "--json"])
+        assert result.exit_code == 0, result.output
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(out.iterdir()) if p.suffix in (".csv", ".txt")})
+    assert {"grid_eps.txt", "mode_te0_hx.txt", "count_rate_vs_power.csv"} <= set(digests[0])
+    assert digests[0] == digests[1]
 
 
 def test_reproduce_without_wires_fails_dependents(runner, tmp_path):

@@ -47,6 +47,20 @@ def test_negative_thickness_rejected():
         load_project_config(raw)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("max_iterations", 0, "max_iterations must be >= 1"),
+    ("max_iterations", 2.5, "max_iterations must be an integer"),
+    ("target_n_eff", -3.3, "target_n_eff must be > 0"),
+], ids=["max_iterations-0", "max_iterations-2.5", "target_n_eff--3.3"])
+def test_invalid_solver_settings_rejected(key, value, message):
+    """Settings ARPACK cannot run with, or that the shift would silently
+    square into another value, fail at load time, not inside the solve."""
+    raw = _raw_default()
+    raw["solver"][key] = value
+    with pytest.raises(ConfigError, match=message):
+        load_project_config(raw)
+
+
 def test_duplicate_units_rejected():
     raw = _raw_default()
     raw["ridge"]["width_nm"] = 1850
@@ -128,7 +142,7 @@ def test_alternate_stack_options_solve():
     """The 0.70 aluminum fraction and 4.0 nm wire thickness options stay
     usable end to end (coarse grid; loose absorption sanity band)."""
     from snspdkit import ResolutionPolicy, SolverConfig
-    from snspdkit.modes import modal_absorption, select_mode, solve_cross_section
+    from snspdkit.modes import modal_absorption, solve_cross_section
 
     raw = _raw_default()
     raw["aluminum_fraction"] = 0.70
@@ -137,14 +151,14 @@ def test_alternate_stack_options_solve():
                                "edge_band_nm": 12, "far_nm": 125, "far_margin_nm": 400}
     cfg = load_project_config(raw)
     assert cfg.cross_section.index_of("AlGaAs").real == pytest.approx(3.0519, abs=2e-4)
-    te = select_mode(solve_cross_section(cfg.cross_section, cfg.policy, cfg.solver), "TE")
+    _grid, te = solve_cross_section(cfg.cross_section, cfg.policy, cfg.solver, kind="TE")
     assert te is not None
     assert 200.0 < modal_absorption(te) < 800.0
 
 
 def test_solve_at_other_wavelength_in_band():
     from snspdkit import ResolutionPolicy, SolverConfig
-    from snspdkit.modes import modal_absorption, select_mode, solve_cross_section
+    from snspdkit.modes import modal_absorption, solve_cross_section
     from snspdkit.sweep import apply_parameters
 
     raw = _raw_default()
@@ -152,7 +166,7 @@ def test_solve_at_other_wavelength_in_band():
                                "edge_band_nm": 12, "far_nm": 125, "far_margin_nm": 400}
     cfg = load_project_config(raw)
     shifted = apply_parameters(cfg.cross_section, {"wavelength_nm": 1340.0})
-    te = select_mode(solve_cross_section(shifted, cfg.policy, cfg.solver), "TE")
+    _grid, te = solve_cross_section(shifted, cfg.policy, cfg.solver, kind="TE")
     assert te is not None
     assert te.wavelength_m == pytest.approx(1340e-9)
     assert modal_absorption(te) > 100.0

@@ -225,33 +225,56 @@ COARSE_GEOMETRIES = {
 }
 
 
+def coarse_case(cfg, geometry):
+    """Cross-section and coarse grid policy of one of COARSE_GEOMETRIES."""
+    cs = apply_parameters(cfg.cross_section, COARSE_GEOMETRIES[geometry])
+    return cs, cfg.policy.bulk_refined(0.35)
+
+
 @pytest.fixture(scope="module")
 def coarse_solved(default_config):
-    """Operator and solve_modes result of each geometry on a coarse grid."""
+    """Operator and ``solve_cross_section`` mode list of each geometry on a
+    coarse grid."""
     cfg = default_config
     out = {}
-    for name, params in COARSE_GEOMETRIES.items():
-        cs = apply_parameters(cfg.cross_section, params)
-        op = assemble_operator(rasterize(cs, cfg.policy.bulk_refined(0.35)))
-        out[name] = op, solve_modes(op, cfg.solver)
+    for name in COARSE_GEOMETRIES:
+        grid, modes = solve_cross_section(*coarse_case(cfg, name), cfg.solver)
+        out[name] = assemble_operator(grid), modes
     return out
+
+
+def same_grid(a, b) -> bool:
+    return (np.array_equal(a.x_edges_m, b.x_edges_m) and np.array_equal(a.y_edges_m, b.y_edges_m)
+            and np.array_equal(a.eps, b.eps) and a.wavelength_m == b.wavelength_m)
 
 
 @pytest.mark.parametrize("kind", ["TE", "TM"])
 @pytest.mark.parametrize("geometry", list(COARSE_GEOMETRIES))
 def test_solve_fundamental_matches_select_mode(default_config, coarse_solved, geometry, kind,
                                                solves):
+    """The query-sized mode, from the operator and through the one solve path
+    with ``kind`` set, is the one select_mode picks from the ``kind=None``
+    list; the solve path rasterizes exactly as ``rasterize`` does."""
     op, modes = coarse_solved[geometry]
     ref = select_mode(modes, kind)
-    mode = solve_fundamental(op, kind, default_config.solver)
-    assert ref is not None and mode is not None
-    assert abs(mode.n_eff - ref.n_eff) <= 1e-10 * abs(ref.n_eff)
-    assert mode.polarization == ref.polarization == kind
-    assert mode_power(mode) == pytest.approx(1.0, rel=1e-9)
-    assert mode_residual(op, mode) <= default_config.solver.tolerance
-    # one factorization per operator, whatever k grows to
-    split = geometry != "offset"
-    assert solves.factored == ([op.matrix.shape[0] // 2] * 2 if split else [op.matrix.shape[0]])
+    cs, policy = coarse_case(default_config, geometry)
+
+    def from_cross_section():
+        grid, mode = solve_cross_section(cs, policy, default_config.solver, kind)
+        assert same_grid(grid, rasterize(cs, policy))
+        return mode
+
+    for solve in (lambda: solve_fundamental(op, kind, default_config.solver), from_cross_section):
+        solves.factored.clear()
+        mode = solve()
+        assert ref is not None and mode is not None
+        assert abs(mode.n_eff - ref.n_eff) <= 1e-10 * abs(ref.n_eff)
+        assert mode.polarization == ref.polarization == kind
+        assert mode_power(mode) == pytest.approx(1.0, rel=1e-9)
+        assert mode_residual(op, mode) <= default_config.solver.tolerance
+        # one factorization per operator, whatever k grows to
+        split = geometry != "offset"
+        assert solves.factored == ([op.matrix.shape[0] // 2] * 2 if split else [op.matrix.shape[0]])
 
 
 def test_solve_fundamental_grows_k_only_as_needed(default_config, coarse_solved, solves):
@@ -383,8 +406,8 @@ def test_solve_is_deterministic(default_config):
     cfg = default_config
     coarse = replace(cfg.cross_section, window_width_m=5.2e-6)
     pol = sk.ResolutionPolicy(base_m=50e-9, far_m=125e-9)
-    m1 = solve_cross_section(coarse, pol, sk.SolverConfig(num_modes=4))
-    m2 = solve_cross_section(coarse, pol, sk.SolverConfig(num_modes=4))
+    _grid, m1 = solve_cross_section(coarse, pol, sk.SolverConfig(num_modes=4))
+    _grid, m2 = solve_cross_section(coarse, pol, sk.SolverConfig(num_modes=4))
     assert [m.n_eff for m in m1] == [m.n_eff for m in m2]
     assert all(np.array_equal(a.hx, b.hx) for a, b in zip(m1, m2))
 
