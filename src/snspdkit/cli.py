@@ -17,12 +17,12 @@ import click
 
 from . import __version__, detector as det
 from .config import default_config_path, load_project_config
-from .errors import SnspdKitError
+from .errors import ConfigError, ConvergenceError, DomainError, SnspdKitError
 from .fabry_perot import FringeData, extract_coupling, read_fringe_scan
 from .io_utils import (OutputDir, canonical_json, export_count_record, export_grid,
                        export_mode_fields, sweep_to_rows, write_csv)
 from .modes import modal_absorption, solve_cross_section
-from .pipeline import run_reproduce, write_manifest
+from .pipeline import _reference_budget, run_reproduce, write_manifest
 from .sweep import maximize_alpha, run_sweep
 
 ENV_OUTPUT_DIR = "SNSPDKIT_OUT"
@@ -69,6 +69,12 @@ def _load(config_path):
     return load_project_config(config_path if config_path else default_config_path())
 
 
+def _sweep_spec(config, index: int):
+    if not 0 <= index < len(config.sweeps):
+        raise ConfigError(f"sweep index {index} out of range: config has {len(config.sweeps)} sweeps")
+    return config.sweeps[index]
+
+
 @click.group()
 @click.version_option(__version__, prog_name="snspdkit")
 def main():
@@ -85,8 +91,6 @@ def main():
 @cli_errors
 def cmd_solve_mode(config_path, mode_index, dump_fields, dump_grid, as_json, out_dir):
     """Solve guided modes of the configured cross-section."""
-    from .errors import ConvergenceError, DomainError
-
     config = _load(config_path)
     grid, modes = solve_cross_section(config.cross_section, config.policy, config.solver)
     if not modes:
@@ -177,8 +181,6 @@ def cmd_pulse(lsq_ph_per_sq, wires, length_um, width_nm, rload_ohm, rise_ps,
 @cli_errors
 def cmd_fp_extract(tmax, tmin, single_pass, scan_csv, as_json):
     """Facet reflectivity and coupling efficiency from fringe extrema."""
-    from .errors import DomainError
-
     if scan_csv is not None:
         fringes = read_fringe_scan(scan_csv, single_pass)
     elif tmax is not None and tmin is not None:
@@ -206,8 +208,6 @@ def cmd_fp_extract(tmax, tmin, single_pass, scan_csv, as_json):
 @cli_errors
 def cmd_efficiency(coupling, absorptance_, internal, dqe, as_json):
     """Efficiency chain SQE = coupling x absorptance x internal."""
-    from .errors import DomainError
-
     if (internal is None) == (dqe is None):
         raise DomainError("give exactly one of --internal or --dqe")
     if internal is None:
@@ -243,10 +243,7 @@ def cmd_jitter(total_ps, source_ps, as_json):
 def cmd_counts(config_path, power_pw, duration_s, seed, as_json, out_dir):
     """Simulate a counting run and persist the event record."""
     config = _load(config_path)
-    a_ref = config.targets["absorptance_51um"]["value"]
-    budget = det.EfficiencyBudget(
-        config.targets["coupling"]["value"], a_ref,
-        det.invert_internal(config.targets["dqe"]["value"], a_ref))
+    budget = _reference_budget(config.targets, config.targets["coupling"]["value"])
     src = det.SourceSpec(power_pw * 1e-12, config.cross_section.wavelength_m,
                          config.counting.jitter_sigma_s)
     used_seed = config.stage_seed("counts") if seed is None else seed
@@ -273,14 +270,10 @@ def cmd_counts(config_path, power_pw, duration_s, seed, as_json, out_dir):
 @cli_errors
 def cmd_sweep(config_path, index, as_json, out_dir):
     """Run a configured parameter sweep and export the table."""
-    from .errors import ConfigError
-
     config = _load(config_path)
-    if not 0 <= index < len(config.sweeps):
-        raise ConfigError(f"sweep index {index} out of range: config has {len(config.sweeps)} sweeps")
-    result = run_sweep(config.cross_section, config.sweeps[index], config.policy, config.solver)
+    result = run_sweep(config.cross_section, _sweep_spec(config, index), config.policy, config.solver)
     out = _resolve_out(out_dir, config)
-    columns, rows = sweep_to_rows(result)
+    columns, rows = sweep_to_rows(result.points)
     p = out.path(f"sweep_{index}.csv")
     write_csv(p, columns, rows, config.digest)
     best = result.best
@@ -303,16 +296,11 @@ def cmd_sweep(config_path, index, as_json, out_dir):
 @cli_errors
 def cmd_optimize(config_path, index, tolerance_nm, as_json, out_dir):
     """Maximize modal absorption under the alignment-margin constraint."""
-    from .errors import ConfigError
-
     config = _load(config_path)
-    if not 0 <= index < len(config.sweeps):
-        raise ConfigError(f"sweep index {index} out of range: config has {len(config.sweeps)} sweeps")
-    result = maximize_alpha(config.cross_section, config.sweeps[index],
+    result = maximize_alpha(config.cross_section, _sweep_spec(config, index),
                             config.policy, config.solver, tolerance=tolerance_nm)
     out = _resolve_out(out_dir, config)
-    from .sweep import SweepResult
-    columns, rows = sweep_to_rows(SweepResult(result.trace, None))
+    columns, rows = sweep_to_rows(result.trace)
     p = out.path(f"optimize_{index}_trace.csv")
     write_csv(p, columns, rows, config.digest)
     best = result.best

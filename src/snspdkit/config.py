@@ -44,6 +44,8 @@ DEFAULT_TARGETS = {
 
 
 def _check_keys(obj: dict, allowed: set[str], ctx: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{ctx}: must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
@@ -63,9 +65,13 @@ def _length(obj: dict, base: str, ctx: str, required: bool = True,
         return default
     key, scale = hits[0]
     value = obj[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ConfigError(f"{ctx}: {key} must be a number")
     return float(value) * scale
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _length_keys(base: str) -> set[str]:
@@ -78,7 +84,7 @@ def _number(obj: dict, key: str, ctx: str, required: bool = True, default=None):
             raise ConfigError(f"{ctx}: missing {key}")
         return default
     v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         raise ConfigError(f"{ctx}: {key} must be a number")
     return float(v)
 
@@ -167,6 +173,8 @@ def _parse_layers(entries) -> tuple[Layer, ...]:
     for k, entry in enumerate(entries):
         ctx = f"layers[{k}]"
         _check_keys(entry, {"material", "substrate"} | _length_keys("thickness"), ctx)
+        if "material" not in entry:
+            raise ConfigError(f"{ctx}: missing material")
         substrate = bool(entry.get("substrate", False))
         thickness = _length(entry, "thickness", ctx, required=not substrate)
         layers.append(Layer(entry["material"], thickness, substrate))
@@ -175,11 +183,10 @@ def _parse_layers(entries) -> tuple[Layer, ...]:
 
 def _parse_ridge(obj) -> RidgeSpec:
     ctx = "ridge"
-    _check_keys(obj, _length_keys("width") | _length_keys("etch_depth") | _length_keys("center"), ctx)
+    _check_keys(obj, _length_keys("width") | _length_keys("etch_depth"), ctx)
     return RidgeSpec(
         width_m=_length(obj, "width", ctx),
         etch_depth_m=_length(obj, "etch_depth", ctx),
-        center_m=_length(obj, "center", ctx, required=False, default=0.0),
     )
 
 
@@ -278,7 +285,7 @@ def _parse_sweeps(entries) -> tuple[SweepSpec, ...]:
             parameters=tuple(params),
             mode_kind=entry.get("mode", "TE"),
             min_margin_m=_length(entry, "min_margin", ctx, required=False, default=0.5e-6),
-            point_cap=int(entry.get("point_cap", 10_000)),
+            point_cap=_integer(entry, "point_cap", ctx, default=10_000),
         ))
     return tuple(specs)
 
@@ -324,7 +331,7 @@ def load_project_config(source: str | Path | dict) -> ProjectConfig:
 
     materials = (_parse_materials(raw["materials"], aluminum_fraction)
                  if "materials" in raw else default_materials(aluminum_fraction))
-    stack = LayerStack(_parse_layers(raw["layers"]), ambient=raw.get("ambient", "air"))
+    stack = LayerStack(_parse_layers(raw.get("layers")), ambient=raw.get("ambient", "air"))
     ridge = _parse_ridge(raw.get("ridge", {}))
     wires = _parse_wires(raw["wires"]) if raw.get("wires") else None
 
@@ -358,6 +365,8 @@ def load_project_config(source: str | Path | dict) -> ProjectConfig:
     co = raw.get("counting", {})
     _check_keys(co, {"powers_pW", "duration_s", "jitter_ps"}, "counting")
     powers = co.get("powers_pW", [0.05 * 100 ** (k / 9.0) for k in range(10)])
+    if not isinstance(powers, list) or not powers or not all(map(_is_number, powers)):
+        raise ConfigError("counting: powers_pW must be a non-empty list of numbers")
     counting = CountingSpec(
         powers_w=tuple(float(p) * 1e-12 for p in powers),
         duration_s=_number(co, "duration_s", "counting", required=False, default=0.2),

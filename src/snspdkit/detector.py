@@ -181,12 +181,7 @@ def _crossing(t: np.ndarray, v: np.ndarray, level: float, rising: bool) -> float
     return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
 
 
-def pulse_shape(
-    model: DetectorModel,
-    tau_rise_s: float = 200e-12,
-    horizon_s: float | None = None,
-    samples: int = 6000,
-) -> PulseTrace:
+def pulse_shape(model: DetectorModel, tau_rise_s: float = 200e-12) -> PulseTrace:
     """Peak-normalized V(t) = exp(-t/tau_fall) - exp(-t/tau_rise).
 
     ``tau_fall`` is the kinetic-inductance recovery constant of the model;
@@ -199,9 +194,7 @@ def pulse_shape(
             f"rise constant must satisfy 0 < tau_rise < tau_fall "
             f"({tau_rise_s:.3g} s vs {tau_fall:.3g} s)"
         )
-    if horizon_s is None:
-        horizon_s = 10.0 * tau_fall
-    t = np.linspace(0.0, horizon_s, samples)
+    t = np.linspace(0.0, 10.0 * tau_fall, 6000)
     v = np.exp(-t / tau_fall) - np.exp(-t / tau_rise_s)
     ratio = tau_fall / tau_rise_s
     t_peak = math.log(ratio) * tau_fall * tau_rise_s / (tau_fall - tau_rise_s)

@@ -83,7 +83,6 @@ class LayerStack:
 class RidgeSpec:
     width_m: float
     etch_depth_m: float
-    center_m: float = 0.0
 
     def __post_init__(self):
         if self.width_m <= 0:
@@ -124,7 +123,7 @@ class NanowireArray:
         return self.thickness_m + (self.cap_thickness_m if self.cap_material else 0.0)
 
     def wire_centers(self) -> list[float]:
-        """Wire center x positions relative to the ridge center."""
+        """Wire center x positions [m]."""
         half = (self.count - 1) / 2.0
         return [(k - half) * self.pitch_m + self.offset_m for k in range(self.count)]
 
@@ -388,7 +387,6 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
     if policy is None:
         policy = ResolutionPolicy()
     wires = cs.wires
-    xc = cs.ridge.center_m
     half_w = cs.window_width_m / 2.0
     min_sep = policy.fine_m / 4.0
 
@@ -426,11 +424,10 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
     y_nodes = _build_axis(y_mand, y_soft, zones_y, min_sep)
 
     # ---- horizontal lines ----------------------------------------------
-    # Built as offsets from the ridge center; for mirror-symmetric sections
-    # only the non-negative side is constructed and then reflected, which
-    # makes the grid exactly symmetric.
-    rel_mand = [half_w, cs.ridge.width_m / 2.0]
-    rel_soft = [cs.ridge.width_m / 2.0 + policy.far_margin_m]
+    # For mirror-symmetric sections only the non-negative side is
+    # constructed and then reflected, which makes the grid exactly symmetric.
+    x_mand = [half_w, cs.ridge.width_m / 2.0]
+    x_soft = [cs.ridge.width_m / 2.0 + policy.far_margin_m]
     zones_x: list[tuple] = []
     wire_edges: list[float] = []
     if wires is not None:
@@ -438,12 +435,12 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
             wire_edges += [c - wires.width_m / 2.0, c + wires.width_m / 2.0]
         eb = policy.edge_band_m
         for edge in wire_edges:
-            rel_soft += [edge - eb, edge + eb]
+            x_soft += [edge - eb, edge + eb]
             zones_x.append((edge - eb, edge, ("graded", policy.fine_m, policy.x_base, policy.growth, False)))
             zones_x.append((edge, edge + eb, ("graded", policy.fine_m, policy.x_base, policy.growth, True)))
         arr_lo = wires.offset_m - wires.extent_m / 2.0
         arr_hi = wires.offset_m + wires.extent_m / 2.0
-        rel_soft += [arr_lo - policy.band_m, arr_hi + policy.band_m]
+        x_soft += [arr_lo - policy.band_m, arr_hi + policy.band_m]
         zones_x.append((arr_lo - policy.band_m, arr_hi + policy.band_m, ("uniform", policy.x_base)))
     zones_x.append(
         (-cs.ridge.width_m / 2.0 - policy.far_margin_m,
@@ -454,15 +451,14 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
 
     symmetric = wires is None or wires.offset_m == 0.0
     if symmetric:
-        pos_mand = sorted({abs(v) for v in rel_mand + wire_edges} | {0.0})
-        pos_soft = [abs(v) for v in rel_soft + [-s for s in rel_soft]]
+        pos_mand = sorted({abs(v) for v in x_mand + wire_edges} | {0.0})
+        pos_soft = [abs(v) for v in x_soft + [-s for s in x_soft]]
         pos_nodes = _build_axis(pos_mand, [s for s in pos_soft if 0 < s < half_w], zones_x, min_sep)
-        rel_nodes = [-v for v in reversed(pos_nodes[1:])] + pos_nodes
+        x_nodes = [-v for v in reversed(pos_nodes[1:])] + pos_nodes
     else:
-        mand = sorted({v for v in rel_mand + [-m for m in rel_mand] + wire_edges})
-        soft = rel_soft + [-s for s in rel_soft]
-        rel_nodes = _build_axis(mand, [s for s in soft if -half_w < s < half_w], zones_x, min_sep)
-    x_nodes = [xc + v for v in rel_nodes] if xc != 0.0 else rel_nodes
+        mand = sorted({v for v in x_mand + [-m for m in x_mand] + wire_edges})
+        soft = x_soft + [-s for s in x_soft]
+        x_nodes = _build_axis(mand, [s for s in soft if -half_w < s < half_w], zones_x, min_sep)
 
     x_edges = np.asarray(x_nodes, dtype=float)
     y_edges = np.asarray(y_nodes, dtype=float)
@@ -479,14 +475,14 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
     for lo, hi, mat in cs.stack.finite_spans():
         eps[:, (ym > lo) & (ym < hi)] = eps_of[mat]
     # etched region: ambient replaces the top layer outside the ridge
-    outside = np.abs(xm - xc) > cs.ridge.width_m / 2.0
+    outside = np.abs(xm) > cs.ridge.width_m / 2.0
     etched_rows = (ym > -cs.ridge.etch_depth_m) & (ym < 0.0)
     eps[np.ix_(outside, etched_rows)] = eps_of[cs.stack.ambient]
     if wires is not None:
         wire_rows = (ym > 0.0) & (ym < wires.thickness_m)
         cap_rows = (ym > wires.thickness_m) & (ym < wires.thickness_m + wires.cap_thickness_m)
         for c in wires.wire_centers():
-            cols = np.abs(xm - (xc + c)) < wires.width_m / 2.0
+            cols = np.abs(xm - c) < wires.width_m / 2.0
             eps[np.ix_(cols, wire_rows)] = eps_of[wires.material]
             if wires.cap_material and wires.cap_thickness_m > 0:
                 eps[np.ix_(cols, cap_rows)] = eps_of[wires.cap_material]
@@ -496,7 +492,7 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
                 "resolution policy places fewer than 2 cells across the wire thickness"
             )
         for c in wires.wire_centers():
-            n_cols = int(np.count_nonzero(np.abs(xm - (xc + c)) < wires.width_m / 2.0))
+            n_cols = int(np.count_nonzero(np.abs(xm - c) < wires.width_m / 2.0))
             if n_cols < 4:
                 raise ConfigError(
                     "resolution policy places fewer than 4 cells across a wire width"

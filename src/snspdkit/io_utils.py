@@ -25,24 +25,18 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=2)
 
 
-def json_header(config_digest: str = "none") -> dict:
-    return {"tool": TOOL, "version": __version__, "config_digest": config_digest}
-
-
 class OutputDir:
-    """All file output funnels through one directory; tracks what was written."""
+    """All file output funnels through one directory."""
 
     def __init__(self, base: str | Path):
         self.base = Path(base)
         self.base.mkdir(parents=True, exist_ok=True)
-        self.written: list[Path] = []
 
     def path(self, name: str) -> Path:
         p = (self.base / name).resolve()
         if self.base.resolve() not in p.parents and p != self.base.resolve():
             raise ConfigError(f"output path {name!r} escapes the output directory")
         p.parent.mkdir(parents=True, exist_ok=True)
-        self.written.append(p)
         return p
 
 
@@ -63,7 +57,8 @@ def _format_cell(v) -> str:
 
 
 def write_json(path: Path, payload: dict, config_digest: str = "none") -> None:
-    body = {"_header": json_header(config_digest), **payload}
+    header = {"tool": TOOL, "version": __version__, "config_digest": config_digest}
+    body = {"_header": header, **payload}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(body) + "\n")
 
@@ -127,14 +122,14 @@ def export_mode_fields(mode, out: OutputDir, prefix: str = "mode", config_digest
     return names + [head.name]
 
 
-def sweep_to_rows(result) -> tuple[list[str], list[list]]:
-    """Plot-ready tabular form of a sweep result."""
-    param_names = sorted({k for p in result.points for k in p.params})
+def sweep_to_rows(points) -> tuple[list[str], list[list]]:
+    """Plot-ready tabular form of sweep or optimizer points."""
+    param_names = sorted({k for p in points for k in p.params})
     columns = param_names + [
         "re_n_eff", "im_n_eff", "alpha_per_cm", "te_fraction", "margin_um", "feasible", "status",
     ]
     rows = []
-    for p in result.points:
+    for p in points:
         rows.append(
             [p.params.get(name, "") for name in param_names]
             + [

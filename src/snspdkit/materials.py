@@ -61,14 +61,6 @@ class Material:
                     f"material {self.name!r}: index must be given as n - 1j*k with k >= 0, got {nk}"
                 )
 
-    @property
-    def wavelength_min_m(self) -> float:
-        return self.wavelengths_m[0]
-
-    @property
-    def wavelength_max_m(self) -> float:
-        return self.wavelengths_m[-1]
-
 
 def lookup_index(material: Material, wavelength_m: float) -> complex:
     """Complex refractive index ``n - 1j*k`` at a wavelength inside the table.
@@ -76,7 +68,7 @@ def lookup_index(material: Material, wavelength_m: float) -> complex:
     Clamping is forbidden: a wavelength outside the tabulated range raises
     :class:`WavelengthRangeError` naming the material.
     """
-    lo, hi = material.wavelength_min_m, material.wavelength_max_m
+    lo, hi = material.wavelengths_m[0], material.wavelengths_m[-1]
     if not (lo <= wavelength_m <= hi):
         raise WavelengthRangeError(material.name, wavelength_m, lo, hi)
     if len(material.wavelengths_m) == 1:

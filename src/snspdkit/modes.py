@@ -74,12 +74,14 @@ class ModeOperator:
     def shape(self) -> tuple[int, int]:
         return (len(self.x_nodes_m), len(self.y_nodes_m))
 
-    def index_bracket(self) -> tuple[float, float]:
-        """(cladding max, global max) of Re(n) for guided-mode bracketing.
+    def index_bracket(self) -> tuple[float, float, float]:
+        """(cladding max, core, global max) of Re(n) over the cells.
 
-        The cladding bound is the largest dielectric index strictly below the
-        largest dielectric (core) index; lossy materials such as the nanowire
-        metal only enter the global upper bound.
+        The core index is the largest dielectric index and places the default
+        shift; the cladding bound is the largest dielectric index strictly
+        below it. Guided modes lie strictly between the cladding bound and the
+        global maximum; lossy materials such as the nanowire metal only enter
+        the latter.
         """
         n_vals = np.sqrt(self.eps.ravel())
         re = n_vals.real
@@ -88,7 +90,7 @@ class ModeOperator:
         n_core = float(diel.max())
         below = diel[diel < n_core - 1e-9]
         n_clad = float(below.max()) if below.size else 1.0
-        return n_clad, n_high
+        return n_clad, n_core, n_high
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,20 +133,19 @@ class ModeSolution:
         return _polarization(self.te_fraction)
 
 
-def modal_absorption(mode: ModeSolution, wavelength_m: float | None = None) -> float:
+def modal_absorption(mode: ModeSolution) -> float:
     """Power absorption coefficient alpha = 4*pi*Im(n_eff)/lambda in 1/cm."""
-    lam = mode.wavelength_m if wavelength_m is None else wavelength_m
-    return 4.0 * np.pi * mode.n_eff.imag / lam / 100.0
+    return 4.0 * np.pi * mode.n_eff.imag / mode.wavelength_m / 100.0
 
 
 # ---------------------------------------------------------------------------
 # operator assembly
 # ---------------------------------------------------------------------------
 
-def assemble_operator(grid: PermittivityGrid, wavelength_m: float | None = None) -> ModeOperator:
-    """Build the sparse eigenproblem for the two transverse H components."""
-    lam = grid.wavelength_m if wavelength_m is None else wavelength_m
-    if lam <= 0:
+def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
+    """Build the sparse eigenproblem for the two transverse H components at
+    the wavelength the grid was painted at."""
+    if grid.wavelength_m <= 0:
         raise DomainError("wavelength must be > 0")
     nx_cells, ny_cells = grid.eps.shape
     if nx_cells < 3 or ny_cells < 3:
@@ -153,7 +154,7 @@ def assemble_operator(grid: PermittivityGrid, wavelength_m: float | None = None)
     x = np.asarray(grid.x_edges_m, dtype=float)
     y = np.asarray(grid.y_edges_m, dtype=float)
     nnx, nny = len(x), len(y)
-    k0 = 2.0 * np.pi / lam
+    k0 = 2.0 * np.pi / grid.wavelength_m
 
     # exp(-i w t) convention: absorbing cells get Im(eps) > 0
     eps_cells = np.conj(grid.eps)
@@ -322,7 +323,7 @@ def solve_fundamental(
     if config is None:
         config = SolverConfig()
     sigma = _shift(op, config)
-    reach = max(0.0, (op.k0 * _core_index(op)) ** 2 - sigma)
+    reach = max(0.0, (op.k0 * op.index_bracket()[1]) ** 2 - sigma)
     best = None
     for mat, lift in _operators(op):
         found = _fundamental_pair(op, mat, lift, sigma, reach, kind, config)
@@ -358,7 +359,7 @@ def _guided(op: ModeOperator, vals: np.ndarray):
     """``(index, n_eff)`` of the guided eigenvalues among ``vals``: n_eff =
     sqrt(lambda)/k0 strictly inside :meth:`ModeOperator.index_bracket`, by
     descending Re(n_eff)."""
-    n_clad, n_high = op.index_bracket()
+    n_clad, _n_core, n_high = op.index_bracket()
     n_effs = np.sqrt(vals.astype(complex)) / op.k0
     return [(idx, complex(n_effs[idx])) for idx in np.argsort(-n_effs.real, kind="stable")
             if n_clad < n_effs[idx].real < n_high]
@@ -406,7 +407,9 @@ def _operators(op: ModeOperator):
 
 
 def _shift(op: ModeOperator, config: SolverConfig) -> float:
-    target = config.target_n_eff if config.target_n_eff is not None else 0.98 * _core_index(op)
+    target = config.target_n_eff
+    if target is None:
+        target = 0.98 * op.index_bracket()[1]
     return (op.k0 * target) ** 2
 
 
@@ -470,12 +473,6 @@ def _mirror_bases(op: ModeOperator):
         )
         bases.append((np.concatenate(keep), basis))
     return bases
-
-
-def _core_index(op: ModeOperator) -> float:
-    n_vals = np.sqrt(op.eps.ravel())
-    diel = n_vals.real[np.abs(n_vals.imag) < _DIELECTRIC_IM_CUT]
-    return float(diel.max())
 
 
 def _relative_residual(mat, val, vec) -> float:

@@ -1,13 +1,13 @@
 """End-to-end benchmark pipeline: runs every reference computation from one
 configuration and scores each result against its target band.
 
-Stage graph: ``absorptance`` consumes the mode-solver result, ``efficiency``
-consumes absorptance and the Fabry-Perot extraction; everything else is
-independent. A failed stage fails its dependents ("blocked"); a skipped
-stage marks them "not-run". The pipeline always runs to the end and the
-manifest records every stage, its checks, outputs and seed.
+Stages run in the order of ``_STAGE_GRAPH``, which also names the stages
+each one depends on. A failed stage fails its dependents ("blocked"); a
+skipped stage marks them "not-run". The pipeline always runs to the end
+and the manifest records every stage, its checks, outputs and seed.
 """
 
+import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -19,16 +19,9 @@ from .config import ProjectConfig
 from .detector import EfficiencyBudget, SourceSpec, dark_count_rate, internal_efficiency
 from .errors import SnspdKitError
 from .fabry_perot import extract_coupling, fp_transmission, fresnel_reflectivity
-from .io_utils import OutputDir, export_grid, export_mode_fields, write_csv, write_json
+from .io_utils import OutputDir, export_grid, export_mode_fields, header_line, write_csv, write_json
 from .modes import modal_absorption, solve_cross_section
 from .sweep import apply_parameters
-
-STAGES = ("mode-solver", "tm-design", "absorptance", "fp-extract",
-          "efficiency", "pulse", "jitter", "counting")
-_DEPENDENCIES = {
-    "absorptance": ("mode-solver",),
-    "efficiency": ("absorptance", "fp-extract"),
-}
 
 
 @dataclass(frozen=True)
@@ -110,35 +103,23 @@ def run_reproduce(config: ProjectConfig, out: OutputDir, skip: tuple[str, ...] =
             raise SnspdKitError(f"unknown stage {name!r}; stages: {STAGES}")
     manifest = RunManifest(__version__, config.digest, _utc_now())
     records: dict[str, StageRecord] = {}
-    results: dict[str, dict] = {}
+    results: dict[str, float] = {}   # the solved alpha and the extracted coupling
 
-    runners = {
-        "mode-solver": _stage_mode_solver,
-        "tm-design": _stage_tm_design,
-        "absorptance": _stage_absorptance,
-        "fp-extract": _stage_fp_extract,
-        "efficiency": _stage_efficiency,
-        "pulse": _stage_pulse,
-        "jitter": _stage_jitter,
-        "counting": _stage_counting,
-    }
-
-    for name in STAGES:
+    for name, run, deps in _STAGE_GRAPH:
         rec = StageRecord(name=name)
         records[name] = rec
         manifest.stages.append(rec)
         if name in skip:
             rec.status = "skipped"
             continue
-        deps = _DEPENDENCIES.get(name, ())
         if any(records[d].status in ("skipped", "not-run") for d in deps):
             rec.status = "not-run"
             continue
-        if any(records[d].status not in ("pass",) for d in deps):
+        if any(records[d].status != "pass" for d in deps):
             rec.status = "blocked"
             continue
         try:
-            runners[name](config, out, rec, results)
+            run(config, out, rec, results)
             rec.status = "pass" if all(c.passed for c in rec.checks) else "fail"
         except SnspdKitError as exc:
             rec.status = f"error: {exc}"
@@ -147,6 +128,13 @@ def run_reproduce(config: ProjectConfig, out: OutputDir, skip: tuple[str, ...] =
     summary_files = _write_summary(manifest, config, out)
     verify_manifest(manifest, out, extra=summary_files)
     return manifest
+
+
+def _reference_budget(targets: dict, coupling: float) -> EfficiencyBudget:
+    """Efficiency chain at the reference absorptance, with the internal
+    efficiency inverted from the reference DQE."""
+    a_ref = targets["absorptance_51um"]["value"]
+    return EfficiencyBudget(coupling, a_ref, det.invert_internal(targets["dqe"]["value"], a_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +152,7 @@ def _stage_mode_solver(config: ProjectConfig, out, rec, results):
         rec.notes["fresnel_reflectivity_estimate"] = fresnel_reflectivity(te.n_eff.real)
         rec.outputs += export_mode_fields(te, out, "mode_te0", config.digest)
     rec.outputs += export_grid(grid, out, "grid", config.digest)
-    results["mode-solver"] = {"alpha_per_cm": alpha, "mode": te}
+    results["alpha_per_cm"] = alpha
 
 
 def _stage_tm_design(config: ProjectConfig, out, rec, results):
@@ -179,7 +167,6 @@ def _stage_tm_design(config: ProjectConfig, out, rec, results):
         rec.notes["n_eff"] = {"re": tm.n_eff.real, "im": tm.n_eff.imag}
         rec.notes["te_fraction"] = tm.te_fraction
     rec.notes["core_thickness_nm"] = t_nm
-    results["tm-design"] = {"alpha_per_cm": alpha}
 
 
 def _stage_absorptance(config: ProjectConfig, out, rec, results):
@@ -188,7 +175,7 @@ def _stage_absorptance(config: ProjectConfig, out, rec, results):
     a102 = det.absorptance(alpha_ref, 102e-4)
     rec.checks.append(CheckResult("absorptance_51um", a51, *band(config.targets["absorptance_51um"])))
     rec.checks.append(CheckResult("absorptance_102um", a102, *band(config.targets["absorptance_102um"])))
-    alpha_solved = results["mode-solver"]["alpha_per_cm"]
+    alpha_solved = results["alpha_per_cm"]
     rec.notes["alpha_reference_per_cm"] = alpha_ref
     rec.notes["absorptance_51um_at_solved_alpha"] = det.absorptance(alpha_solved, 51e-4)
     lengths = np.linspace(0.0, 150e-4, 151)
@@ -198,7 +185,6 @@ def _stage_absorptance(config: ProjectConfig, out, rec, results):
     write_csv(p, ["length_um", "absorptance_at_reference_alpha", "absorptance_at_solved_alpha"],
               rows, config.digest)
     rec.outputs.append(p.name)
-    results["absorptance"] = {"a51": a51}
 
 
 def _stage_fp_extract(config: ProjectConfig, out, rec, results):
@@ -215,15 +201,13 @@ def _stage_fp_extract(config: ProjectConfig, out, rec, results):
     f = out.path("fp_fringe_model.csv")
     write_csv(f, ["phase_rad", "transmission"], rows, config.digest)
     rec.outputs.append(f.name)
-    results["fp-extract"] = {"coupling": res.coupling}
+    results["coupling"] = res.coupling
 
 
 def _stage_efficiency(config: ProjectConfig, out, rec, results):
-    coupling = results["fp-extract"]["coupling"]
-    a_ref = config.targets["absorptance_51um"]["value"]
-    dqe_ref = config.targets["dqe"]["value"]
-    eta_int = det.invert_internal(dqe_ref, a_ref)
-    budget = EfficiencyBudget(coupling, a_ref, eta_int)
+    coupling = results["coupling"]
+    budget = _reference_budget(config.targets, coupling)
+    a_ref, eta_int = budget.absorptance, budget.internal
     rec.checks.append(CheckResult("sqe", budget.sqe, *band(config.targets["sqe"])))
     rec.notes.update({"coupling": coupling, "absorptance": a_ref,
                       "internal_efficiency": eta_int, "dqe": budget.dqe})
@@ -237,7 +221,6 @@ def _stage_efficiency(config: ProjectConfig, out, rec, results):
     f = out.path("efficiency_vs_bias.csv")
     write_csv(f, ["bias_fraction", "dqe_model", "sqe_model", "dark_rate_hz"], rows, config.digest)
     rec.outputs.append(f.name)
-    results["efficiency"] = {"budget": budget}
 
 
 def _stage_pulse(config: ProjectConfig, out, rec, results):
@@ -261,7 +244,6 @@ def _stage_pulse(config: ProjectConfig, out, rec, results):
     write_csv(f, ["t_ns", "v_norm"],
               zip(trace.time_s * 1e9, trace.voltage), config.digest)
     rec.outputs.append(f.name)
-    results["pulse"] = {"tau": tau}
 
 
 def _stage_jitter(config: ProjectConfig, out, rec, results):
@@ -270,15 +252,11 @@ def _stage_jitter(config: ProjectConfig, out, rec, results):
                                   *band(config.targets["jitter_intrinsic_ps"])))
     rec.notes["total_ps"] = config.jitter_total_s * 1e12
     rec.notes["source_ps"] = config.jitter_source_s * 1e12
-    results["jitter"] = {"intrinsic": intrinsic}
 
 
 def _stage_counting(config: ProjectConfig, out, rec, results):
     model = config.detector
-    a_ref = config.targets["absorptance_51um"]["value"]
-    dqe_ref = config.targets["dqe"]["value"]
-    budget = EfficiencyBudget(config.targets["coupling"]["value"], a_ref,
-                              det.invert_internal(dqe_ref, a_ref))
+    budget = _reference_budget(config.targets, config.targets["coupling"]["value"])
     seed0 = config.stage_seed("counting")
     rec.seed = seed0
     wavelength = config.cross_section.wavelength_m
@@ -299,7 +277,20 @@ def _stage_counting(config: ProjectConfig, out, rec, results):
     f = out.path("count_rate_vs_power.csv")
     write_csv(f, ["power_pW", "rate_hz"], rows, config.digest)
     rec.outputs.append(f.name)
-    results["counting"] = {"sqe_recovered": sqe_est}
+
+
+# The stage graph in run order: (name, runner, stages that must pass first).
+_STAGE_GRAPH = (
+    ("mode-solver", _stage_mode_solver, ()),
+    ("tm-design", _stage_tm_design, ()),
+    ("absorptance", _stage_absorptance, ("mode-solver",)),
+    ("fp-extract", _stage_fp_extract, ()),
+    ("efficiency", _stage_efficiency, ("absorptance", "fp-extract")),
+    ("pulse", _stage_pulse, ()),
+    ("jitter", _stage_jitter, ()),
+    ("counting", _stage_counting, ()),
+)
+STAGES = tuple(name for name, _run, _deps in _STAGE_GRAPH)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +316,6 @@ def _write_summary(manifest: RunManifest, config: ProjectConfig, out: OutputDir)
 
 def verify_manifest(manifest: RunManifest, out: OutputDir, extra: list[str] = ()) -> None:
     """Every listed output exists and carries the config digest in its header."""
-    from .io_utils import header_line
-    import json as _json
-
     names = [name for s in manifest.stages for name in s.outputs] + list(extra)
     for name in names:
         path = out.base / name
@@ -335,7 +323,7 @@ def verify_manifest(manifest: RunManifest, out: OutputDir, extra: list[str] = ()
             raise SnspdKitError(f"manifest lists missing output {name}")
         if name.endswith(".json"):
             with open(path, encoding="utf-8") as fh:
-                head = _json.load(fh).get("_header", {})
+                head = json.load(fh).get("_header", {})
             if head.get("config_digest") != manifest.config_digest:
                 raise SnspdKitError(f"output {name} lacks the config digest header")
         else:

@@ -58,8 +58,10 @@ class SweepSpec:
     def __post_init__(self):
         if not self.parameters:
             raise ConfigError("sweep needs at least one parameter")
-        if self.mode_kind.upper() not in ("TE", "TM"):
-            raise ConfigError("mode kind must be 'TE' or 'TM'")
+        if not isinstance(self.mode_kind, str) or self.mode_kind.upper() not in ("TE", "TM"):
+            raise ConfigError(f"mode kind must be 'TE' or 'TM', got {self.mode_kind!r}")
+        if self.point_cap < 1:
+            raise ConfigError("point_cap must be >= 1")
         if self.min_margin_m < 0:
             raise ConfigError("margin constraint must be >= 0")
 

@@ -230,6 +230,19 @@ def test_sweep_command_single_point(runner, tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_malformed_point_cap_exit_code(runner, tmp_path):
+    """A non-integer point cap is a config error (exit 2), not a ValueError
+    escaping as an unexpected failure."""
+    raw = _coarse_raw()
+    raw["sweeps"][0]["point_cap"] = "many"
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "sweepout"
+    result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(out), "--json"])
+    assert result.exit_code == 2, result.output
+    assert "point_cap must be an integer" in result.stderr
+    assert not out.exists()
+
+
 def test_optimize_command_coarse(runner, tmp_path):
     raw = _coarse_raw()
     raw["sweeps"] = [{

@@ -38,6 +38,41 @@ def test_unknown_keys_rejected():
     raw["ridge"]["colour"] = "blue"
     with pytest.raises(ConfigError, match="colour"):
         load_project_config(raw)
+    raw = _raw_default()
+    raw["ridge"]["center_nm"] = 100
+    with pytest.raises(ConfigError, match="center_nm"):
+        load_project_config(raw)
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("sweeps", 0, "point_cap"), 2.9, "point_cap must be an integer"),
+    (("sweeps", 0, "point_cap"), True, "point_cap must be an integer"),
+    (("sweeps", 0, "point_cap"), "many", "point_cap must be an integer"),
+    (("sweeps", 0, "point_cap"), 0, "point_cap must be >= 1"),
+    (("sweeps", 0, "mode"), 5, "mode kind must be 'TE' or 'TM'"),
+    (("layers",), _MISSING, "layers: must be a non-empty list"),
+    (("layers", 1, "material"), _MISSING, r"layers\[1\]: missing material"),
+    (("counting", "powers_pW"), ["a"], "powers_pW must be a non-empty list of numbers"),
+    (("layers", 1), 5, r"layers\[1\]: must be a JSON object"),
+], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
+        "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object"])
+def test_malformed_inputs_rejected(path, value, message):
+    """Malformed values fail as a ConfigError naming the key, not as a raw
+    Python error that the CLI would report as an unexpected failure."""
+    raw = _raw_default()
+    *parents, key = path
+    node = raw
+    for step in parents:
+        node = node[step]
+    if value is _MISSING:
+        del node[key]
+    else:
+        node[key] = value
+    with pytest.raises(ConfigError, match=message):
+        load_project_config(raw)
 
 
 def test_negative_thickness_rejected():

@@ -126,10 +126,10 @@ def test_sweep_deterministic_and_export(tmp_path, base_cs):
     assert [p.alpha_per_cm for p in r1.points] == [p.alpha_per_cm for p in r2.points]
     from snspdkit.io_utils import write_csv
 
-    cols, rows = sweep_to_rows(r1)
+    cols, rows = sweep_to_rows(r1.points)
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(f1, cols, rows, "d")
-    cols, rows = sweep_to_rows(r2)
+    cols, rows = sweep_to_rows(r2.points)
     write_csv(f2, cols, rows, "d")
     assert f1.read_bytes() == f2.read_bytes()
 
@@ -172,7 +172,7 @@ def test_sweep_real_path_no_mode_points_kept(default_config):
     assert p200.margin_m == pytest.approx(0.3e-6, rel=1e-9)
     assert p0.feasible and not p200.feasible
     assert result.best is None
-    cols, rows = sweep_to_rows(result)
+    cols, rows = sweep_to_rows(result.points)
     assert [row[cols.index("status")] for row in rows] == ["no-mode", "no-mode"]
     assert [row[cols.index("feasible")] for row in rows] == [True, False]
     assert rows[0][cols.index("alpha_per_cm")] == ""
