@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .detector import DetectorModel
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fabry_perot import FringeData
 from .geometry import CrossSection, Layer, LayerStack, NanowireArray, ResolutionPolicy, RidgeSpec
 from .materials import Material, default_materials, make_builtin_material
@@ -89,6 +89,12 @@ def _number(obj: dict, key: str, ctx: str, required: bool = True, default=None):
     return float(v)
 
 
+def _list(value, ctx: str, empty_ok: bool = False) -> list:
+    if not isinstance(value, list) or not (value or empty_ok):
+        raise ConfigError(f"{ctx}: must be a {'' if empty_ok else 'non-empty '}list")
+    return value
+
+
 def _integer(obj: dict, key: str, ctx: str, default=None) -> int:
     v = obj.get(key, default)
     if not isinstance(v, int) or isinstance(v, bool):
@@ -141,20 +147,23 @@ def config_digest(raw: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _parse_materials(entries, aluminum_fraction: float) -> dict[str, Material]:
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("materials: must be a non-empty list")
     mats: dict[str, Material] = {}
-    for k, entry in enumerate(entries):
+    for k, entry in enumerate(_list(entries, "materials")):
         ctx = f"materials[{k}]"
         _check_keys(entry, {"name", "builtin", "table_nm", "aluminum_fraction"}, ctx)
         name = entry.get("name")
-        if not name:
-            raise ConfigError(f"{ctx}: missing name")
+        if not name or not isinstance(name, str):
+            raise ConfigError(f"{ctx}: name must be a non-empty string")
         if ("builtin" in entry) == ("table_nm" in entry):
             raise ConfigError(f"{ctx}: exactly one of 'builtin' or 'table_nm' required")
         if "builtin" in entry:
-            frac = entry.get("aluminum_fraction", aluminum_fraction)
-            mats[name] = make_builtin_material(name, entry["builtin"], frac)
+            if not isinstance(entry["builtin"], str):
+                raise ConfigError(f"{ctx}: builtin must be a string")
+            frac = _number(entry, "aluminum_fraction", ctx, required=False, default=aluminum_fraction)
+            try:
+                mats[name] = make_builtin_material(name, entry["builtin"], frac)
+            except DomainError as exc:
+                raise ConfigError(f"{ctx}: {exc}") from exc
         else:
             rows = entry["table_nm"]
             try:
@@ -167,15 +176,15 @@ def _parse_materials(entries, aluminum_fraction: float) -> dict[str, Material]:
 
 
 def _parse_layers(entries) -> tuple[Layer, ...]:
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("layers: must be a non-empty list")
     layers = []
-    for k, entry in enumerate(entries):
+    for k, entry in enumerate(_list(entries, "layers")):
         ctx = f"layers[{k}]"
         _check_keys(entry, {"material", "substrate"} | _length_keys("thickness"), ctx)
         if "material" not in entry:
             raise ConfigError(f"{ctx}: missing material")
-        substrate = bool(entry.get("substrate", False))
+        substrate = entry.get("substrate", False)
+        if not isinstance(substrate, bool):
+            raise ConfigError(f"{ctx}: substrate must be true or false")
         thickness = _length(entry, "thickness", ctx, required=not substrate)
         layers.append(Layer(entry["material"], thickness, substrate))
     return tuple(layers)
@@ -271,11 +280,11 @@ def _parse_detector(obj) -> DetectorModel:
 
 def _parse_sweeps(entries) -> tuple[SweepSpec, ...]:
     specs = []
-    for k, entry in enumerate(entries):
+    for k, entry in enumerate(_list(entries, "sweeps", empty_ok=True)):
         ctx = f"sweeps[{k}]"
         _check_keys(entry, {"parameters", "mode", "point_cap"} | _length_keys("min_margin"), ctx)
         params = []
-        for j, p in enumerate(entry.get("parameters", [])):
+        for j, p in enumerate(_list(entry.get("parameters", []), f"{ctx}.parameters", empty_ok=True)):
             _check_keys(p, {"name", "start", "stop", "step"}, f"{ctx}.parameters[{j}]")
             params.append(SweepParameter(
                 p.get("name"), _number(p, "start", ctx), _number(p, "stop", ctx),
@@ -294,12 +303,19 @@ def _parse_targets(obj) -> dict:
     _check_keys(obj, set(DEFAULT_TARGETS), "targets")
     merged = {}
     for key, default in DEFAULT_TARGETS.items():
-        if isinstance(default, dict):
-            given = obj.get(key, {})
-            _check_keys(given, {"value", "rel_tol", "abs_tol"}, f"targets.{key}")
-            merged[key] = {**default, **given}
-        else:
-            merged[key] = obj.get(key, default)
+        if not isinstance(default, dict):
+            merged[key] = _number(obj, key, "targets", required=False, default=default)
+            continue
+        ctx = f"targets.{key}"
+        given = obj.get(key, {})
+        _check_keys(given, {"value", "rel_tol", "abs_tol"}, ctx)
+        band = dict(default)
+        for k, v in given.items():
+            # an explicit null abs_tol selects the rel_tol band (see pipeline.band)
+            band[k] = None if k == "abs_tol" and v is None else _number(given, k, ctx)
+        if band.get("abs_tol") is None and "rel_tol" not in band:
+            raise ConfigError(f"{ctx}: needs abs_tol or rel_tol")
+        merged[key] = band
     return merged
 
 

@@ -25,8 +25,9 @@ exactly mirror-symmetric operator is split into its two parity classes (see
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# scipy.sparse is imported inside the functions that build or solve an
+# operator, so that ``import snspdkit`` and the CLI commands that never solve
+# do not pay ~0.35 s for it at start-up.
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .geometry import CrossSection, PermittivityGrid, ResolutionPolicy, rasterize
@@ -64,7 +65,7 @@ class SolverConfig:
 class ModeOperator:
     """Assembled eigenproblem A [Hx; Hy] = beta^2 [Hx; Hy]."""
 
-    matrix: sp.csc_matrix = field(repr=False)
+    matrix: "scipy.sparse.csc_matrix" = field(repr=False)
     k0: float
     x_nodes_m: np.ndarray
     y_nodes_m: np.ndarray
@@ -145,6 +146,8 @@ def modal_absorption(mode: ModeSolution) -> float:
 def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
     """Build the sparse eigenproblem for the two transverse H components at
     the wavelength the grid was painted at."""
+    import scipy.sparse as sp
+
     if grid.wavelength_m <= 0:
         raise DomainError("wavelength must be > 0")
     nx_cells, ny_cells = grid.eps.shape
@@ -369,6 +372,9 @@ def _shift_invert(mat, sigma: float, config: SolverConfig):
     """Factor mat - sigma*I once and return ``nearest(k)``: the k eigenpairs
     of ``mat`` nearest sigma, by shift-invert Arnoldi with that LU and a
     seeded start vector. The LU lives as long as ``nearest`` does."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     nn = mat.shape[0]
     rng = np.random.default_rng(_ARNOLDI_SEED)
     v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
@@ -448,6 +454,8 @@ def _mirror_bases(op: ModeOperator):
     class's exact restriction and ``basis @ u`` lifts its eigenvectors.
     Returns None when the operator is not exactly symmetric.
     """
+    import scipy.sparse as sp
+
     dx = np.diff(op.x_nodes_m)
     nnx, nny = op.shape
     if nnx % 2 == 0 or not np.array_equal(dx, dx[::-1]) or not np.array_equal(op.eps, op.eps[::-1]):

@@ -10,7 +10,8 @@ from click.testing import CliRunner
 
 import snspdkit
 from snspdkit.cli import main
-from snspdkit.config import default_config_path
+from snspdkit.config import default_config_path, load_project_config
+from snspdkit.modes import solve_cross_section
 
 
 @pytest.fixture()
@@ -57,6 +58,69 @@ def test_cli_import_skips_stats_and_optimize():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.split() == []
+
+
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports the snspdkit
+    under test; fails the test on a non-zero exit."""
+    src = Path(snspdkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=True)
+
+
+_SPARSE_LOADED = "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules))\n"
+
+
+def test_cli_import_skips_sparse():
+    """Importing the CLI and loading the shipped config does not load
+    scipy.sparse: it loads at the first operator assembly, so commands that
+    never solve do not pay for it at start-up."""
+    done = _fresh_python("-c", (
+        "import sys\n"
+        "from snspdkit.cli import main\n"
+        "from snspdkit.config import default_config_path, load_project_config\n"
+        "load_project_config(default_config_path())\n"
+    ) + _SPARSE_LOADED)
+    assert done.stdout.strip() == "[]"
+
+
+def test_non_solver_commands_skip_sparse(tmp_path):
+    """The six subcommands that never solve run to completion without
+    loading scipy.sparse."""
+    commands = [
+        ["jitter", "--total-ps", "73", "--source-ps", "40"],
+        ["absorptance", "--alpha-per-cm", "451", "--length-um", "51"],
+        ["efficiency", "--coupling", "0.174", "--absorptance", "0.90", "--dqe", "0.197"],
+        ["fp-extract", "--tmax", "0.061", "--tmin", "0.018"],
+        ["pulse"],
+        ["counts", "--power-pw", "0.5", "--duration-s", "0.005", "--seed", "3",
+         "--out", str(tmp_path / "counts")],
+    ]
+    done = _fresh_python("-c", (
+        "import sys\n"
+        "from snspdkit.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+    ) + _SPARSE_LOADED)
+    lines = done.stdout.splitlines()
+    assert any(line.startswith("intrinsic_ps") for line in lines)   # jitter ran
+    assert (tmp_path / "counts" / "counts.csv").exists()
+    assert lines[-1] == "[]"
+
+
+def test_solve_mode_fresh_interpreter_matches_in_process(tmp_path):
+    """``solve-mode`` in a new interpreter, which loads scipy.sparse only at
+    its first assembly, gives the in-process n_eff exactly."""
+    raw = json.loads(default_config_path().read_text(encoding="utf-8"))
+    raw["solver"]["policy"]["base_nm"] *= 2     # the perfbench --smoke grid
+    raw["solver"]["policy"]["far_nm"] *= 2
+    cfg = _write(tmp_path, raw)
+    done = _fresh_python("-c", "from snspdkit.cli import main; main()",
+                         "solve-mode", "--config", str(cfg), "--json")
+    payload = json.loads(done.stdout)
+    config = load_project_config(cfg)
+    _grid, modes = solve_cross_section(config.cross_section, config.policy, config.solver)
+    assert complex(payload["n_eff_re"], payload["n_eff_im"]) == modes[0].n_eff
 
 
 def test_jitter_command(runner):
@@ -241,6 +305,15 @@ def test_sweep_malformed_point_cap_exit_code(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert "point_cap must be an integer" in result.stderr
     assert not out.exists()
+
+
+def test_sweeps_not_a_list_exit_code(runner, tmp_path):
+    """``sweeps: 5`` is a config error (exit 2), not a TypeError escaping as
+    an unexpected failure."""
+    cfg = _write(tmp_path, _coarse_raw(sweeps=5))
+    result = runner.invoke(main, ["sweep", "--config", str(cfg), "--json"])
+    assert result.exit_code == 2, result.output
+    assert "sweeps: must be a list" in result.stderr
 
 
 def test_optimize_command_coarse(runner, tmp_path):

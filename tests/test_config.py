@@ -57,16 +57,32 @@ _MISSING = object()
     (("layers", 1, "material"), _MISSING, r"layers\[1\]: missing material"),
     (("counting", "powers_pW"), ["a"], "powers_pW must be a non-empty list of numbers"),
     (("layers", 1), 5, r"layers\[1\]: must be a JSON object"),
+    (("sweeps",), 5, "sweeps: must be a list"),
+    (("sweeps", 0, "parameters"), 5, r"sweeps\[0\].parameters: must be a list"),
+    (("materials", 0, "builtin"), 5, r"materials\[0\]: builtin must be a string"),
+    (("materials", 0, "builtin"), "xyz", r"materials\[0\]: unknown builtin material kind 'xyz'"),
+    (("materials", 1, "aluminum_fraction"), "x", r"materials\[1\]: aluminum_fraction must be a number"),
+    (("materials", 0, "name"), [1], r"materials\[0\]: name must be a non-empty string"),
+    (("layers", 0, "substrate"), "no", r"layers\[0\]: substrate must be true or false"),
+    (("targets", "coupling", "value"), "x", "targets.coupling: value must be a number"),
+    (("targets", "coupling", "abs_tol"), "x", "targets.coupling: abs_tol must be a number"),
+    (("targets", "coupling", "abs_tol"), None, "targets.coupling: needs abs_tol or rel_tol"),
+    (("targets", "tm_alpha_min_per_cm"), "x", "targets: tm_alpha_min_per_cm must be a number"),
 ], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
-        "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object"])
+        "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
+        "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
+        "material-name-list", "substrate-string",
+        "target-value-x", "target-abs_tol-x", "target-no-tolerance", "target-scalar-x"])
 def test_malformed_inputs_rejected(path, value, message):
-    """Malformed values fail as a ConfigError naming the key, not as a raw
-    Python error that the CLI would report as an unexpected failure."""
+    """Malformed values fail at load time as a ConfigError naming the key,
+    not as a raw Python error that the CLI would report as an unexpected
+    failure, a DomainError, or a failure later inside a pipeline stage.
+    Sections the shipped config omits (``targets``) are created on the way."""
     raw = _raw_default()
     *parents, key = path
     node = raw
     for step in parents:
-        node = node[step]
+        node = node[step] if isinstance(node, list) else node.setdefault(step, {})
     if value is _MISSING:
         del node[key]
     else:
@@ -142,6 +158,9 @@ def test_target_overrides_merge():
     assert cfg.targets["alpha_per_cm"]["value"] == 451.0
     assert cfg.targets["alpha_per_cm"]["rel_tol"] == 0.10
     assert cfg.targets["sqe"] == DEFAULT_TARGETS["sqe"]
+    raw["targets"] = {"alpha_per_cm": {"abs_tol": None}}   # null abs_tol: the rel_tol band
+    assert load_project_config(raw).targets["alpha_per_cm"] == {
+        "value": 451.0, "rel_tol": 0.15, "abs_tol": None}
     raw["targets"] = {"nonsense": 1}
     with pytest.raises(ConfigError, match="nonsense"):
         load_project_config(raw)
