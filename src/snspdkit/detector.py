@@ -347,6 +347,8 @@ def simulate_counting(
     """
     if duration_s <= 0:
         raise DomainError("duration must be > 0")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     t_dead = dead_time(model) if dead_time_s is None else dead_time_s
 

@@ -115,13 +115,17 @@ def read_fringe_scan(path: str | Path, single_pass: float = 1.0) -> FringeData:
     extrema as the 95th/5th percentiles of the transmission samples."""
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
             try:
                 rows.append((float(row[0]), float(row[1])))
             except ValueError:
                 continue  # header row
+            except IndexError:
+                raise DomainError(f"fringe scan {path} line {reader.line_num}: "
+                                  "expected wavelength_nm, transmission") from None
     if len(rows) < 10:
         raise DomainError(f"fringe scan {path} has fewer than 10 samples")
     t = np.array([r[1] for r in rows])

@@ -213,13 +213,6 @@ class CrossSection:
     def index_of(self, material_name: str) -> complex:
         return lookup_index(self.materials[material_name], self.wavelength_m)
 
-    def scaled_window(self, factor: float) -> "CrossSection":
-        return replace(
-            self,
-            window_width_m=self.window_width_m * factor,
-            window_height_m=self.window_height_m * factor,
-        )
-
 
 @dataclass(frozen=True)
 class ResolutionPolicy:
@@ -262,26 +255,22 @@ class ResolutionPolicy:
 
     def refined(self, factor: float) -> "ResolutionPolicy":
         """Uniformly shrink every cell size by ``factor`` (band unchanged)."""
-        return replace(
-            self,
-            base_m=self.base_m / factor,
-            fine_m=self.fine_m / factor,
-            far_m=self.far / factor,
-            x_base_m=self.x_base / factor,
-            y_refine=tuple((a, b, c / factor) for a, b, c in self.y_refine),
-        )
+        return self.bulk_refined(factor, fine_m=self.fine_m / factor)
 
-    def bulk_refined(self, factor: float) -> "ResolutionPolicy":
+    def bulk_refined(self, factor: float, **changes) -> "ResolutionPolicy":
         """Shrink only the bulk cell sizes (base, x_base, far) by ``factor``,
         keeping the near-wire resolution pinned. Used for convergence
         ladders: the wire cells sit at their mandated floor already, so the
-        controllable error lives in the bulk discretization."""
+        controllable error lives in the bulk discretization. ``changes``
+        sets further fields in the same step: a policy with only its bulk
+        or only its fine cells scaled can fail validation (fine > base)."""
         return replace(
             self,
             base_m=self.base_m / factor,
             x_base_m=self.x_base / factor,
             far_m=self.far / factor,
             y_refine=tuple((a, b, c / factor) for a, b, c in self.y_refine),
+            **changes,
         )
 
 

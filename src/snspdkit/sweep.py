@@ -10,6 +10,7 @@ halving around the best feasible point; unimodality is only a refinement
 heuristic, and the returned dominance guarantee is over evaluated points.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -147,6 +148,13 @@ def _evaluate_point(values, spec, evaluate):
     return SweepPoint(values, n_eff, alpha, te, margin, feasible, "ok")
 
 
+def _better(best: SweepPoint | None, p: SweepPoint) -> SweepPoint | None:
+    """``p`` if it is solved, feasible and absorbs more than ``best``; a tie keeps ``best``."""
+    if p.status == "ok" and p.feasible and (best is None or p.alpha_per_cm > best.alpha_per_cm):
+        return p
+    return best
+
+
 def run_sweep(
     base: CrossSection,
     spec: SweepSpec,
@@ -172,13 +180,7 @@ def run_sweep(
 
     points = [_evaluate_point(dict(zip(names, vals)), spec, evaluate)
               for vals in itertools.product(*axes)]
-
-    best = None
-    for p in points:
-        if p.status == "ok" and p.feasible:
-            if best is None or p.alpha_per_cm > best.alpha_per_cm:
-                best = p
-    return SweepResult(tuple(points), best)
+    return SweepResult(tuple(points), functools.reduce(_better, points, None))
 
 
 @dataclass(frozen=True)
@@ -225,16 +227,9 @@ def maximize_alpha(
         trace.append(pt)
         return pt
 
-    def better(a: SweepPoint | None, b: SweepPoint) -> SweepPoint | None:
-        if b.status != "ok" or not b.feasible:
-            return a
-        if a is None or b.alpha_per_cm > a.alpha_per_cm:
-            return b
-        return a
-
     best = None
     for vals in itertools.product(*(p.values() for p in free)):
-        best = better(best, probe({**fixed, **dict(zip((p.name for p in free), vals))}))
+        best = _better(best, probe({**fixed, **dict(zip((p.name for p in free), vals))}))
     if best is None:
         return OptimizeResult(None, tuple(trace), "infeasible", 0)
 
@@ -249,7 +244,7 @@ def maximize_alpha(
             for p, o in zip(free, combo):
                 v = center[p.name] + o * steps[p.name]
                 values[p.name] = min(max(v, p.start), p.stop)
-            best = better(best, probe(values))
+            best = _better(best, probe(values))
         steps = {k: v / 2.0 for k, v in steps.items()}
 
     return OptimizeResult(best, tuple(trace), "ok", iterations)

@@ -141,6 +141,14 @@ def test_fp_extract_command(runner):
     assert payload["coupling"] == pytest.approx(0.174, abs=0.001)
 
 
+def test_fp_extract_one_column_scan_exit_code(runner, tmp_path):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("wavelength_nm,transmission\n1320\n")
+    result = runner.invoke(main, ["fp-extract", "--scan-csv", str(scan)])
+    assert result.exit_code == 3, result.output
+    assert "line 2" in result.output
+
+
 def test_fp_extract_json_round_trip(runner):
     result = runner.invoke(main, ["fp-extract", "--tmax", "0.061", "--tmin", "0.018", "--json"])
     text = result.output.rstrip("\n")
@@ -198,6 +206,13 @@ def test_counts_command_writes_under_out_dir(runner, tmp_path):
     assert hashlib.sha256(cfg_path.read_bytes()).hexdigest() == before  # config untouched
     # nothing written outside the output directory
     assert {p.name for p in tmp_path.iterdir()} == {"out"}
+
+
+def test_counts_negative_seed_exit_code(runner, tmp_path):
+    result = runner.invoke(main, ["counts", "--power-pw", "0.5", "--duration-s", "0.01",
+                                  "--seed", "-1", "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "seed must be >= 0" in result.output
 
 
 def test_counts_deterministic(runner, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -68,11 +69,18 @@ _MISSING = object()
     (("targets", "coupling", "abs_tol"), "x", "targets.coupling: abs_tol must be a number"),
     (("targets", "coupling", "abs_tol"), None, "targets.coupling: needs abs_tol or rel_tol"),
     (("targets", "tm_alpha_min_per_cm"), "x", "targets: tm_alpha_min_per_cm must be a number"),
+    (("materials", 4), {"name": "air", "table_nm": []},
+     r"materials\[4\]: material 'air': empty index table"),
+    (("materials", 4), {"name": "air", "table_nm": [[1260, 1.0, -0.1], [1360, 1.0, 0.0]]},
+     r"materials\[4\]: material 'air': index must be given as n - 1j\*k with k >= 0"),
+    (("materials", 4), {"name": "air", "table_nm": [[1360, 1.0, 0.0], [1260, 1.0, 0.0]]},
+     r"materials\[4\]: material 'air': wavelengths not strictly increasing"),
 ], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
         "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
         "material-name-list", "substrate-string",
-        "target-value-x", "target-abs_tol-x", "target-no-tolerance", "target-scalar-x"])
+        "target-value-x", "target-abs_tol-x", "target-no-tolerance", "target-scalar-x",
+        "table-empty", "table-negative-k", "table-decreasing"])
 def test_malformed_inputs_rejected(path, value, message):
     """Malformed values fail at load time as a ConfigError naming the key,
     not as a raw Python error that the CLI would report as an unexpected
@@ -80,14 +88,42 @@ def test_malformed_inputs_rejected(path, value, message):
     Sections the shipped config omits (``targets``) are created on the way."""
     raw = _raw_default()
     *parents, key = path
-    node = raw
-    for step in parents:
-        node = node[step] if isinstance(node, list) else node.setdefault(step, {})
+    node = _walk(raw, parents)
     if value is _MISSING:
         del node[key]
     else:
         node[key] = value
     with pytest.raises(ConfigError, match=message):
+        load_project_config(raw)
+
+
+def _walk(raw, path):
+    """The node at ``path``, creating missing JSON-object sections on the way."""
+    node = raw
+    for step in path:
+        node = node[step] if isinstance(node, list) else node.setdefault(step, {})
+    return node
+
+
+_SECTIONS = {
+    (): "config", ("ridge",): "ridge", ("wires",): "wires", ("window",): "window",
+    ("solver",): "solver", ("solver", "policy"): "solver.policy", ("detector",): "detector",
+    ("detector", "internal_efficiency"): "detector.internal_efficiency",
+    ("detector", "dark_counts"): "detector.dark_counts", ("fringes",): "fringes",
+    ("pulse",): "pulse", ("counting",): "counting", ("jitter",): "jitter",
+    ("materials", 0): "materials[0]", ("layers", 0): "layers[0]", ("sweeps", 0): "sweeps[0]",
+    ("sweeps", 0, "parameters", 0): "sweeps[0].parameters[0]", ("targets",): "targets",
+    ("targets", "coupling"): "targets.coupling",
+}
+
+
+@pytest.mark.parametrize("path", list(_SECTIONS), ids=list(_SECTIONS.values()))
+def test_extra_key_rejected_in_every_section(path):
+    """A key nothing reads is rejected in each of the 19 JSON objects of the
+    schema, with a message naming the object and the key."""
+    raw = _raw_default()
+    _walk(raw, path)["zz_surprise"] = 1
+    with pytest.raises(ConfigError, match=re.escape(f"{_SECTIONS[path]}: unknown keys ['zz_surprise']")):
         load_project_config(raw)
 
 

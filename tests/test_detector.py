@@ -258,6 +258,12 @@ def test_simulate_deterministic_per_seed():
     assert not np.array_equal(r1.timestamps_s, r3.timestamps_s)
 
 
+def test_simulate_rejects_negative_seed():
+    src = det.SourceSpec(1e-12, 1300e-9)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        det.simulate_counting(REFERENCE, _budget(), src, 0.01, seed=-1)
+
+
 def test_simulate_low_flux_poisson_counts():
     """Low-load counts stay within 4 sigma of the expected mean across seeds."""
     budget = _budget()

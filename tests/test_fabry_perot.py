@@ -149,3 +149,14 @@ def test_read_fringe_scan_needs_data(tmp_path):
     path.write_text("wavelength_nm,transmission\n1300,0.05\n")
     with pytest.raises(DomainError):
         read_fringe_scan(path)
+
+
+def test_read_fringe_scan_one_column_row_names_line(tmp_path):
+    """A data row without a transmission column is a DomainError naming its
+    line; comment and header rows are still skipped."""
+    path = tmp_path / "scan.csv"
+    rows = [f"{1300 + k},{0.02 + 0.004 * k}" for k in range(12)]
+    path.write_text("# fringe scan\nwavelength_nm,transmission\n" + "\n".join(rows[:5])
+                    + "\n1320\n" + "\n".join(rows[5:]) + "\n")
+    with pytest.raises(DomainError, match="line 8"):
+        read_fringe_scan(path)

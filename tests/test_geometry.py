@@ -213,3 +213,91 @@ def test_stack_substrate_flag():
 
 def test_min_clearance_constant():
     assert MIN_CLEARANCE_M == pytest.approx(1.5e-6)
+
+
+@st.composite
+def _cross_sections(draw):
+    """A detector cross-section with random stack, ridge and (optional,
+    possibly offset, possibly capped) wire array, in a window that meets
+    the clearance rule."""
+    core_nm = draw(st.integers(150, 400))
+    ridge = sk.RidgeSpec(width_m=draw(st.integers(800, 2500)) * 1e-9,
+                         etch_depth_m=draw(st.integers(20, core_nm)) * 1e-9)
+    stack = sk.LayerStack((
+        sk.Layer("GaAs", substrate=True),
+        sk.Layer("AlGaAs", 1.5e-6),
+        sk.Layer("GaAs", core_nm * 1e-9),
+    ))
+    wires = None
+    if draw(st.booleans()):
+        width_nm = draw(st.integers(40, 150))
+        cap = draw(st.sampled_from(["SiOx", None]))
+        wires = sk.NanowireArray(
+            count=draw(st.integers(1, 5)), width_m=width_nm * 1e-9,
+            pitch_m=(width_nm + draw(st.integers(0, 200))) * 1e-9,
+            thickness_m=draw(st.integers(4, 12)) * 1e-9, cap_material=cap,
+            cap_thickness_m=draw(st.sampled_from([0, 60, 100])) * 1e-9 if cap else 0.0,
+            offset_m=draw(st.one_of(st.just(0), st.integers(-300, 300))) * 1e-9)
+        assume(sk.alignment_margin(ridge, wires) >= 0)
+    top = wires.top_m if wires is not None else 0.0
+    return sk.CrossSection(stack, ridge, wires, ridge.width_m + 3.4e-6,
+                           top + ridge.etch_depth_m + 3.4e-6, 1300e-9, sk.default_materials())
+
+
+_POLICY = sk.ResolutionPolicy(base_m=50e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cs=_cross_sections())
+def test_rasterize_interfaces_on_grid_lines(cs):
+    """Every material interface inside the window is exactly a grid line."""
+    grid = sk.rasterize(cs, _POLICY)
+    xs = [-cs.ridge.width_m / 2, cs.ridge.width_m / 2]
+    ys = [-cs.ridge.etch_depth_m]
+    y = 0.0
+    for lay in reversed(cs.stack.layers[1:]):
+        ys.append(y)
+        y -= lay.thickness_m
+        ys.append(y)
+    w = cs.wires
+    if w is not None:
+        n = w.count
+        for k in range(n):
+            c = (k - (n - 1) / 2) * w.pitch_m + w.offset_m
+            xs += [c - w.width_m / 2, c + w.width_m / 2]
+        ys += [w.thickness_m] + ([w.thickness_m + w.cap_thickness_m] if w.cap_material else [])
+    y_lo, y_hi = grid.y_edges_m[0], grid.y_edges_m[-1]
+    assert set(xs) <= set(grid.x_edges_m.tolist())
+    assert {v for v in ys if y_lo <= v <= y_hi} <= set(grid.y_edges_m.tolist())
+
+
+def _material_at(cs, x: float, y: float) -> str:
+    """Name of the material at the point (x, y), from the geometry alone."""
+    w = cs.wires
+    if w is not None and y > 0:
+        n = w.count
+        in_wire = any(abs(x - ((k - (n - 1) / 2) * w.pitch_m + w.offset_m)) < w.width_m / 2
+                      for k in range(n))
+        if in_wire and y < w.thickness_m:
+            return w.material
+        if in_wire and w.cap_material and y < w.thickness_m + w.cap_thickness_m:
+            return w.cap_material
+    if y > 0 or (y > -cs.ridge.etch_depth_m and abs(x) > cs.ridge.width_m / 2):
+        return cs.stack.ambient
+    top = 0.0
+    for lay in reversed(cs.stack.layers[1:]):
+        if y > top - lay.thickness_m:
+            return lay.material
+        top -= lay.thickness_m
+    return cs.stack.layers[0].material
+
+
+@settings(max_examples=30, deadline=None)
+@given(cs=_cross_sections())
+def test_rasterize_eps_matches_geometry_at_cell_centres(cs):
+    """The eps painted on each cell is that of the material at its centre."""
+    grid = sk.rasterize(cs, _POLICY)
+    eps_of = {name: cs.index_of(name) ** 2 for name in ("GaAs", "AlGaAs", "NbN", "SiOx", "air")}
+    for i, x in enumerate(grid.x_centers_m.tolist()):
+        for j, y in enumerate(grid.y_centers_m.tolist()):
+            assert grid.eps[i, j] == eps_of[_material_at(cs, x, y)], (x, y)
