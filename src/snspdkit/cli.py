@@ -154,7 +154,7 @@ def cmd_pulse(lsq_ph_per_sq, wires, length_um, width_nm, rload_ohm, rise_ps,
     payload = {
         "kinetic_inductance_nH": det.kinetic_inductance(model) * 1e9,
         "tau_ns": tau * 1e9,
-        "recovery_at_3tau": det.recovery_fraction(3 * tau, tau),
+        "recovery_at_3tau": det.recovery_fraction(det.dead_time(model), tau),
         "max_count_rate_MHz": det.max_count_rate(model) / 1e6,
         "pulse_fwhm_ns": trace.fwhm_s * 1e9,
         "decay_time_1e_ns": trace.decay_time_1e_s * 1e9,

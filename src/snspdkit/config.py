@@ -15,6 +15,7 @@ output file header. Per-stage random seeds derive from the single global
 seed by stable hashing, so stages are reproducible without cross-coupling.
 """
 
+import difflib
 import hashlib
 import importlib.resources
 import json
@@ -66,23 +67,33 @@ class _Reader:
         # the root (the first reader) names its keys bare: "ridge", not "config.ridge"
         return key if self is self.readers[0] else f"{self.ctx}.{key}"
 
-    def value(self, key: str, default=_ABSENT):
+    def value(self, key: str, default=_ABSENT, required: bool = False):
         self.asked.add(key)
-        return self.obj.get(key, default)
+        v = self.obj.get(key, default)
+        if v is _ABSENT and required:
+            raise self.missing(key)
+        return v
+
+    def missing(self, key: str, spellings: tuple[str, ...] = ()) -> ConfigError:
+        """The error for a required ``key`` the object lacks. A key no getter
+        has asked for that is close to ``key`` (or to one of its
+        ``spellings``) is named as the likely misspelling."""
+        unread = [k for k in self.obj if k not in self.asked]
+        near = [m for name in spellings or (key,) for m in difflib.get_close_matches(name, unread, 1)]
+        hint = f"; did you mean {near[0]!r}?" if near else ""
+        return ConfigError(f"{self.ctx}: missing {key}{hint}")
 
     def number(self, key: str, scale: float = 1.0, default=_ABSENT, required: bool = False):
-        v = self.value(key, default)
+        v = self.value(key, default, required)
         if v is _ABSENT:
-            if required:
-                raise ConfigError(f"{self.ctx}: missing {key}")
             return v
         if not _is_number(v):
             raise ConfigError(f"{self.ctx}: {key} must be a number")
         return float(v) * scale
 
     def integer(self, key: str, default=_ABSENT, required: bool = False):
-        v = self.value(key, default)
-        if v is _ABSENT and not required:
+        v = self.value(key, default, required)
+        if v is _ABSENT:
             return v
         if not isinstance(v, int) or isinstance(v, bool):
             raise ConfigError(f"{self.ctx}: {key} must be an integer")
@@ -97,7 +108,7 @@ class _Reader:
             raise ConfigError(f"{self.ctx}: {base} given in multiple units: {hits}")
         if not hits:
             if required:
-                raise ConfigError(f"{self.ctx}: missing {base}_<{'|'.join(_LENGTH_UNITS)}>")
+                raise self.missing(f"{base}_<{'|'.join(_LENGTH_UNITS)}>", tuple(scales))
             return _ABSENT
         return self.number(hits[0], scales[hits[0]])
 
@@ -187,7 +198,6 @@ def _parse_materials(entries: list[_Reader], aluminum_fraction) -> dict[str, Mat
                 frac = entry.number("aluminum_fraction", default=aluminum_fraction)
                 mats[name] = make_builtin_material(name, builtin, **_given(aluminum_fraction=frac))
             else:
-                entry.value("aluminum_fraction")   # accepted on a table entry, and unused
                 try:
                     wl = tuple(float(r[0]) / 1e9 for r in table)
                     idx = tuple(complex(float(r[1]), -float(r[2])) for r in table)
@@ -202,9 +212,7 @@ def _parse_materials(entries: list[_Reader], aluminum_fraction) -> dict[str, Mat
 def _parse_layers(entries: list[_Reader]) -> tuple[Layer, ...]:
     layers = []
     for entry in entries:
-        material = entry.value("material")
-        if material is _ABSENT:
-            raise ConfigError(f"{entry.ctx}: missing material")
+        material = entry.value("material", required=True)
         substrate = entry.value("substrate")
         if substrate is not _ABSENT and not isinstance(substrate, bool):
             raise ConfigError(f"{entry.ctx}: substrate must be true or false")
@@ -234,7 +242,6 @@ def _parse_solver(s: _Reader) -> tuple[SolverConfig, ResolutionPolicy]:
         base_m=p.length("base"), fine_m=p.length("fine"), band_m=p.length("band"),
         edge_band_m=p.length("edge_band"), far_m=p.length("far"),
         far_margin_m=p.length("far_margin"), x_base_m=p.length("x_base"),
-        growth=p.number("growth"),
     ))
     cfg = SolverConfig(**_given(
         num_modes=s.integer("num_modes"), target_n_eff=s.number("target_n_eff"),
@@ -354,11 +361,14 @@ def load_project_config(source: str | Path | dict) -> ProjectConfig:
         jitter_sigma_s=co.number("jitter_ps", 1e-12, default=73.0),
     )
 
+    output_dir = root.value("output_dir", "runs")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("config: output_dir must be a non-empty string")
     ji = root.section("jitter")
     config = ProjectConfig(
         digest=config_digest(raw),
         seed=root.integer("seed", default=20120515),
-        output_dir=str(root.value("output_dir", "runs")),
+        output_dir=output_dir,
         cross_section=cs,
         policy=policy,
         solver=solver_cfg,

@@ -145,8 +145,8 @@ def recovery_fraction(t_s: float, tau_s: float) -> float:
 
 
 def max_count_rate(model: DetectorModel) -> float:
-    """Counting-rate ceiling 1/(3 tau): ~95% bias recovery between events."""
-    return 1.0 / (3.0 * recovery_time_constant(model))
+    """Counting-rate ceiling: one event per dead time (~95% bias recovery between events)."""
+    return 1.0 / dead_time(model)
 
 
 def dead_time(model: DetectorModel) -> float:

@@ -23,6 +23,7 @@ interface, so no sub-cell averaging is needed.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import ConfigError
 from .materials import Material, lookup_index
 
 MIN_CLEARANCE_M = 1.5e-6   # mandated cladding/air margin around ridge + array
+GROWTH = 1.6               # size ratio of neighbouring cells in a graded band
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,6 @@ class ResolutionPolicy:
     edge_band_m: float = 20e-9        # lateral grading band at each wire edge
     far_m: float | None = None        # defaults to 2.5 * base
     far_margin_m: float = 0.5e-6
-    growth: float = 1.6
     x_base_m: float | None = None     # defaults to base
     y_refine: tuple[tuple[float, float, float], ...] = ()
 
@@ -242,8 +243,6 @@ class ResolutionPolicy:
             raise ConfigError("fine cell size must not exceed the base cell size")
         if self.band_m < 0 or self.far_margin_m < 0:
             raise ConfigError("band and far margin must be >= 0")
-        if self.growth <= 1.0:
-            raise ConfigError("grading growth factor must be > 1")
 
     @property
     def far(self) -> float:
@@ -312,13 +311,13 @@ def _subdivide(a: float, b: float, target: float) -> list[float]:
     return [a + (b - a) * k / n for k in range(1, n)]
 
 
-def _graded(a: float, b: float, fine: float, coarse: float, growth: float, anchor_low: bool) -> list[float]:
+def _graded(a: float, b: float, fine: float, coarse: float, anchor_low: bool) -> list[float]:
     """Interior points of [a, b] graded geometrically from ``fine`` at the
     anchored end toward ``coarse`` at the other end."""
     span = b - a
     sizes = [fine]
     while sum(sizes) < span:
-        sizes.append(min(sizes[-1] * growth, coarse))
+        sizes.append(min(sizes[-1] * GROWTH, coarse))
     scale = span / sum(sizes)
     sizes = [s * scale for s in sizes]
     pts = []
@@ -339,29 +338,17 @@ def _merge_lines(mandatory: list[float], soft: list[float], min_sep: float) -> l
     return sorted(keep)
 
 
-def _intervals_with_targets(lines, zones):
-    """For each adjacent line pair yield (a, b, spec) where spec comes from the
-    first zone containing the interval midpoint. ``zones`` is a list of
-    (lo, hi, spec) checked in priority order; the last zone must cover all."""
-    out = []
-    for a, b in zip(lines[:-1], lines[1:]):
-        mid = 0.5 * (a + b)
-        for lo, hi, spec in zones:
-            if lo <= mid <= hi:
-                out.append((a, b, spec))
-                break
-    return out
-
-
 def _build_axis(mandatory, soft, zones, min_sep):
+    """Grid nodes along one axis. ``zones`` is a list of (lo, hi, fill) in
+    priority order, the last covering everything: each interval between
+    adjacent merged lines gets the interior points ``fill(a, b)`` of the
+    first zone whose range holds the interval midpoint."""
     lines = _merge_lines(mandatory, soft, min_sep)
     nodes = [lines[0]]
-    for a, b, spec in _intervals_with_targets(lines, zones):
-        kind = spec[0]
-        if kind == "uniform":
-            nodes.extend(_subdivide(a, b, spec[1]))
-        else:  # graded: ("graded", fine, coarse, growth, anchor_low)
-            nodes.extend(_graded(a, b, spec[1], spec[2], spec[3], spec[4]))
+    for a, b in zip(lines[:-1], lines[1:]):
+        mid = 0.5 * (a + b)
+        fill = next(fill for lo, hi, fill in zones if lo <= mid <= hi)
+        nodes += fill(a, b)
         nodes.append(b)
     return nodes
 
@@ -379,6 +366,12 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
     half_w = cs.window_width_m / 2.0
     min_sep = policy.fine_m / 4.0
 
+    def uniform(size):
+        return partial(_subdivide, target=size)
+
+    def graded(coarse, anchor_low):
+        return partial(_graded, fine=policy.fine_m, coarse=coarse, anchor_low=anchor_low)
+
     # ---- vertical lines ------------------------------------------------
     y_bot, y_top = cs.window_bottom_m, cs.window_top_m
     y_mand = [y_bot, y_top, -cs.ridge.etch_depth_m]
@@ -395,19 +388,19 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
             y_mand.append(t_w + wires.cap_thickness_m)
         band_lo, band_hi = -policy.band_m, t_w + policy.band_m
         y_soft += [band_lo, band_hi]
-        zones_y.append((0.0, t_w, ("uniform", policy.fine_m)))
-        zones_y.append((band_lo, 0.0, ("graded", policy.fine_m, policy.base_m, policy.growth, False)))
-        zones_y.append((t_w, band_hi, ("graded", policy.fine_m, policy.base_m, policy.growth, True)))
+        zones_y.append((0.0, t_w, uniform(policy.fine_m)))
+        zones_y.append((band_lo, 0.0, graded(policy.base_m, False)))
+        zones_y.append((t_w, band_hi, graded(policy.base_m, True)))
     for y0, y1, size in policy.y_refine:
         y_soft += [y0, y1]
-        zones_y.append((y0, y1, ("uniform", size)))
+        zones_y.append((y0, y1, uniform(size)))
     # far zones: away from the guiding region (top epi layer + features)
     far_lo = -cs.stack.top_layer.thickness_m - policy.far_margin_m
     far_hi = cs.feature_top_m + policy.far_margin_m
     y_soft += [far_lo, far_hi]
-    zones_y.append((-np.inf, far_lo, ("uniform", policy.far)))
-    zones_y.append((far_hi, np.inf, ("uniform", policy.far)))
-    zones_y.append((-np.inf, np.inf, ("uniform", policy.base_m)))
+    zones_y.append((-np.inf, far_lo, uniform(policy.far)))
+    zones_y.append((far_hi, np.inf, uniform(policy.far)))
+    zones_y.append((-np.inf, np.inf, uniform(policy.base_m)))
     y_mand = [y for y in y_mand if y_bot - 1e-15 <= y <= y_top + 1e-15]
     y_soft = [y for y in y_soft if y_bot < y < y_top]
     y_nodes = _build_axis(y_mand, y_soft, zones_y, min_sep)
@@ -416,7 +409,8 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
     # For mirror-symmetric sections only the non-negative side is
     # constructed and then reflected, which makes the grid exactly symmetric.
     x_mand = [half_w, cs.ridge.width_m / 2.0]
-    x_soft = [cs.ridge.width_m / 2.0 + policy.far_margin_m]
+    ridge_hi = cs.ridge.width_m / 2.0 + policy.far_margin_m
+    x_soft = [ridge_hi]
     zones_x: list[tuple] = []
     wire_edges: list[float] = []
     if wires is not None:
@@ -425,18 +419,14 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
         eb = policy.edge_band_m
         for edge in wire_edges:
             x_soft += [edge - eb, edge + eb]
-            zones_x.append((edge - eb, edge, ("graded", policy.fine_m, policy.x_base, policy.growth, False)))
-            zones_x.append((edge, edge + eb, ("graded", policy.fine_m, policy.x_base, policy.growth, True)))
+            zones_x.append((edge - eb, edge, graded(policy.x_base, False)))
+            zones_x.append((edge, edge + eb, graded(policy.x_base, True)))
         arr_lo = wires.offset_m - wires.extent_m / 2.0
         arr_hi = wires.offset_m + wires.extent_m / 2.0
         x_soft += [arr_lo - policy.band_m, arr_hi + policy.band_m]
-        zones_x.append((arr_lo - policy.band_m, arr_hi + policy.band_m, ("uniform", policy.x_base)))
-    zones_x.append(
-        (-cs.ridge.width_m / 2.0 - policy.far_margin_m,
-         cs.ridge.width_m / 2.0 + policy.far_margin_m,
-         ("uniform", policy.x_base))
-    )
-    zones_x.append((-np.inf, np.inf, ("uniform", policy.far)))
+        zones_x.append((arr_lo - policy.band_m, arr_hi + policy.band_m, uniform(policy.x_base)))
+    zones_x.append((-ridge_hi, ridge_hi, uniform(policy.x_base)))
+    zones_x.append((-np.inf, np.inf, uniform(policy.far)))
 
     symmetric = wires is None or wires.offset_m == 0.0
     if symmetric:
@@ -470,21 +460,18 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
     if wires is not None:
         wire_rows = (ym > 0.0) & (ym < wires.thickness_m)
         cap_rows = (ym > wires.thickness_m) & (ym < wires.thickness_m + wires.cap_thickness_m)
-        for c in wires.wire_centers():
-            cols = np.abs(xm - c) < wires.width_m / 2.0
-            eps[np.ix_(cols, wire_rows)] = eps_of[wires.material]
-            if wires.cap_material and wires.cap_thickness_m > 0:
-                eps[np.ix_(cols, cap_rows)] = eps_of[wires.cap_material]
-        # grid invariants
-        if int(np.count_nonzero(wire_rows)) < 2:
+        if np.count_nonzero(wire_rows) < 2:
             raise ConfigError(
                 "resolution policy places fewer than 2 cells across the wire thickness"
             )
         for c in wires.wire_centers():
-            n_cols = int(np.count_nonzero(np.abs(xm - c) < wires.width_m / 2.0))
-            if n_cols < 4:
+            cols = np.abs(xm - c) < wires.width_m / 2.0
+            if np.count_nonzero(cols) < 4:
                 raise ConfigError(
                     "resolution policy places fewer than 4 cells across a wire width"
                 )
+            eps[np.ix_(cols, wire_rows)] = eps_of[wires.material]
+            if wires.cap_material and wires.cap_thickness_m > 0:
+                eps[np.ix_(cols, cap_rows)] = eps_of[wires.cap_material]
 
     return PermittivityGrid(x_edges, y_edges, eps, cs.wavelength_m)

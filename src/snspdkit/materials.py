@@ -71,8 +71,6 @@ def lookup_index(material: Material, wavelength_m: float) -> complex:
     lo, hi = material.wavelengths_m[0], material.wavelengths_m[-1]
     if not (lo <= wavelength_m <= hi):
         raise WavelengthRangeError(material.name, wavelength_m, lo, hi)
-    if len(material.wavelengths_m) == 1:
-        return material.indices[0]
     wl = np.asarray(material.wavelengths_m)
     idx = np.asarray(material.indices)
     re = float(np.interp(wavelength_m, wl, idx.real))

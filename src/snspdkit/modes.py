@@ -172,10 +172,10 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
     dy = np.diff(y)
     dxp = np.concatenate(([dx[0]], dx, [dx[-1]]))
     dyp = np.concatenate(([dy[0]], dy, [dy[-1]]))
-    w = dxp[0:nnx][:, None] + np.zeros((1, nny))
-    e = dxp[1:nnx + 1][:, None] + np.zeros((1, nny))
-    s = dyp[0:nny][None, :] + np.zeros((nnx, 1))
-    n = dyp[1:nny + 1][None, :] + np.zeros((nnx, 1))
+    w = dxp[0:nnx][:, None]
+    e = dxp[1:nnx + 1][:, None]
+    s = dyp[0:nny][None, :]
+    n = dyp[1:nny + 1][None, :]
 
     ns21 = n * e2 + s * e1
     ns34 = n * e3 + s * e4
@@ -186,16 +186,16 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
 
     axxn = 2.0 * (e * e3 / ns34 + w * e2 / ns21) / (n * (e + w))
     axxs = 2.0 * (e * e4 / ns34 + w * e1 / ns21) / (s * (e + w))
-    axxe = 2.0 / (e * (e + w)) + np.zeros_like(e1)
-    axxw = 2.0 / (w * (e + w)) + np.zeros_like(e1)
+    axxe = 2.0 / (e * (e + w))
+    axxw = 2.0 / (w * (e + w))
     axxp = -axxn - axxs - axxe - axxw + k2 * (n + s) * (
         e4 * e3 * e / ns34 + e1 * e2 * w / ns21
     ) / (e + w)
 
     ayye = 2.0 * (n * e1 / ew14 + s * e2 / ew23) / (e * (n + s))
     ayyw = 2.0 * (n * e4 / ew14 + s * e3 / ew23) / (w * (n + s))
-    ayyn = 2.0 / (n * (n + s)) + np.zeros_like(e1)
-    ayys = 2.0 / (s * (n + s)) + np.zeros_like(e1)
+    ayyn = 2.0 / (n * (n + s))
+    ayys = 2.0 / (s * (n + s))
     ayyp = -ayyn - ayys - ayye - ayyw + k2 * (e + w) * (
         e1 * e4 * n / ew14 + e2 * e3 * s / ew23
     ) / (n + s)
@@ -215,33 +215,25 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
 
     nn = nnx * nny
     ii = np.arange(nn).reshape(nnx, nny)
-    iall = ii.ravel()
-    i_n = ii[:, :-1].ravel()   # rows whose north neighbor exists
-    i_s = ii[:, 1:].ravel()
-    i_e = ii[:-1, :].ravel()
-    i_w = ii[1:, :].ravel()
-    j_n = ii[:, 1:].ravel()
-    j_s = ii[:, :-1].ravel()
-    j_e = ii[1:, :].ravel()
-    j_w = ii[:-1, :].ravel()
-
-    def block(p, an, as_, ae, aw, row_off, col_off):
-        rows = np.concatenate([iall, i_n, i_s, i_e, i_w]) + row_off
-        cols = np.concatenate([iall, j_n, j_s, j_e, j_w]) + col_off
-        vals = np.concatenate(
-            [p.ravel()[iall], an.ravel()[i_n], as_.ravel()[i_s], ae.ravel()[i_e], aw.ravel()[i_w]]
-        )
-        return rows, cols, vals
-
-    parts = [
-        block(axxp, axxn, axxs, axxe, axxw, 0, 0),
-        block(axyp, axyn, axys, axye, axyw, 0, nn),
-        block(ayxp, ayxn, ayxs, ayxe, ayxw, nn, 0),
-        block(ayyp, ayyn, ayys, ayye, ayyw, nn, nn),
+    whole, head, tail = slice(None), slice(None, -1), slice(1, None)
+    # row-node and column-node slices of the self, N, S, E and W couplings:
+    # a node couples only to the neighbours inside the grid
+    links = [((whole, whole), (whole, whole)), ((whole, head), (whole, tail)),
+             ((whole, tail), (whole, head)), ((head, whole), (tail, whole)),
+             ((tail, whole), (head, whole))]
+    blocks = [
+        (0, 0, (axxp, axxn, axxs, axxe, axxw)),
+        (0, nn, (axyp, axyn, axys, axye, axyw)),
+        (nn, 0, (ayxp, ayxn, ayxs, ayxe, ayxw)),
+        (nn, nn, (ayyp, ayyn, ayys, ayye, ayyw)),
     ]
-    rows = np.concatenate([p[0] for p in parts])
-    cols = np.concatenate([p[1] for p in parts])
-    vals = np.concatenate([p[2] for p in parts])
+    rows, cols, vals = [], [], []
+    for row_off, col_off, coeffs in blocks:
+        for (r, c), a in zip(links, coeffs):
+            rows.append(ii[r].ravel() + row_off)
+            cols.append(ii[c].ravel() + col_off)
+            vals.append(np.broadcast_to(a, ii.shape)[r].ravel())
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(2 * nn, 2 * nn)).tocsc()
 
     return ModeOperator(mat, k0, x, y, eps_cells)

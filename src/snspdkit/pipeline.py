@@ -230,7 +230,7 @@ def _stage_pulse(config: ProjectConfig, out, rec, results):
     rec.checks.append(CheckResult("kinetic_inductance_nH", lkin * 1e9,
                                   *band(config.targets["kinetic_inductance_nH"])))
     rec.checks.append(CheckResult("tau_ns", tau * 1e9, *band(config.targets["tau_ns"])))
-    rec.checks.append(CheckResult("recovery_3tau", det.recovery_fraction(3 * tau, tau),
+    rec.checks.append(CheckResult("recovery_3tau", det.recovery_fraction(det.dead_time(model), tau),
                                   *band(config.targets["recovery_3tau"])))
     rec.checks.append(CheckResult("max_rate_MHz", det.max_count_rate(model) / 1e6,
                                   *band(config.targets["max_rate_MHz"])))

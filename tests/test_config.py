@@ -43,6 +43,28 @@ def test_unknown_keys_rejected():
     raw["ridge"]["center_nm"] = 100
     with pytest.raises(ConfigError, match="center_nm"):
         load_project_config(raw)
+    raw = _raw_default()
+    raw["solver"]["policy"]["growth"] = 1.6
+    with pytest.raises(ConfigError, match=re.escape("solver.policy: unknown keys ['growth']")):
+        load_project_config(raw)
+    raw = _raw_default()
+    raw["materials"][4] = {"name": "air", "table_nm": [[1260, 1.0, 0.0], [1360, 1.0, 0.0]],
+                           "aluminum_fraction": 0.7}
+    with pytest.raises(ConfigError, match=re.escape("materials[4]: unknown keys ['aluminum_fraction']")):
+        load_project_config(raw)
+
+
+@pytest.mark.parametrize("section, key, misspelt, message", [
+    ("ridge", "width_um", "widht_um", "ridge: missing width_<nm|um|mm|m>; did you mean 'widht_um'?"),
+    ("wires", "count", "coutn", "wires: missing count; did you mean 'coutn'?"),
+], ids=["ridge-widht_um", "wires-coutn"])
+def test_misspelled_required_key_named(section, key, misspelt, message):
+    """A required key given under a misspelt name is reported as missing,
+    with the misspelt key the document does give as the likely meaning."""
+    raw = _raw_default()
+    raw[section][misspelt] = raw[section].pop(key)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_project_config(raw)
 
 
 _MISSING = object()
@@ -75,12 +97,16 @@ _MISSING = object()
      r"materials\[4\]: material 'air': index must be given as n - 1j\*k with k >= 0"),
     (("materials", 4), {"name": "air", "table_nm": [[1360, 1.0, 0.0], [1260, 1.0, 0.0]]},
      r"materials\[4\]: material 'air': wavelengths not strictly increasing"),
+    (("output_dir",), None, "config: output_dir must be a non-empty string"),
+    (("output_dir",), 5, "config: output_dir must be a non-empty string"),
+    (("output_dir",), "", "config: output_dir must be a non-empty string"),
 ], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
         "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
         "material-name-list", "substrate-string",
         "target-value-x", "target-abs_tol-x", "target-no-tolerance", "target-scalar-x",
-        "table-empty", "table-negative-k", "table-decreasing"])
+        "table-empty", "table-negative-k", "table-decreasing",
+        "output_dir-null", "output_dir-5", "output_dir-empty"])
 def test_malformed_inputs_rejected(path, value, message):
     """Malformed values fail at load time as a ConfigError naming the key,
     not as a raw Python error that the CLI would report as an unexpected
