@@ -19,6 +19,7 @@ import difflib
 import hashlib
 import importlib.resources
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,9 +78,11 @@ class _Reader:
     def missing(self, key: str, spellings: tuple[str, ...] = ()) -> ConfigError:
         """The error for a required ``key`` the object lacks. A key no getter
         has asked for that is close to ``key`` (or to one of its
-        ``spellings``) is named as the likely misspelling."""
+        ``spellings``) and within two characters of its length is named as
+        the likely misspelling."""
         unread = [k for k in self.obj if k not in self.asked]
-        near = [m for name in spellings or (key,) for m in difflib.get_close_matches(name, unread, 1)]
+        near = [m for name in spellings or (key,) for m in difflib.get_close_matches(
+            name, [k for k in unread if abs(len(k) - len(name)) <= 2], 1)]
         hint = f"; did you mean {near[0]!r}?" if near else ""
         return ConfigError(f"{self.ctx}: missing {key}{hint}")
 
@@ -132,7 +135,10 @@ class _Reader:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number, not a bool. ``json`` reads NaN and Infinity; an
+    integer too large for a float fails the same bound."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _given(**kwargs) -> dict:

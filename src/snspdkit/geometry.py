@@ -60,6 +60,8 @@ class LayerStack:
         flags = [lay.substrate for lay in self.layers]
         if not flags[0] or sum(flags) != 1:
             raise ConfigError("exactly the bottom layer must be flagged as substrate")
+        if len(flags) < 2:
+            raise ConfigError("layer stack needs a layer above the substrate to etch the ridge into")
 
     @property
     def top_layer(self) -> Layer:
@@ -237,12 +239,12 @@ class ResolutionPolicy:
     y_refine: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
-        if self.fine_m <= 0 or self.base_m <= 0:
+        if min(self.fine_m, self.base_m, self.far, self.x_base, *(c for _, _, c in self.y_refine)) <= 0:
             raise ConfigError("cell sizes must be > 0")
         if self.fine_m > self.base_m:
             raise ConfigError("fine cell size must not exceed the base cell size")
-        if self.band_m < 0 or self.far_margin_m < 0:
-            raise ConfigError("band and far margin must be >= 0")
+        if min(self.band_m, self.edge_band_m, self.far_margin_m) < 0:
+            raise ConfigError("band, edge band and far margin must be >= 0")
 
     @property
     def far(self) -> float:

@@ -280,19 +280,10 @@ def solve_modes(op: ModeOperator, config: SolverConfig | None = None) -> list[Mo
     normalized to unit power. Raises :class:`ConvergenceError` if the
     Arnoldi iteration fails or residuals exceed the configured tolerance.
     """
-    if config is None:
-        config = SolverConfig()
-    sigma = _shift(op, config)
-
-    # One solve per operator, lifted back to the full domain; over the two
-    # mirror parity classes, the num_modes eigenvalues nearest sigma are the
-    # ones a full-domain solve returns.
-    vals, vecs = [], []
-    for mat, lift in _operators(op):
-        class_vals, class_vecs = _shift_invert(mat, sigma, config)(_max_k(config, mat))
-        vals.append(class_vals)
-        vecs.append(class_vecs if lift is None else lift @ class_vecs)
-    vals, vecs = np.concatenate(vals), np.hstack(vecs)
+    config = config or SolverConfig()
+    sigma, vals, vecs = _search(op, config, None)
+    # over the two mirror parity classes, the num_modes eigenvalues nearest
+    # sigma are the ones a full-domain solve returns
     nearest = np.argsort(np.abs(vals - sigma), kind="stable")[: config.num_modes]
     vals, vecs = vals[nearest], vecs[:, nearest]
     return [_gated_mode(op, n_eff, vals[idx], vecs[:, idx], config)
@@ -315,39 +306,49 @@ def solve_fundamental(
     one finalized. Returns None if no such mode is found within the cap.
     """
     kind = _mode_kind(kind)
-    if config is None:
-        config = SolverConfig()
-    sigma = _shift(op, config)
-    reach = max(0.0, (op.k0 * op.index_bracket()[1]) ** 2 - sigma)
-    best = None
-    for mat, lift in _operators(op):
-        found = _fundamental_pair(op, mat, lift, sigma, reach, kind, config)
-        if found is not None and (best is None or found[0].real > best[0].real):
-            best = found
-    return None if best is None else _gated_mode(op, *best, config)
+    config = config or SolverConfig()
+    _sigma, vals, vecs = _search(op, config, kind)
+    found = _first_of_kind(op, vals, vecs, kind)
+    return None if found is None else _gated_mode(op, *found, config)
 
 
-def _fundamental_pair(op, mat, lift, sigma, reach, kind, config):
-    """(n_eff, eigenvalue, full-domain vector) of the highest-Re(n_eff) guided
-    ``kind`` mode among the eigenpairs of ``mat`` nearest sigma, or None.
-    Grows k from 1 on one factorization, which dies with this call."""
-    area = _cell_area(op)
+def _search(op: ModeOperator, config: SolverConfig, kind: str | None):
+    """The shift sigma, and the eigenvalues and full-domain eigenvectors that
+    :func:`_nearest` computes on each operator ``op`` is solved as, joined
+    in operator order."""
+    sigma = (op.k0 * (config.target_n_eff or 0.98 * op.index_bracket()[1])) ** 2
+    found = [_nearest(op, mat, lift, sigma, kind, config) for mat, lift in _operators(op)]
+    return sigma, np.concatenate([v for v, _ in found]), np.hstack([u for _, u in found])
+
+
+def _nearest(op, mat, lift, sigma, kind, config):
+    """The eigenpairs of ``mat`` nearest sigma, eigenvectors lifted to the
+    full domain: the cap, ``num_modes`` of them, for ``kind`` None, or the k
+    ladder of :func:`solve_fundamental` for "TE" or "TM". ``mat`` is factored
+    once, and the factorization dies with this call."""
     nearest = _shift_invert(mat, sigma, config)
-    cap = _max_k(config, mat)
-    k = 1
+    cap = min(config.num_modes, mat.shape[0] - 2)
+    reach = max(0.0, (op.k0 * op.index_bracket()[1]) ** 2 - sigma)
+    k = cap if kind is None else 1
     while True:
         vals, vecs = nearest(k)
         if lift is not None:
             vecs = lift @ vecs
-        found = None
-        for idx, n_eff in _guided(op, vals):
-            hx, hy = _components(op, vecs[:, idx])
-            if _polarization(_te_share(_centered(hx), _centered(hy), area)) == kind:
-                found = n_eff, vals[idx], vecs[:, idx]
-                break
-        if k == cap or (found is not None and np.abs(vals - sigma).max() >= reach):
-            return found
+        if k == cap or (_first_of_kind(op, vals, vecs, kind) is not None
+                        and np.abs(vals - sigma).max() >= reach):
+            return vals, vecs
         k = min(2 * k, cap)
+
+
+def _first_of_kind(op: ModeOperator, vals: np.ndarray, vecs: np.ndarray, kind: str):
+    """``(n_eff, eigenvalue, vector)`` of the highest-Re(n_eff) guided
+    ``kind`` mode among the eigenpairs, the earliest on a tie; or None."""
+    area = _cell_area(op)
+    for idx, n_eff in _guided(op, vals):
+        hx, hy = _components(op, vecs[:, idx])
+        if _polarization(_te_share(_centered(hx), _centered(hy), area)) == kind:
+            return n_eff, vals[idx], vecs[:, idx]
+    return None
 
 
 def _guided(op: ModeOperator, vals: np.ndarray):
@@ -402,17 +403,6 @@ def _operators(op: ModeOperator):
     by_row = op.matrix.tocsr()
     for keep, basis in bases:
         yield (by_row[keep] @ basis).tocsc(), basis
-
-
-def _shift(op: ModeOperator, config: SolverConfig) -> float:
-    target = config.target_n_eff
-    if target is None:
-        target = 0.98 * op.index_bracket()[1]
-    return (op.k0 * target) ** 2
-
-
-def _max_k(config: SolverConfig, mat) -> int:
-    return min(config.num_modes, mat.shape[0] - 2)
 
 
 def _components(op: ModeOperator, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -100,13 +100,24 @@ _MISSING = object()
     (("output_dir",), None, "config: output_dir must be a non-empty string"),
     (("output_dir",), 5, "config: output_dir must be a non-empty string"),
     (("output_dir",), "", "config: output_dir must be a non-empty string"),
+    (("solver", "tolerance"), float("inf"), "solver: tolerance must be a number"),
+    (("solver", "target_n_eff"), float("nan"), "solver: target_n_eff must be a number"),
+    (("solver", "tolerance"), 10**400, "solver: tolerance must be a number"),
+    (("counting", "powers_pW"), [0.05, float("nan")], "powers_pW must be a non-empty list of numbers"),
+    (("solver", "policy", "far_nm"), 0, "cell sizes must be > 0"),
+    (("solver", "policy", "x_base_nm"), -10, "cell sizes must be > 0"),
+    (("solver", "policy", "edge_band_nm"), -1, "edge band and far margin must be >= 0"),
+    (("layers",), [{"material": "GaAs", "substrate": True}], "needs a layer above the substrate"),
+    (("wires", "thickness_nm"), _MISSING, r"wires: missing thickness_<nm\|um\|mm\|m>$"),
 ], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
         "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
         "material-name-list", "substrate-string",
         "target-value-x", "target-abs_tol-x", "target-no-tolerance", "target-scalar-x",
         "table-empty", "table-negative-k", "table-decreasing",
-        "output_dir-null", "output_dir-5", "output_dir-empty"])
+        "output_dir-null", "output_dir-5", "output_dir-empty",
+        "tolerance-Infinity", "target_n_eff-NaN", "tolerance-huge-int", "powers_pW-NaN",
+        "far-0", "x_base-negative", "edge_band-negative", "substrate-only", "wire-thickness-no-hint"])
 def test_malformed_inputs_rejected(path, value, message):
     """Malformed values fail at load time as a ConfigError naming the key,
     not as a raw Python error that the CLI would report as an unexpected

@@ -211,6 +211,24 @@ def test_stack_substrate_flag():
         ))
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"far_m": 0.0}, "cell sizes must be > 0"),
+    ({"far_m": -5e-9}, "cell sizes must be > 0"),
+    ({"x_base_m": 0.0}, "cell sizes must be > 0"),
+    ({"x_base_m": -10e-9}, "cell sizes must be > 0"),
+    ({"y_refine": ((-1e-6, 0.0, 0.0),)}, "cell sizes must be > 0"),
+    ({"y_refine": ((-2e-6, -1e-6, 5e-9), (-1e-6, 0.0, -3e-9))}, "cell sizes must be > 0"),
+    ({"edge_band_m": -1e-9}, "edge band"),
+], ids=["far-0", "far-negative", "x_base-0", "x_base-negative", "y_refine-0",
+        "y_refine-negative", "edge_band-negative"])
+def test_policy_rejects_bad_cells_at_construction(changes, message):
+    """Every cell size is checked when the policy is built. These policies
+    are never rasterized: a zero cell divides by zero there, and a negative
+    graded cell size grows its list of cells without end."""
+    with pytest.raises(ConfigError, match=message):
+        sk.ResolutionPolicy(**changes)
+
+
 def test_min_clearance_constant():
     assert MIN_CLEARANCE_M == pytest.approx(1.5e-6)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -105,13 +106,17 @@ def solves(monkeypatch):
     """Records the shift-invert work of a solve: ``factored`` holds the
     unknown count of each factorization (one full-size operator, or one
     half-size operator per mirror parity class), ``runs`` the (unknowns, k)
-    of each Arnoldi run on those factorizations."""
-    record = SimpleNamespace(factored=[], runs=[])
+    of each Arnoldi run on those factorizations, and ``lus`` a weak reference
+    to each factorization's closure. Each new factorization asserts that the
+    earlier ones are dead: one LU is alive at a time."""
+    record = SimpleNamespace(factored=[], runs=[], lus=[])
     inner = modes_module._shift_invert
 
     def spy(mat, sigma, config):
+        assert all(lu() is None for lu in record.lus), "an earlier factorization is still alive"
         record.factored.append(mat.shape[0])
         nearest = inner(mat, sigma, config)
+        record.lus.append(weakref.ref(nearest))
 
         def counted(k):
             record.runs.append((mat.shape[0], k))
@@ -322,6 +327,20 @@ def test_solve_fundamental_none_without_kind_within_cap(default_config, coarse_s
     assert [k for _n, k in solves.runs][-1] == 3
     with pytest.raises(DomainError):
         solve_fundamental(empty, "TEM")
+
+
+@pytest.mark.parametrize("kind", [None, "TE", "TM"])
+def test_one_factorization_alive_at_a_time(default_config, coarse_solved, kind, solves):
+    """Each parity class's LU dies before the next class is factored, for the
+    mode list and for both queries: the ``solves`` spy checks it at every
+    factorization, and the last one is dead once the solve returns."""
+    op, _modes = coarse_solved["shipped"]
+    if kind is None:
+        solve_modes(op, default_config.solver)
+    else:
+        solve_fundamental(op, kind, default_config.solver)
+    assert solves.factored == [op.matrix.shape[0] // 2] * 2
+    assert all(lu() is None for lu in solves.lus)
 
 
 def test_solve_fundamental_failures_are_convergence_errors():
