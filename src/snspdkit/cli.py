@@ -9,7 +9,6 @@ the ``SNSPDKIT_OUT`` environment variable, then the config's
 5 inconsistency errors; 1 unexpected failure.
 """
 
-import functools
 import os
 import sys
 
@@ -26,17 +25,6 @@ from .pipeline import _reference_budget, run_reproduce, write_manifest
 from .sweep import maximize_alpha, run_sweep
 
 ENV_OUTPUT_DIR = "SNSPDKIT_OUT"
-
-
-def cli_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except SnspdKitError as exc:
-            click.echo(f"error ({type(exc).__name__}): {exc}", err=True)
-            sys.exit(getattr(exc, "exit_code", 1))
-    return wrapper
 
 
 def emit(payload: dict, as_json: bool) -> None:
@@ -75,7 +63,19 @@ def _sweep_spec(config, index: int):
     return config.sweeps[index]
 
 
-@click.group()
+class _ExitCodes(click.Group):
+    """Maps a toolkit error from any subcommand to ``error (<Class>): <message>``
+    on stderr and the error's exit code; click's own usage errors pass through."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SnspdKitError as exc:
+            click.echo(f"error ({type(exc).__name__}): {exc}", err=True)
+            sys.exit(getattr(exc, "exit_code", 1))
+
+
+@click.group(cls=_ExitCodes)
 @click.version_option(__version__, prog_name="snspdkit")
 def main():
     """Waveguide single-photon-detector design toolkit."""
@@ -88,7 +88,6 @@ def main():
 @click.option("--dump-grid", is_flag=True, help="Write the permittivity grid and coordinates.")
 @json_option
 @out_option
-@cli_errors
 def cmd_solve_mode(config_path, mode_index, dump_fields, dump_grid, as_json, out_dir):
     """Solve guided modes of the configured cross-section."""
     config = _load(config_path)
@@ -122,7 +121,6 @@ def cmd_solve_mode(config_path, mode_index, dump_fields, dump_grid, as_json, out
 @click.option("--alpha-per-cm", type=float, required=True)
 @click.option("--length-um", type=float, required=True)
 @json_option
-@cli_errors
 def cmd_absorptance(alpha_per_cm, length_um, as_json):
     """Beer-Lambert absorbed fraction after a propagation length."""
     value = det.absorptance(alpha_per_cm, length_um * 1e-4)
@@ -141,7 +139,6 @@ def cmd_absorptance(alpha_per_cm, length_um, as_json):
 @click.option("--dump-trace", is_flag=True, help="Write the pulse trace CSV.")
 @json_option
 @out_option
-@cli_errors
 def cmd_pulse(lsq_ph_per_sq, wires, length_um, width_nm, rload_ohm, rise_ps,
               fwhm_target_ns, dump_trace, as_json, out_dir):
     """Kinetic-inductance pulse metrics and counting-rate ceiling."""
@@ -178,7 +175,6 @@ def cmd_pulse(lsq_ph_per_sq, wires, length_um, width_nm, rload_ohm, rise_ps,
 @click.option("--scan-csv", type=click.Path(), default=None,
               help="Fringe scan CSV (wavelength_nm, transmission); extrema by 95th/5th percentile.")
 @json_option
-@cli_errors
 def cmd_fp_extract(tmax, tmin, single_pass, scan_csv, as_json):
     """Facet reflectivity and coupling efficiency from fringe extrema."""
     if scan_csv is not None:
@@ -205,7 +201,6 @@ def cmd_fp_extract(tmax, tmin, single_pass, scan_csv, as_json):
 @click.option("--dqe", type=float, default=None,
               help="Measured DQE; inverts to the internal efficiency instead of taking --internal.")
 @json_option
-@cli_errors
 def cmd_efficiency(coupling, absorptance_, internal, dqe, as_json):
     """Efficiency chain SQE = coupling x absorptance x internal."""
     if (internal is None) == (dqe is None):
@@ -224,7 +219,6 @@ def cmd_efficiency(coupling, absorptance_, internal, dqe, as_json):
 @click.option("--total-ps", type=float, required=True)
 @click.option("--source-ps", type=float, required=True)
 @json_option
-@cli_errors
 def cmd_jitter(total_ps, source_ps, as_json):
     """Intrinsic jitter from total and source jitter (quadrature model)."""
     intrinsic = det.jitter_deconvolve(total_ps * 1e-12, source_ps * 1e-12)
@@ -239,7 +233,6 @@ def cmd_jitter(total_ps, source_ps, as_json):
 @click.option("--seed", type=int, default=None, help="Override the derived stage seed.")
 @json_option
 @out_option
-@cli_errors
 def cmd_counts(config_path, power_pw, duration_s, seed, as_json, out_dir):
     """Simulate a counting run and persist the event record."""
     config = _load(config_path)
@@ -267,7 +260,6 @@ def cmd_counts(config_path, power_pw, duration_s, seed, as_json, out_dir):
 @click.option("--index", type=int, default=0, help="Which sweep spec from the config to run.")
 @json_option
 @out_option
-@cli_errors
 def cmd_sweep(config_path, index, as_json, out_dir):
     """Run a configured parameter sweep and export the table."""
     config = _load(config_path)
@@ -293,7 +285,6 @@ def cmd_sweep(config_path, index, as_json, out_dir):
 @click.option("--tolerance-nm", type=float, default=5.0)
 @json_option
 @out_option
-@cli_errors
 def cmd_optimize(config_path, index, tolerance_nm, as_json, out_dir):
     """Maximize modal absorption under the alignment-margin constraint."""
     config = _load(config_path)
@@ -322,7 +313,6 @@ def cmd_optimize(config_path, index, tolerance_nm, as_json, out_dir):
               help="Stage to skip (repeatable); dependents are marked not-run.")
 @json_option
 @out_option
-@cli_errors
 def cmd_reproduce(config_path, skips, as_json, out_dir):
     """Run the full benchmark pipeline and score every reference target."""
     config = _load(config_path)

@@ -98,7 +98,7 @@ class _Reader:
         v = self.value(key, default, required)
         if v is _ABSENT:
             return v
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not (isinstance(v, int) and _is_number(v)):
             raise ConfigError(f"{self.ctx}: {key} must be an integer")
         return v
 

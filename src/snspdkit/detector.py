@@ -336,13 +336,12 @@ def simulate_counting(
     source: SourceSpec,
     duration_s: float,
     seed: int,
-    dead_time_s: float | None = None,
 ) -> CountRecord:
     """Monte Carlo counting experiment, deterministic for a given seed.
 
     Photon detections are a Poisson process at SQE * photon flux; dark events
     an independent Poisson process at the model's dark rate. The merged
-    stream passes a non-paralyzable dead time (default 3 tau), then Gaussian
+    stream passes a non-paralyzable dead time (3 tau), then Gaussian
     timing jitter is added to the recorded timestamps and order restored.
     """
     if duration_s <= 0:
@@ -350,7 +349,7 @@ def simulate_counting(
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    t_dead = dead_time(model) if dead_time_s is None else dead_time_s
+    t_dead = dead_time(model)
 
     photon_rate = budget.sqe * photon_flux(source.power_w, source.wavelength_m)
     dark_rate = dark_count_rate(model)
@@ -457,16 +456,14 @@ def jitter_convolve(a_s: float, b_s: float) -> float:
     return math.hypot(a_s, b_s)
 
 
-def histogram_fwhm(samples: np.ndarray, bins: int | None = None) -> float:
+def histogram_fwhm(samples: np.ndarray) -> float:
     """FWHM of a timing histogram via a Gaussian fit to the binned counts."""
     from scipy.optimize import curve_fit
 
     samples = np.asarray(samples, dtype=float)
     if samples.size < 10:
         raise DomainError("need >= 10 samples for a histogram fit")
-    if bins is None:
-        bins = max(16, int(math.sqrt(samples.size)))
-    counts, edges = np.histogram(samples, bins=bins)
+    counts, edges = np.histogram(samples, bins=max(16, int(math.sqrt(samples.size))))
     centers = 0.5 * (edges[1:] + edges[:-1])
 
     def gauss(x, a, mu, sig):

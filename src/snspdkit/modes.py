@@ -59,6 +59,8 @@ class SolverConfig:
             raise ConfigError("solver tolerance must be > 0")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
+        if self.max_iterations > 2**31 - 1:   # ARPACK's Fortran integer
+            raise ConfigError("max_iterations must be <= 2**31 - 1")
 
 
 @dataclass(frozen=True, eq=False)

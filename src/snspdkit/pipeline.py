@@ -9,7 +9,7 @@ and the manifest records every stage, its checks, outputs and seed.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, detector as det
 from .config import ProjectConfig
 from .detector import EfficiencyBudget, SourceSpec, dark_count_rate, internal_efficiency
-from .errors import SnspdKitError
+from .errors import ConfigError, SnspdKitError
 from .fabry_perot import extract_coupling, fp_transmission, fresnel_reflectivity
 from .io_utils import OutputDir, export_grid, export_mode_fields, header_line, write_csv, write_json
 from .modes import modal_absorption, solve_cross_section
@@ -30,10 +30,10 @@ class CheckResult:
     value: float
     lo: float
     hi: float
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return self.lo <= self.value <= self.hi
+    def __post_init__(self):
+        object.__setattr__(self, "passed", self.lo <= self.value <= self.hi)
 
 
 @dataclass
@@ -59,28 +59,7 @@ class RunManifest:
         return all(s.status in ("pass", "skipped", "not-run") for s in self.stages)
 
     def to_payload(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "config_digest": self.config_digest,
-            "started_utc": self.started_utc,
-            "finished_utc": self.finished_utc,
-            "all_pass": self.all_pass,
-            "stages": [
-                {
-                    "name": s.name,
-                    "status": s.status,
-                    "seed": s.seed,
-                    "outputs": s.outputs,
-                    "notes": s.notes,
-                    "checks": [
-                        {"name": c.name, "value": c.value, "lo": c.lo, "hi": c.hi,
-                         "passed": c.passed}
-                        for c in s.checks
-                    ],
-                }
-                for s in self.stages
-            ],
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
 
 def band(target: dict) -> tuple[float, float]:
@@ -100,7 +79,7 @@ def run_reproduce(config: ProjectConfig, out: OutputDir, skip: tuple[str, ...] =
     """Run all stages, write per-stage data files and the summary table."""
     for name in skip:
         if name not in STAGES:
-            raise SnspdKitError(f"unknown stage {name!r}; stages: {STAGES}")
+            raise ConfigError(f"unknown stage {name!r}; stages: {STAGES}")
     manifest = RunManifest(__version__, config.digest, _utc_now())
     records: dict[str, StageRecord] = {}
     results: dict[str, float] = {}   # the solved alpha and the extracted coupling

@@ -43,10 +43,14 @@ class SweepParameter:
             raise ConfigError("sweep step must be > 0")
         if self.stop < self.start:
             raise ConfigError("sweep stop must be >= start")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ConfigError("sweep range holds too many steps to count")
+
+    def _count(self) -> int:
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
     def values(self) -> list[float]:
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + k * self.step for k in range(n)]
+        return [self.start + k * self.step for k in range(self._count())]
 
 
 @dataclass(frozen=True)
@@ -168,9 +172,8 @@ def run_sweep(
     injected for testing; it receives the parameter dict and returns
     (n_eff, alpha_per_cm, te_fraction, margin_m).
     """
-    axes = [p.values() for p in spec.parameters]
     names = [p.name for p in spec.parameters]
-    n_points = math.prod(len(a) for a in axes)
+    n_points = math.prod(p._count() for p in spec.parameters)
     if n_points > spec.point_cap:
         raise ConfigError(
             f"sweep would evaluate {n_points} points, above the cap {spec.point_cap}"
@@ -179,7 +182,7 @@ def run_sweep(
         evaluate = _default_evaluate(base, spec, policy, solver_config)
 
     points = [_evaluate_point(dict(zip(names, vals)), spec, evaluate)
-              for vals in itertools.product(*axes)]
+              for vals in itertools.product(*(p.values() for p in spec.parameters))]
     return SweepResult(tuple(points), functools.reduce(_better, points, None))
 
 
@@ -201,50 +204,46 @@ def maximize_alpha(
 ) -> OptimizeResult:
     """Constrained maximization of modal absorption over 1 or 2 parameters.
 
-    Coarse grid pass over the declared ranges, then interval halving around
-    the best feasible point until the step is below ``tolerance``; never
-    evaluates outside the declared ranges. Returns an infeasibility result
-    (not an exception) if no coarse point satisfies the margin constraint.
+    The coarse pass is ``run_sweep`` over the declared ranges (so it honours
+    ``point_cap``); then interval halving around the best feasible point
+    until the step is below ``tolerance``, never evaluating outside the
+    declared ranges or a point already in the trace. Returns an
+    infeasibility result (not an exception) if no coarse point satisfies the
+    margin constraint.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"optimizer tolerance must be a finite number > 0, got {tolerance}")
     free = [p for p in spec.parameters if p.stop > p.start]
     if not 1 <= len(free) <= 2:
         raise ConfigError("refinement supports exactly 1 or 2 free parameters")
     if any(p.name == "wire_count" for p in free):
         raise ConfigError("wire_count is discrete; interval halving does not apply")
-    fixed = {p.name: p.start for p in spec.parameters if p.stop <= p.start}
     if evaluate is None:
         evaluate = _default_evaluate(base, spec, policy, solver_config)
 
-    trace: list[SweepPoint] = []
-    seen: dict[tuple, SweepPoint] = {}
-
-    def probe(values: dict[str, float]) -> SweepPoint:
-        key = tuple(round(values[p.name], 6) for p in free)
-        if key in seen:
-            return seen[key]
-        pt = _evaluate_point(values, spec, evaluate)
-        seen[key] = pt
-        trace.append(pt)
-        return pt
-
-    best = None
-    for vals in itertools.product(*(p.values() for p in free)):
-        best = _better(best, probe({**fixed, **dict(zip((p.name for p in free), vals))}))
+    coarse = run_sweep(base, spec, evaluate=evaluate)
+    trace, best = list(coarse.points), coarse.best
     if best is None:
         return OptimizeResult(None, tuple(trace), "infeasible", 0)
 
+    def key(values: dict[str, float]) -> tuple:
+        return tuple(round(values[p.name], 6) for p in free)
+
+    seen = {key(pt.params) for pt in trace}
     steps = {p.name: p.step / 2.0 for p in free}
     iterations = 0
     while max(steps.values()) >= tolerance:
         iterations += 1
         center = best.params
-        offsets = [(-1, 0, 1)] * len(free)
-        for combo in itertools.product(*offsets):
-            values = dict(fixed)
+        for combo in itertools.product((-1, 0, 1), repeat=len(free)):
+            values = dict(center)
             for p, o in zip(free, combo):
-                v = center[p.name] + o * steps[p.name]
-                values[p.name] = min(max(v, p.start), p.stop)
-            best = _better(best, probe(values))
+                values[p.name] = min(max(center[p.name] + o * steps[p.name], p.start), p.stop)
+            if key(values) in seen:   # an evaluated point cannot beat best; a tie keeps best
+                continue
+            seen.add(key(values))
+            trace.append(_evaluate_point(values, spec, evaluate))
+            best = _better(best, trace[-1])
         steps = {k: v / 2.0 for k, v in steps.items()}
 
     return OptimizeResult(best, tuple(trace), "ok", iterations)

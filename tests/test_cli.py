@@ -149,6 +149,12 @@ def test_fp_extract_one_column_scan_exit_code(runner, tmp_path):
     assert "line 2" in result.output
 
 
+def test_fp_extract_without_inputs_exit_code(runner):
+    result = runner.invoke(main, ["fp-extract", "--tmax", "0.061"])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "error (DomainError): give either --tmax and --tmin, or --scan-csv\n"
+
+
 def test_fp_extract_json_round_trip(runner):
     result = runner.invoke(main, ["fp-extract", "--tmax", "0.061", "--tmin", "0.018", "--json"])
     text = result.output.rstrip("\n")
@@ -167,6 +173,25 @@ def test_pulse_command(runner):
     assert payload["tau_ns"] == pytest.approx(3.6, rel=1e-9)
     assert payload["max_count_rate_MHz"] == pytest.approx(92.6, abs=0.01)
     assert payload["kinetic_inductance_nH"] == pytest.approx(180.0, rel=1e-9)
+
+
+def test_pulse_dump_trace_and_rise_fit(runner, tmp_path):
+    """``--dump-trace`` writes the trace under ``--out`` and
+    ``--fwhm-target-ns`` adds the fitted rise constant, which reproduces the
+    target FWHM."""
+    out = tmp_path / "pulse"
+    result = runner.invoke(main, ["pulse", "--fwhm-target-ns", "3.2", "--dump-trace",
+                                  "--out", str(out), "--json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["files"] == ["pulse_trace.csv"]
+    assert payload["output_dir"] == str(out)
+    lines = (out / "pulse_trace.csv").read_text().splitlines()
+    assert lines[0].startswith("# snspdkit 0.1.0 config_digest=none")
+    assert lines[1] == "t_ns,v_norm"
+    refit = runner.invoke(main, ["pulse", "--rise-ps", str(payload["rise_fit_for_fwhm_ns"] * 1e3),
+                                 "--json"])
+    assert json.loads(refit.output)["pulse_fwhm_ns"] == pytest.approx(3.2, rel=1e-3)
 
 
 def test_absorptance_command(runner):
@@ -254,6 +279,13 @@ def test_solve_mode_without_wires_is_lossless(runner, tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert abs(payload["alpha_per_cm"]) < 1e-3
+
+
+def test_solve_mode_index_out_of_range_exit_code(runner, tmp_path):
+    cfg = _write(tmp_path, _coarse_raw())
+    result = runner.invoke(main, ["solve-mode", "--config", str(cfg), "--mode-index", "99"])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("error (DomainError): mode index 99 out of range: ")
 
 
 def test_solve_mode_invalid_config(runner, tmp_path):
@@ -347,6 +379,59 @@ def test_optimize_command_coarse(runner, tmp_path):
     assert payload["best_alpha_per_cm"] > 0
     assert payload["best_margin_um"] >= 0.3
     assert (out / "optimize_0_trace.csv").exists()
+
+
+def test_optimize_zero_tolerance_exit_code(runner, tmp_path):
+    """Interval halving to a tolerance of 0 would never end: config error."""
+    cfg = _write(tmp_path, _coarse_raw())
+    out = tmp_path / "optout"
+    result = runner.invoke(main, ["optimize", "--config", str(cfg), "--out", str(out),
+                                  "--tolerance-nm", "0"])
+    assert result.exit_code == 2, result.output
+    assert "tolerance must be a finite number > 0" in result.stderr
+    assert not out.exists()
+
+
+def test_reproduce_unknown_skip_exit_code(runner, tmp_path):
+    out = tmp_path / "repro"
+    result = runner.invoke(main, ["reproduce-paper", "--out", str(out), "--skip", "bogus"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error (ConfigError): unknown stage 'bogus'; stages: ")
+
+
+def test_reproduce_stage_error_blocks_dependents(runner, tmp_path):
+    """A stage that raises is recorded as ``error: <message>`` and its
+    dependents are blocked; the run goes on and exits 1."""
+    raw = _coarse_raw()
+    raw["fringes"]["single_pass"] = 0.1     # contradicts the fringe contrast
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "repro"
+    result = runner.invoke(main, ["reproduce-paper", "--config", str(cfg), "--out", str(out),
+                                  "--skip", "tm-design", "--skip", "counting", "--json"])
+    assert result.exit_code == 1, result.output
+    stages = json.loads(result.output)["stages"]
+    assert stages["fp-extract"].startswith("error: extracted facet reflectivity")
+    assert stages["mode-solver"] == stages["absorptance"] == "pass"
+    assert stages["efficiency"] == "blocked"
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["all_pass"] is False
+    assert {s["name"]: s["status"] for s in manifest["stages"]} == stages
+
+
+def test_reproduce_human_readable_checks(runner, tmp_path):
+    """Without ``--json`` each check prints a PASS or FAIL line."""
+    raw = _coarse_raw()
+    raw["targets"] = {"jitter_intrinsic_ps": {"value": 50.0, "abs_tol": 0.1}}
+    cfg = _write(tmp_path, raw)
+    result = runner.invoke(main, [
+        "reproduce-paper", "--config", str(cfg), "--out", str(tmp_path / "repro"),
+        "--skip", "mode-solver", "--skip", "tm-design", "--skip", "counting",
+    ])
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert lines[0] == "all_pass    False"
+    assert "  [PASS] pulse/tau_ns: 3.6 in [3.6, 3.6]" in lines
+    assert "  [FAIL] jitter/jitter_intrinsic_ps: 61.0655 in [49.9, 50.1]" in lines
 
 
 def test_reproduce_skip_marks_not_run(runner, tmp_path):

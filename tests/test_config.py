@@ -109,6 +109,12 @@ _MISSING = object()
     (("solver", "policy", "edge_band_nm"), -1, "edge band and far margin must be >= 0"),
     (("layers",), [{"material": "GaAs", "substrate": True}], "needs a layer above the substrate"),
     (("wires", "thickness_nm"), _MISSING, r"wires: missing thickness_<nm\|um\|mm\|m>$"),
+    (("wires", "count"), 10**400, "wires: count must be an integer"),
+    (("detector", "wire_count"), 10**400, "detector: wire_count must be an integer"),
+    (("solver", "max_iterations"), 10**400, "solver: max_iterations must be an integer"),
+    (("solver", "max_iterations"), 2**63, r"max_iterations must be <= 2\*\*31 - 1"),
+    (("solver", "max_iterations"), 2**31, r"max_iterations must be <= 2\*\*31 - 1"),
+    (("sweeps", 0, "parameters", 0, "step"), 1e-307, "sweep range holds too many steps to count"),
 ], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
         "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
@@ -117,7 +123,9 @@ _MISSING = object()
         "table-empty", "table-negative-k", "table-decreasing",
         "output_dir-null", "output_dir-5", "output_dir-empty",
         "tolerance-Infinity", "target_n_eff-NaN", "tolerance-huge-int", "powers_pW-NaN",
-        "far-0", "x_base-negative", "edge_band-negative", "substrate-only", "wire-thickness-no-hint"])
+        "far-0", "x_base-negative", "edge_band-negative", "substrate-only", "wire-thickness-no-hint",
+        "count-huge-int", "wire_count-huge-int", "max_iterations-huge-int", "max_iterations-2**63",
+        "max_iterations-2**31", "step-tiny"])
 def test_malformed_inputs_rejected(path, value, message):
     """Malformed values fail at load time as a ConfigError naming the key,
     not as a raw Python error that the CLI would report as an unexpected

@@ -101,6 +101,14 @@ def test_no_guided_modes_is_empty_result():
     assert modes == []
 
 
+def test_max_iterations_at_arpack_limit_solves():
+    """The largest ``max_iterations`` ARPACK's Fortran integer holds still
+    runs; one more is a config error (see test_config)."""
+    modes = solve_modes(assemble_operator(uniform_grid(1.0, 24, 24, 10e-6)),
+                        sk.SolverConfig(num_modes=3, max_iterations=2**31 - 1))
+    assert modes == []
+
+
 @pytest.fixture()
 def solves(monkeypatch):
     """Records the shift-invert work of a solve: ``factored`` holds the
@@ -529,6 +537,32 @@ def test_convergence_study_lossless_guide(default_config):
     neffs = [r.n_eff.real for r in ok]
     deltas = [abs(a - b) for a, b in zip(neffs, neffs[1:])]
     assert deltas[1] < deltas[0]
+
+
+def test_convergence_study_keeps_failed_and_no_mode_levels(default_config, monkeypatch):
+    """A level whose solve does not converge is kept as a ``failed:`` row and
+    one with no mode of the kind as a ``no-mode`` row; neither enters the
+    deltas, so the next solved level is compared with the last solved one."""
+    ladder = tuple(sk.ResolutionPolicy().refined(s) for s in (1.0, 1.5, 2.25, 3.375))
+    first = SimpleNamespace(n_eff=complex(3.2, 4e-3), wavelength_m=1300e-9)
+    last = SimpleNamespace(n_eff=complex(3.2, 5e-3), wavelength_m=1300e-9)
+    outcomes = iter([first, ConvergenceError("synthetic stall"), None, last])
+
+    def solve(cs, policy, config, kind):
+        outcome = next(outcomes)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return None, outcome
+
+    monkeypatch.setattr(modes_module, "solve_cross_section", solve)
+    table = convergence_study(default_config.cross_section, ladder)
+    assert [r.status for r in table.rows] == ["ok", "failed: synthetic stall", "no-mode", "ok"]
+    assert [r.base_cell_m for r in table.rows] == [p.base_m for p in ladder]
+    for row in table.rows[1:3]:
+        assert row.n_eff is row.alpha_per_cm is row.delta_alpha_rel is None
+    a0, a3 = modal_absorption(first), modal_absorption(last)
+    assert table.rows[3].delta_alpha_rel == pytest.approx(abs(a3 - a0) / abs(a3), rel=1e-12)
+    assert table.order_estimate is None      # one delta fits no slope
 
 
 def test_convergence_order_on_detector_geometry(default_config):

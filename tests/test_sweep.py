@@ -66,14 +66,23 @@ def test_sweep_margin_tracks_offset(base_cs):
     assert len(alphas) == 1  # synthetic alpha does not move with offset
 
 
-def test_sweep_point_cap(base_cs):
+def test_sweep_point_cap(base_cs, monkeypatch):
+    """The cap is checked from the axis lengths before any axis is built, so
+    a tiny step is a config error, not an out-of-memory failure. The
+    optimizer's coarse pass is the same sweep, so it honours the cap too."""
     spec = SweepSpec(
         (SweepParameter("core_thickness_nm", 0.0, 100.0, 1.0),
          SweepParameter("ridge_width_nm", 0.0, 1000.0, 1.0)),
         point_cap=1000,
     )
+    built, values = [], SweepParameter.values
+    monkeypatch.setattr(SweepParameter, "values", lambda p: built.append(p.name) or values(p))
     with pytest.raises(ConfigError, match="101101 points"):
         run_sweep(base_cs, spec, evaluate=synthetic())
+    assert built == []
+    with pytest.raises(ConfigError, match="101101 points"):
+        maximize_alpha(base_cs, spec, evaluate=synthetic())
+    assert built == []
 
 
 def test_sweep_best_dominates(base_cs):
@@ -244,6 +253,19 @@ def test_optimize_infeasible_is_a_result(base_cs):
     assert isinstance(result, OptimizeResult)
     assert result.status == "infeasible"
     assert result.best is None
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
+def test_optimize_rejects_bad_tolerance(base_cs, tolerance):
+    """Interval halving stops once the step is below the tolerance: at 0 or
+    below it would never stop, and nan or inf would skip it without a word.
+    The tolerance is checked before any point is evaluated."""
+    def never(values):
+        raise AssertionError("evaluated a point")
+
+    spec = SweepSpec((SweepParameter("core_thickness_nm", 260.0, 380.0, 40.0),), min_margin_m=0.0)
+    with pytest.raises(ConfigError, match="tolerance must be a finite number > 0"):
+        maximize_alpha(base_cs, spec, evaluate=never, tolerance=tolerance)
 
 
 def test_optimize_rejects_bad_freedom(base_cs):
