@@ -7,7 +7,11 @@ grid (Fallahkhair, Li & Murphy, J. Lightwave Technol. 26, 1423 (2008),
 specialized to a diagonal, scalar permittivity): five-point blocks for
 Hx-Hx and Hy-Hy plus the interface-induced Hx-Hy cross couplings, which
 vanish in homogeneous regions and at purely horizontal or vertical
-interfaces and act only around material corners.
+interfaces and act only around material corners. The stencil is written
+once, for the x side (:func:`_x_couplings`): the Hy-Hy and Hy-Hx couplings
+are the Hx-Hx and Hx-Hy ones with x and y exchanged, i.e. node spacings
+(w, e, s, n) -> (s, n, w, e), quadrant cells (NW, SW, SE, NE) ->
+(SE, SW, NW, NE) and neighbours (N, S, E, W) -> (E, W, N, S).
 
 Sign bookkeeping: grids store eps = (n - 1j*k)^2 (absorbing cells have a
 negative imaginary part); the operator is assembled from conj(eps), i.e.
@@ -170,50 +174,18 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
     e3 = epsp[1:nnx + 1, 0:nny]
     e4 = epsp[1:nnx + 1, 1:nny + 1]
 
-    dx = np.diff(x)
-    dy = np.diff(y)
-    dxp = np.concatenate(([dx[0]], dx, [dx[-1]]))
-    dyp = np.concatenate(([dy[0]], dy, [dy[-1]]))
-    w = dxp[0:nnx][:, None]
-    e = dxp[1:nnx + 1][:, None]
-    s = dyp[0:nny][None, :]
-    n = dyp[1:nny + 1][None, :]
+    # node spacings to the W, E, S and N neighbours; wall nodes repeat the last one
+    dxp = np.pad(np.diff(x), 1, mode="edge")[:, None]
+    dyp = np.pad(np.diff(y), 1, mode="edge")[None, :]
+    w, e, s, n = dxp[:-1], dxp[1:], dyp[:, :-1], dyp[:, 1:]
 
-    ns21 = n * e2 + s * e1
-    ns34 = n * e3 + s * e4
-    ew14 = e * e1 + w * e4
-    ew23 = e * e2 + w * e3
-
-    k2 = k0 * k0
-
-    axxn = 2.0 * (e * e3 / ns34 + w * e2 / ns21) / (n * (e + w))
-    axxs = 2.0 * (e * e4 / ns34 + w * e1 / ns21) / (s * (e + w))
-    axxe = 2.0 / (e * (e + w))
-    axxw = 2.0 / (w * (e + w))
-    axxp = -axxn - axxs - axxe - axxw + k2 * (n + s) * (
-        e4 * e3 * e / ns34 + e1 * e2 * w / ns21
-    ) / (e + w)
-
-    ayye = 2.0 * (n * e1 / ew14 + s * e2 / ew23) / (e * (n + s))
-    ayyw = 2.0 * (n * e4 / ew14 + s * e3 / ew23) / (w * (n + s))
-    ayyn = 2.0 / (n * (n + s))
-    ayys = 2.0 / (s * (n + s))
-    ayyp = -ayyn - ayys - ayye - ayyw + k2 * (e + w) * (
-        e1 * e4 * n / ew14 + e2 * e3 * s / ew23
-    ) / (n + s)
-
-    cross = e2 * e4 - e1 * e3
-    axyn = (e3 / ns34 - e2 / ns21 + s * cross / (ns21 * ns34)) / (e + w)
-    axys = (e1 / ns21 - e4 / ns34 + n * cross / (ns21 * ns34)) / (e + w)
-    axye = -2.0 * (e2 - e1) * w * w / (ns21 * e * (e + w) ** 2)
-    axyw = -2.0 * (e4 - e3) * e * e / (ns34 * w * (e + w) ** 2)
-    axyp = -(axyn + axys + axye + axyw)
-
-    ayxe = (e1 / ew14 - e2 / ew23 + w * cross / (ew23 * ew14)) / (n + s)
-    ayxw = (e3 / ew23 - e4 / ew14 + e * cross / (ew23 * ew14)) / (n + s)
-    ayxn = -2.0 * (e2 - e3) * s * s / (ew23 * n * (n + s) ** 2)
-    ayxs = -2.0 * (e4 - e1) * n * n / (ew14 * s * (n + s) ** 2)
-    ayxp = -(ayxn + ayxs + ayxe + ayxw)
+    (axxn, axxs, axxe, axxw), (axyn, axys, axye, axyw), xx_k2 = _x_couplings(
+        w, e, s, n, e1, e2, e3, e4, k0)
+    # the Hy couplings are the Hx ones with x and y exchanged: spacings
+    # (w, e, s, n) -> (s, n, w, e), cells NW <-> SE, and the exchanged
+    # stencil's N, S, E, W neighbours are E, W, N, S here
+    (ayye, ayyw, ayyn, ayys), (ayxe, ayxw, ayxn, ayxs), yy_k2 = _x_couplings(
+        s, n, w, e, e3, e2, e1, e4, k0)
 
     nn = nnx * nny
     ii = np.arange(nn).reshape(nnx, nny)
@@ -223,11 +195,12 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
     links = [((whole, whole), (whole, whole)), ((whole, head), (whole, tail)),
              ((whole, tail), (whole, head)), ((head, whole), (tail, whole)),
              ((tail, whole), (head, whole))]
+    # each self term sums its own block's couplings in N, S, E, W order
     blocks = [
-        (0, 0, (axxp, axxn, axxs, axxe, axxw)),
-        (0, nn, (axyp, axyn, axys, axye, axyw)),
-        (nn, 0, (ayxp, ayxn, ayxs, ayxe, ayxw)),
-        (nn, nn, (ayyp, ayyn, ayys, ayye, ayyw)),
+        (0, 0, (-axxn - axxs - axxe - axxw + xx_k2, axxn, axxs, axxe, axxw)),
+        (0, nn, (-(axyn + axys + axye + axyw), axyn, axys, axye, axyw)),
+        (nn, 0, (-(ayxn + ayxs + ayxe + ayxw), ayxn, ayxs, ayxe, ayxw)),
+        (nn, nn, (-ayyn - ayys - ayye - ayyw + yy_k2, ayyn, ayys, ayye, ayyw)),
     ]
     rows, cols, vals = [], [], []
     for row_off, col_off, coeffs in blocks:
@@ -239,6 +212,25 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(2 * nn, 2 * nn)).tocsc()
 
     return ModeOperator(mat, k0, x, y, eps_cells)
+
+
+def _x_couplings(w, e, s, n, e1, e2, e3, e4, k0):
+    """The x side of the stencil at every node, from the spacings to the W,
+    E, S and N neighbours and the NW (1), SW (2), SE (3) and NE (4) cells:
+    the N, S, E and W couplings Hx->Hx and Hx->Hy, and the k0^2 part of the
+    Hx self term."""
+    ns21 = n * e2 + s * e1
+    ns34 = n * e3 + s * e4
+    xx = (2.0 * (e * e3 / ns34 + w * e2 / ns21) / (n * (e + w)),
+          2.0 * (e * e4 / ns34 + w * e1 / ns21) / (s * (e + w)),
+          2.0 / (e * (e + w)),
+          2.0 / (w * (e + w)))
+    cross = e2 * e4 - e1 * e3
+    xy = ((e3 / ns34 - e2 / ns21 + s * cross / (ns21 * ns34)) / (e + w),
+          (e1 / ns21 - e4 / ns34 + n * cross / (ns21 * ns34)) / (e + w),
+          -2.0 * (e2 - e1) * w * w / (ns21 * e * (e + w) ** 2),
+          -2.0 * (e4 - e3) * e * e / (ns34 * w * (e + w) ** 2))
+    return xx, xy, k0 * k0 * (n + s) * (e4 * e3 * e / ns34 + e1 * e2 * w / ns21) / (e + w)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +292,17 @@ def solve_fundamental(
 
     Each operator (the full domain, or each mirror parity class in turn) is
     factored once, and Arnoldi runs for the k = 1, 2, 4, ... eigenpairs
-    nearest the shift (at most ``num_modes``) until the computed set holds a
-    guided ``kind`` mode and reaches at least (k0 * n_core)^2 - sigma from
-    the shift, so that every dielectric-guided eigenvalue above the shift has
-    been seen. The highest-Re(n_eff) guided ``kind`` mode over all computed
-    pairs passes the residual gate against the full operator and is the only
-    one finalized. Returns None if no such mode is found within the cap.
+    nearest the shift (at most ``num_modes``; a TM ladder starts at k = 2)
+    until the computed set holds a guided ``kind`` mode and reaches at least
+    (k0 * n_core)^2 - sigma from the shift, so that every dielectric-guided
+    eigenvalue above the shift has been seen. The highest-Re(n_eff) guided
+    ``kind`` mode over all computed pairs passes the residual gate against
+    the full operator and is the only one finalized. Returns None if no such
+    mode is found within the cap.
+
+    Each rung restarts from the same seeded start vector, so skipping k = 1
+    for TM changes the pick only where a k = 1 rung would have stopped the
+    ladder and the second pair is a guided TM mode of higher Re(n_eff).
     """
     kind = _mode_kind(kind)
     config = config or SolverConfig()
@@ -331,7 +328,9 @@ def _nearest(op, mat, lift, sigma, kind, config):
     nearest = _shift_invert(mat, sigma, config)
     cap = min(config.num_modes, mat.shape[0] - 2)
     reach = max(0.0, (op.k0 * op.index_bracket()[1]) ** 2 - sigma)
-    k = cap if kind is None else 1
+    # the pair nearest the default shift has been TE-like on every section
+    # solved so far, so a TM ladder skips k = 1
+    k = cap if kind is None else min(2 if kind == "TM" else 1, cap)
     while True:
         vals, vecs = nearest(k)
         if lift is not None:

@@ -36,8 +36,8 @@ def lossless_solve(default_config):
 
 
 @pytest.fixture(scope="session")
-def slab_solve(default_config):
-    """Buried symmetric slab in the wide-ridge limit, with solve seconds.
+def slab_case(default_config):
+    """Buried symmetric slab in the wide-ridge limit and its grid policy.
 
     The decorative shallow ridge keeps the cross-section contract satisfied
     while the buried core sees an essentially one-dimensional structure.
@@ -58,6 +58,13 @@ def slab_solve(default_config):
                   (-2.6e-6, -1.83e-6, 12e-9),
                   (-1.47e-6, -0.7e-6, 12e-9)),
     )
+    return cs, policy
+
+
+@pytest.fixture(scope="session")
+def slab_solve(slab_case):
+    """Guided modes of the slab case, with solve seconds."""
+    cs, policy = slab_case
     t0 = time.monotonic()
     _grid, modes = solve_cross_section(cs, policy, sk.SolverConfig(num_modes=4))
     return cs, modes, time.monotonic() - t0

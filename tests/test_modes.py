@@ -291,7 +291,8 @@ def test_solve_fundamental_matches_select_mode(default_config, coarse_solved, ge
 
 def test_solve_fundamental_grows_k_only_as_needed(default_config, coarse_solved, solves):
     """TE0 of the shipped section is nearest the shift in its class: k = 1 in
-    each class. TM0 is not, so the TM query grows k = 1, 2, ... per class."""
+    each class. TM0 is not, so the TM query starts at k = 2 and grows
+    k = 2, 4, ... per class."""
     op, _modes = coarse_solved["shipped"]
     half = op.matrix.shape[0] // 2
     solve_fundamental(op, "TE", default_config.solver)
@@ -300,8 +301,7 @@ def test_solve_fundamental_grows_k_only_as_needed(default_config, coarse_solved,
     solves.runs.clear()
     solve_fundamental(op, "TM", default_config.solver)
     ks = [k for _n, k in solves.runs]
-    assert max(ks) > 1
-    assert ks[0] == 1 and all(b in (1, 2 * a) for a, b in zip(ks, ks[1:]))
+    assert ks[0] == 2 and all(b in (2, 2 * a) for a, b in zip(ks, ks[1:]))
 
 
 def test_solve_fundamental_sees_modes_above_a_low_shift(default_config, coarse_solved, solves):
