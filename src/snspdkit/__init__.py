@@ -28,7 +28,6 @@ from .modes import (
     ModeSolution,
     SolverConfig,
     assemble_operator,
-    convergence_study,
     modal_absorption,
     select_mode,
     solve_cross_section,
@@ -44,6 +43,6 @@ __all__ = [
     "ResolutionPolicy", "RidgeSpec", "alignment_margin", "rasterize",
     "Material", "default_materials", "lookup_index", "make_builtin_material",
     "ModeOperator", "ModeSolution", "SolverConfig", "assemble_operator",
-    "convergence_study", "modal_absorption",
+    "modal_absorption",
     "select_mode", "solve_cross_section", "solve_fundamental", "solve_modes",
 ]

@@ -14,7 +14,6 @@ import numpy as np
 from .constants import photon_flux
 from .errors import ConfigError, DomainError, InconsistencyError
 
-GAUSS_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0))  # FWHM / sigma
 _FLAG_NAMES = ("dark", "photon")   # CountRecord.flags, indexed by the photon mask
 
 
@@ -246,24 +245,6 @@ def dark_count_rate(model: DetectorModel, bias_fraction: float | None = None) ->
     return model.dark_rate_prefactor_hz * math.exp(model.dark_rate_slope * i)
 
 
-def fit_dark_law(samples: list[tuple[float, float]]) -> tuple[float, float, float]:
-    """Least squares on log rate: samples of (I_b/I_c, rate) -> (R0, s, residual).
-
-    Needs >= 3 samples with distinct bias fractions and strictly positive rates.
-    """
-    if len(samples) < 3:
-        raise DomainError("dark-law fit needs at least 3 samples")
-    i = np.array([p[0] for p in samples], dtype=float)
-    r = np.array([p[1] for p in samples], dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("dark-law fit requires strictly positive rates")
-    if len(np.unique(i)) < 3:
-        raise DomainError("dark-law fit needs >= 3 distinct bias fractions")
-    slope, intercept = np.polyfit(i, np.log(r), 1)
-    resid = float(np.sqrt(np.mean((np.log(r) - (slope * i + intercept)) ** 2)))
-    return float(np.exp(intercept)), float(slope), resid
-
-
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
@@ -447,29 +428,3 @@ def jitter_deconvolve(total_s: float, source_s: float) -> float:
             "(inconsistent measurement)"
         )
     return math.sqrt(total_s * total_s - source_s * source_s)
-
-
-def jitter_convolve(a_s: float, b_s: float) -> float:
-    """Quadrature sum of independent Gaussian jitters."""
-    if a_s < 0 or b_s < 0:
-        raise DomainError("jitter values must be >= 0")
-    return math.hypot(a_s, b_s)
-
-
-def histogram_fwhm(samples: np.ndarray) -> float:
-    """FWHM of a timing histogram via a Gaussian fit to the binned counts."""
-    from scipy.optimize import curve_fit
-
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 10:
-        raise DomainError("need >= 10 samples for a histogram fit")
-    counts, edges = np.histogram(samples, bins=max(16, int(math.sqrt(samples.size))))
-    centers = 0.5 * (edges[1:] + edges[:-1])
-
-    def gauss(x, a, mu, sig):
-        return a * np.exp(-0.5 * ((x - mu) / sig) ** 2)
-
-    p0 = (counts.max(), float(np.mean(samples)), float(np.std(samples)))
-    popt, _ = curve_fit(gauss, centers, counts, p0=p0, maxfev=10000)
-    return GAUSS_FWHM * abs(float(popt[2]))
-

@@ -519,11 +519,6 @@ def _polarization(te_fraction: float) -> str:
     return "TE" if te_fraction >= 0.5 else "TM"
 
 
-def mode_power(mode: ModeSolution) -> float:
-    """Guided power of the stored fields (should be 1 after normalization)."""
-    return _power(_centered(mode.hx), _centered(mode.hy), mode.ex, mode.ey, _cell_area(mode))
-
-
 def select_mode(modes: list[ModeSolution], kind: str = "TE") -> ModeSolution | None:
     """Fundamental mode of the requested polarization: the highest-Re(n_eff)
     guided mode classified as ``kind``; None if there is none."""
@@ -548,7 +543,7 @@ def solve_cross_section(
     kind: str | None = None,
 ) -> tuple[PermittivityGrid, list[ModeSolution] | ModeSolution | None]:
     """Rasterize, assemble and solve: the path from a cross-section to its
-    modes that the CLI, the pipeline, sweeps and convergence studies share.
+    modes that the CLI, the pipeline and sweeps share.
 
     Returns ``(grid, result)``. With ``kind`` None, ``result`` is the
     :func:`solve_modes` list; with ``kind`` "TE" or "TM", it is the mode
@@ -559,66 +554,3 @@ def solve_cross_section(
     if kind is None:
         return grid, solve_modes(op, config)
     return grid, solve_fundamental(op, kind, config)
-
-
-# ---------------------------------------------------------------------------
-# convergence study
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    base_cell_m: float
-    n_eff: complex | None
-    alpha_per_cm: float | None
-    delta_alpha_rel: float | None
-    status: str
-
-
-@dataclass(frozen=True)
-class ConvergenceTable:
-    rows: tuple[ConvergenceRow, ...]
-    order_estimate: float | None
-
-
-def convergence_study(
-    cs: CrossSection,
-    policies: tuple[ResolutionPolicy, ...],
-    config: SolverConfig | None = None,
-    kind: str = "TE",
-) -> ConvergenceTable:
-    """Solve the fundamental mode on a ladder of grid policies (>= 3 levels,
-    coarsest first; use ``ResolutionPolicy.refined`` / ``bulk_refined`` to
-    build one). A level that fails to converge is marked in its row and
-    excluded from the deltas; the Richardson order estimate is the
-    least-squares slope of log successive-delta vs log base cell size.
-    """
-    if len(policies) < 3:
-        raise ConfigError("convergence study needs at least 3 refinement levels")
-    rows: list[ConvergenceRow] = []
-    prev: tuple[float, float] | None = None   # (cell size, alpha) of last ok level
-    deltas: list[tuple[float, float]] = []
-    for policy in policies:
-        cell = policy.base_m
-        try:
-            _grid, mode = solve_cross_section(cs, policy, config, kind)
-        except ConvergenceError as exc:
-            rows.append(ConvergenceRow(cell, None, None, None, f"failed: {exc}"))
-            continue
-        if mode is None:
-            rows.append(ConvergenceRow(cell, None, None, None, "no-mode"))
-            continue
-        alpha = modal_absorption(mode)
-        delta = None
-        if prev is not None:
-            ref = abs(alpha) if abs(alpha) > 1e-12 else 1.0
-            delta = abs(alpha - prev[1]) / ref
-            deltas.append((prev[0], delta))
-        rows.append(ConvergenceRow(cell, mode.n_eff, alpha, delta, "ok"))
-        prev = (cell, alpha)
-
-    order = None
-    if len(deltas) >= 2 and all(d > 0 for _h, d in deltas):
-        hs = np.log([h for h, _d in deltas])
-        ds = np.log([d for _h, d in deltas])
-        order = float(np.polyfit(hs, ds, 1)[0])
-    return ConvergenceTable(tuple(rows), order)

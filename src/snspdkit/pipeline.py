@@ -64,7 +64,7 @@ class RunManifest:
 
 def band(target: dict) -> tuple[float, float]:
     value = target["value"]
-    if "abs_tol" in target and target.get("abs_tol") is not None:
+    if target.get("abs_tol") is not None:
         tol = target["abs_tol"]
     else:
         tol = abs(value) * target["rel_tol"]

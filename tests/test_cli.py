@@ -45,7 +45,7 @@ def test_version(runner):
 def test_cli_import_skips_stats_and_optimize():
     """Importing the CLI and loading the shipped config does not load
     scipy.stats or scipy.optimize: every subcommand would pay for them at
-    start-up. scipy.optimize loads on the first pulse-rise or histogram fit."""
+    start-up. scipy.optimize loads on the first pulse-rise fit."""
     code = (
         "import sys\n"
         "from snspdkit.cli import main\n"

@@ -17,13 +17,14 @@ from snspdkit.errors import ConfigError, ConvergenceError, DomainError
 from snspdkit.geometry import PermittivityGrid, rasterize
 from snspdkit.modes import (
     _ARNOLDI_SEED,
+    _cell_area,
+    _centered,
     _finalize_mode,
     _mirror_bases,
+    _power,
     _relative_residual,
     assemble_operator,
-    convergence_study,
     modal_absorption,
-    mode_power,
     select_mode,
     solve_cross_section,
     solve_fundamental,
@@ -151,6 +152,11 @@ def mode_residual(op, mode):
     """Eigen-residual of a returned mode against the full-domain operator."""
     vec = np.concatenate([mode.hx.ravel(), mode.hy.ravel()])
     return _relative_residual(op.matrix, mode.beta ** 2, vec)
+
+
+def unit_power(mode):
+    """Guided power of the stored fields (1 after normalization)."""
+    return _power(_centered(mode.hx), _centered(mode.hy), mode.ex, mode.ey, _cell_area(mode))
 
 
 @pytest.mark.parametrize("core_nm", [None, 350.0], ids=["shipped", "tm-design"])
@@ -282,7 +288,7 @@ def test_solve_fundamental_matches_select_mode(default_config, coarse_solved, ge
         assert ref is not None and mode is not None
         assert abs(mode.n_eff - ref.n_eff) <= 1e-10 * abs(ref.n_eff)
         assert mode.polarization == ref.polarization == kind
-        assert mode_power(mode) == pytest.approx(1.0, rel=1e-9)
+        assert unit_power(mode) == pytest.approx(1.0, rel=1e-9)
         assert mode_residual(op, mode) <= default_config.solver.tolerance
         # one factorization per operator, whatever k grows to
         split = geometry != "offset"
@@ -396,7 +402,7 @@ def test_guided_modes_bracketed_and_sorted(reference_solve, default_config):
     for m in modes:
         assert n_clad < m.n_eff.real < n_max
         assert np.all(np.isfinite(m.hx)) and np.all(np.isfinite(m.ex))
-        assert mode_power(m) == pytest.approx(1.0, rel=1e-9)
+        assert unit_power(m) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_fundamental_symmetry(reference_solve):
@@ -519,61 +525,31 @@ def test_select_mode_validation(reference_solve):
         select_mode(modes, "TEM")
 
 
-# -- convergence study -------------------------------------------------------
-
-def test_convergence_study_needs_three_levels(default_config):
-    pol = sk.ResolutionPolicy()
-    with pytest.raises(ConfigError, match="3 refinement levels"):
-        convergence_study(default_config.cross_section, (pol, pol.refined(2.0)))
-
+# -- convergence ladders ------------------------------------------------------
 
 def test_convergence_study_lossless_guide(default_config):
     cs = replace(default_config.cross_section, wires=None)
     policy = sk.ResolutionPolicy(base_m=60e-9, far_m=150e-9)
     ladder = tuple(policy.refined(s) for s in (1.0, 1.5, 2.25))
-    table = convergence_study(cs, ladder, config=sk.SolverConfig(num_modes=2))
-    ok = [r for r in table.rows if r.status == "ok"]
-    assert len(ok) == 3
-    neffs = [r.n_eff.real for r in ok]
+    config = sk.SolverConfig(num_modes=2)
+    neffs = [solve_cross_section(cs, p, config, "TE")[1].n_eff.real for p in ladder]
     deltas = [abs(a - b) for a, b in zip(neffs, neffs[1:])]
     assert deltas[1] < deltas[0]
-
-
-def test_convergence_study_keeps_failed_and_no_mode_levels(default_config, monkeypatch):
-    """A level whose solve does not converge is kept as a ``failed:`` row and
-    one with no mode of the kind as a ``no-mode`` row; neither enters the
-    deltas, so the next solved level is compared with the last solved one."""
-    ladder = tuple(sk.ResolutionPolicy().refined(s) for s in (1.0, 1.5, 2.25, 3.375))
-    first = SimpleNamespace(n_eff=complex(3.2, 4e-3), wavelength_m=1300e-9)
-    last = SimpleNamespace(n_eff=complex(3.2, 5e-3), wavelength_m=1300e-9)
-    outcomes = iter([first, ConvergenceError("synthetic stall"), None, last])
-
-    def solve(cs, policy, config, kind):
-        outcome = next(outcomes)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return None, outcome
-
-    monkeypatch.setattr(modes_module, "solve_cross_section", solve)
-    table = convergence_study(default_config.cross_section, ladder)
-    assert [r.status for r in table.rows] == ["ok", "failed: synthetic stall", "no-mode", "ok"]
-    assert [r.base_cell_m for r in table.rows] == [p.base_m for p in ladder]
-    for row in table.rows[1:3]:
-        assert row.n_eff is row.alpha_per_cm is row.delta_alpha_rel is None
-    a0, a3 = modal_absorption(first), modal_absorption(last)
-    assert table.rows[3].delta_alpha_rel == pytest.approx(abs(a3 - a0) / abs(a3), rel=1e-12)
-    assert table.order_estimate is None      # one delta fits no slope
 
 
 def test_convergence_order_on_detector_geometry(default_config):
     """Bulk-grid ladder on the wired geometry: monotonically shrinking alpha
     deltas and a Richardson order estimate of at least one. Near-wire cells
-    stay at their mandated floor; the ladder varies the bulk resolution."""
+    stay at their mandated floor; the ladder varies the bulk resolution.
+
+    Each delta is |a_i - a_(i-1)| / |a_i|, taken at the coarser level's base
+    cell; the order is the least-squares slope of log delta vs log cell."""
     cfg = default_config
     ladder = tuple(cfg.policy.bulk_refined(s) for s in (0.35, 0.7, 1.4))
-    table = convergence_study(cfg.cross_section, ladder, config=cfg.solver)
-    assert all(r.status == "ok" for r in table.rows)
-    deltas = [r.delta_alpha_rel for r in table.rows if r.delta_alpha_rel is not None]
-    assert len(deltas) == 2
+    alphas = [modal_absorption(solve_cross_section(cfg.cross_section, p, cfg.solver, "TE")[1])
+              for p in ladder]
+    cells = [p.base_m for p in ladder[:-1]]
+    deltas = [abs(a - b) / abs(a) for b, a in zip(alphas, alphas[1:])]
     assert deltas[1] < deltas[0]
-    assert table.order_estimate is not None and table.order_estimate >= 1.0
+    order = float(np.polyfit(np.log(cells), np.log(deltas), 1)[0])
+    assert order >= 1.0
