@@ -16,9 +16,11 @@ Coordinate conventions
   side. Construction requires >= 1.5 um of cladding/air between the
   ridge+array bounding box and every window edge.
 
-Rasterization paints per-cell relative permittivity ``eps = (n - 1j*k)**2``
-onto a nonuniform tensor grid whose lines coincide with every material
-interface, so no sub-cell averaging is needed.
+The section is one ordered table of boxes ``(material, x0, x1, y0, y1)``
+over the ambient: finite layers, etched trenches, then each wire and its
+cap. Rasterization makes every box edge inside the window a grid line
+(edges closer than ``SAME_POSITION_M`` are one line) and paints per-cell
+``eps = (n - 1j*k)**2`` box by box by cell midpoint: no sub-cell averaging.
 """
 
 import math
@@ -32,6 +34,7 @@ from .materials import Material, lookup_index
 
 MIN_CLEARANCE_M = 1.5e-6   # mandated cladding/air margin around ridge + array
 GROWTH = 1.6               # size ratio of neighbouring cells in a graded band
+SAME_POSITION_M = 1e-15    # positions closer than this differ only by rounding
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class LayerStack:
     @property
     def stack_bottom_m(self) -> float:
         """y of the substrate top surface."""
-        return 0.0 - sum(lay.thickness_m for lay in self.layers[1:])
+        return self.finite_spans()[-1][0]
 
 
 @dataclass(frozen=True)
@@ -169,12 +172,12 @@ class CrossSection:
         if self.wires is not None:
             lat_arr = self.window_width_m / 2.0 - (abs(self.wires.offset_m) + self.wires.extent_m / 2.0)
             lat = min(lat, lat_arr)
-        if lat < MIN_CLEARANCE_M - 1e-15:
+        if lat < MIN_CLEARANCE_M - SAME_POSITION_M:
             raise ConfigError(
                 f"window leaves only {lat * 1e6:.2f} um lateral clearance; "
                 f">= {MIN_CLEARANCE_M * 1e6:.1f} um required"
             )
-        if self.vertical_clearance_m < MIN_CLEARANCE_M - 1e-15:
+        if self.vertical_clearance_m < MIN_CLEARANCE_M - SAME_POSITION_M:
             raise ConfigError(
                 f"window leaves only {self.vertical_clearance_m * 1e6:.2f} um vertical clearance; "
                 f">= {MIN_CLEARANCE_M * 1e6:.1f} um required"
@@ -187,6 +190,22 @@ class CrossSection:
             if self.wires.cap_material and self.wires.cap_thickness_m > 0:
                 names.append(self.wires.cap_material)
         return names
+
+    def _boxes(self) -> list[tuple[str, float, float, float, float]]:
+        """The section as (material, x0, x1, y0, y1) boxes in paint order over
+        the ambient: finite layers, etched trenches, then each wire and its cap.
+        The substrate needs no box: the window never reaches below its top."""
+        ambient, half, etch = self.stack.ambient, self.ridge.width_m / 2.0, -self.ridge.etch_depth_m
+        boxes = [(mat, -math.inf, math.inf, lo, hi) for lo, hi, mat in self.stack.finite_spans()]
+        boxes += [(ambient, -math.inf, -half, etch, 0.0), (ambient, half, math.inf, etch, 0.0)]
+        w = self.wires
+        if w is not None:
+            for c in w.wire_centers():
+                x0, x1 = c - w.width_m / 2.0, c + w.width_m / 2.0
+                boxes.append((w.material, x0, x1, 0.0, w.thickness_m))
+                if w.cap_material and w.cap_thickness_m > 0:
+                    boxes.append((w.cap_material, x0, x1, w.thickness_m, w.top_m))
+        return boxes
 
     # -- vertical window placement -------------------------------------
 
@@ -331,9 +350,13 @@ def _graded(a: float, b: float, fine: float, coarse: float, anchor_low: bool) ->
 
 
 def _merge_lines(mandatory: list[float], soft: list[float], min_sep: float) -> list[float]:
-    """Sorted union of grid lines; soft lines too close to kept lines are dropped."""
-    mand = sorted(set(mandatory))
-    keep = list(mand)
+    """Sorted union of grid lines. Mandatory lines closer than
+    ``SAME_POSITION_M`` are one line (the lowest); soft lines too close to
+    kept lines are dropped."""
+    keep: list[float] = []
+    for m in sorted(mandatory):
+        if not keep or m - keep[-1] >= SAME_POSITION_M:
+            keep.append(m)
     for s in sorted(set(soft)):
         if all(abs(s - m) > min_sep for m in keep):
             keep.append(s)
@@ -358,13 +381,15 @@ def _build_axis(mandatory, soft, zones, min_sep):
 def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> PermittivityGrid:
     """Paint the cross-section onto a nonuniform tensor grid.
 
-    Every material interface lands exactly on a grid line. Raises
+    Every material interface lands exactly on a grid line; box edges closer
+    than ``SAME_POSITION_M`` share one line. Raises
     :class:`ConfigError` if the policy cannot place >= 2 cells across the
     wire thickness or >= 4 cells across each wire width.
     """
     if policy is None:
         policy = ResolutionPolicy()
     wires = cs.wires
+    boxes = cs._boxes()
     half_w = cs.window_width_m / 2.0
     min_sep = policy.fine_m / 4.0
 
@@ -376,18 +401,11 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
 
     # ---- vertical lines ------------------------------------------------
     y_bot, y_top = cs.window_bottom_m, cs.window_top_m
-    y_mand = [y_bot, y_top, -cs.ridge.etch_depth_m]
-    for lo, hi, _mat in cs.stack.finite_spans():
-        for y in (lo, hi):
-            if y_bot < y < y_top:
-                y_mand.append(y)
+    y_mand = [y_bot, y_top] + [y for *_, y0, y1 in boxes for y in (y0, y1) if y_bot < y < y_top]
     y_soft: list[float] = []
     zones_y: list[tuple] = []
     if wires is not None:
         t_w = wires.thickness_m
-        y_mand += [0.0, t_w]
-        if wires.cap_material and wires.cap_thickness_m > 0:
-            y_mand.append(t_w + wires.cap_thickness_m)
         band_lo, band_hi = -policy.band_m, t_w + policy.band_m
         y_soft += [band_lo, band_hi]
         zones_y.append((0.0, t_w, uniform(policy.fine_m)))
@@ -403,26 +421,23 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
     zones_y.append((-np.inf, far_lo, uniform(policy.far)))
     zones_y.append((far_hi, np.inf, uniform(policy.far)))
     zones_y.append((-np.inf, np.inf, uniform(policy.base_m)))
-    y_mand = [y for y in y_mand if y_bot - 1e-15 <= y <= y_top + 1e-15]
     y_soft = [y for y in y_soft if y_bot < y < y_top]
     y_nodes = _build_axis(y_mand, y_soft, zones_y, min_sep)
 
     # ---- horizontal lines ----------------------------------------------
     # For mirror-symmetric sections only the non-negative side is
     # constructed and then reflected, which makes the grid exactly symmetric.
-    x_mand = [half_w, cs.ridge.width_m / 2.0]
+    x_mand = [-half_w, half_w] + [x for _, x0, x1, *_ in boxes for x in (x0, x1) if -half_w < x < half_w]
     ridge_hi = cs.ridge.width_m / 2.0 + policy.far_margin_m
     x_soft = [ridge_hi]
     zones_x: list[tuple] = []
-    wire_edges: list[float] = []
     if wires is not None:
-        for c in wires.wire_centers():
-            wire_edges += [c - wires.width_m / 2.0, c + wires.width_m / 2.0]
         eb = policy.edge_band_m
-        for edge in wire_edges:
-            x_soft += [edge - eb, edge + eb]
-            zones_x.append((edge - eb, edge, graded(policy.x_base, False)))
-            zones_x.append((edge, edge + eb, graded(policy.x_base, True)))
+        for c in wires.wire_centers():
+            for edge in (c - wires.width_m / 2.0, c + wires.width_m / 2.0):
+                x_soft += [edge - eb, edge + eb]
+                zones_x.append((edge - eb, edge, graded(policy.x_base, False)))
+                zones_x.append((edge, edge + eb, graded(policy.x_base, True)))
         arr_lo = wires.offset_m - wires.extent_m / 2.0
         arr_hi = wires.offset_m + wires.extent_m / 2.0
         x_soft += [arr_lo - policy.band_m, arr_hi + policy.band_m]
@@ -432,48 +447,27 @@ def rasterize(cs: CrossSection, policy: ResolutionPolicy | None = None) -> Permi
 
     symmetric = wires is None or wires.offset_m == 0.0
     if symmetric:
-        pos_mand = sorted({abs(v) for v in x_mand + wire_edges} | {0.0})
-        pos_soft = [abs(v) for v in x_soft + [-s for s in x_soft]]
+        pos_mand = [abs(v) for v in x_mand] + [0.0]
+        pos_soft = [abs(v) for v in x_soft]
         pos_nodes = _build_axis(pos_mand, [s for s in pos_soft if 0 < s < half_w], zones_x, min_sep)
         x_nodes = [-v for v in reversed(pos_nodes[1:])] + pos_nodes
     else:
-        mand = sorted({v for v in x_mand + [-m for m in x_mand] + wire_edges})
         soft = x_soft + [-s for s in x_soft]
-        x_nodes = _build_axis(mand, [s for s in soft if -half_w < s < half_w], zones_x, min_sep)
+        x_nodes = _build_axis(x_mand, [s for s in soft if -half_w < s < half_w], zones_x, min_sep)
 
     x_edges = np.asarray(x_nodes, dtype=float)
     y_edges = np.asarray(y_nodes, dtype=float)
 
     # ---- paint cells -----------------------------------------------------
-    eps_of = {name: cs.index_of(name) ** 2 for name in set(cs._referenced_materials())}
     xm = 0.5 * (x_edges[1:] + x_edges[:-1])
     ym = 0.5 * (y_edges[1:] + y_edges[:-1])
-    eps = np.full((len(xm), len(ym)), eps_of[cs.stack.ambient], dtype=complex)
-
-    sub_top = cs.stack.stack_bottom_m
-    if sub_top > y_bot:
-        eps[:, ym < sub_top] = eps_of[cs.stack.layers[0].material]
-    for lo, hi, mat in cs.stack.finite_spans():
-        eps[:, (ym > lo) & (ym < hi)] = eps_of[mat]
-    # etched region: ambient replaces the top layer outside the ridge
-    outside = np.abs(xm) > cs.ridge.width_m / 2.0
-    etched_rows = (ym > -cs.ridge.etch_depth_m) & (ym < 0.0)
-    eps[np.ix_(outside, etched_rows)] = eps_of[cs.stack.ambient]
     if wires is not None:
-        wire_rows = (ym > 0.0) & (ym < wires.thickness_m)
-        cap_rows = (ym > wires.thickness_m) & (ym < wires.thickness_m + wires.cap_thickness_m)
-        if np.count_nonzero(wire_rows) < 2:
-            raise ConfigError(
-                "resolution policy places fewer than 2 cells across the wire thickness"
-            )
-        for c in wires.wire_centers():
-            cols = np.abs(xm - c) < wires.width_m / 2.0
-            if np.count_nonzero(cols) < 4:
-                raise ConfigError(
-                    "resolution policy places fewer than 4 cells across a wire width"
-                )
-            eps[np.ix_(cols, wire_rows)] = eps_of[wires.material]
-            if wires.cap_material and wires.cap_thickness_m > 0:
-                eps[np.ix_(cols, cap_rows)] = eps_of[wires.cap_material]
+        if np.count_nonzero((ym > 0.0) & (ym < wires.thickness_m)) < 2:
+            raise ConfigError("resolution policy places fewer than 2 cells across the wire thickness")
+        if any(np.count_nonzero(np.abs(xm - c) < wires.width_m / 2.0) < 4 for c in wires.wire_centers()):
+            raise ConfigError("resolution policy places fewer than 4 cells across a wire width")
+    eps = np.full((len(xm), len(ym)), cs.index_of(cs.stack.ambient) ** 2, dtype=complex)
+    for mat, x0, x1, y0, y1 in boxes:
+        eps[np.ix_((xm > x0) & (xm < x1), (ym > y0) & (ym < y1))] = cs.index_of(mat) ** 2
 
     return PermittivityGrid(x_edges, y_edges, eps, cs.wavelength_m)

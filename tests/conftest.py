@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -27,8 +28,6 @@ def reference_solve(default_config):
 @pytest.fixture(scope="session")
 def lossless_solve(default_config):
     """Same stack and ridge without the wire array (lossless)."""
-    from dataclasses import replace
-
     cfg = default_config
     cs = replace(cfg.cross_section, wires=None)
     _grid, modes = solve_cross_section(cs, cfg.policy, cfg.solver)
@@ -68,3 +67,32 @@ def slab_solve(slab_case):
     t0 = time.monotonic()
     _grid, modes = solve_cross_section(cs, policy, sk.SolverConfig(num_modes=4))
     return cs, modes, time.monotonic() - t0
+
+
+@pytest.fixture(scope="session", params=[0.0, 50e-9], ids=["centred", "offset-50nm"])
+def touching_wires_case(request, default_config):
+    """The shipped section with touching wires (pitch equal to width),
+    centred or offset, and the shipped policy with bulk cells doubled. The
+    shared edge of neighbouring wires is computed from two wire centres, so
+    its two values can differ by rounding."""
+    cfg = default_config
+    w = cfg.cross_section.wires
+    wires = replace(w, pitch_m=w.width_m, offset_m=request.param)
+    return replace(cfg.cross_section, wires=wires), cfg.policy.bulk_refined(0.5)
+
+
+@pytest.fixture(scope="session")
+def clipped_four_layer_case(default_config):
+    """Four finite layers under a 2 um wide, 100 nm deep ridge without wires,
+    in a window tall enough to clip at the substrate top, and its policy."""
+    stack = sk.LayerStack((
+        sk.Layer("GaAs", substrate=True),
+        sk.Layer("GaAs", 200e-9),
+        sk.Layer("AlGaAs", 1.5e-6),
+        sk.Layer("AlGaAs", 1.1e-6),
+        sk.Layer("GaAs", 300e-9),
+    ))
+    cs = sk.CrossSection(stack, sk.RidgeSpec(width_m=2e-6, etch_depth_m=100e-9), None,
+                         window_width_m=6e-6, window_height_m=20e-6, wavelength_m=1300e-9,
+                         materials=default_config.cross_section.materials)
+    return cs, sk.ResolutionPolicy(base_m=100e-9, far_m=400e-9)

@@ -194,6 +194,19 @@ def test_pulse_dump_trace_and_rise_fit(runner, tmp_path):
     assert json.loads(refit.output)["pulse_fwhm_ns"] == pytest.approx(3.2, rel=1e-3)
 
 
+def test_pulse_dump_trace_defaults_to_runs(runner, tmp_path, monkeypatch):
+    """Without ``--out`` or SNSPDKIT_OUT, ``--dump-trace`` writes under
+    ``runs/`` in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SNSPDKIT_OUT", raising=False)
+    result = runner.invoke(main, ["pulse", "--dump-trace", "--json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["output_dir"] == "runs"
+    assert os.listdir(tmp_path) == ["runs"]
+    assert (tmp_path / "runs" / "pulse_trace.csv").read_text().startswith("# snspdkit 0.1.0")
+
+
 def test_absorptance_command(runner):
     result = runner.invoke(main, ["absorptance", "--alpha-per-cm", "451",
                                   "--length-um", "51", "--json"])
@@ -352,6 +365,17 @@ def test_sweep_malformed_point_cap_exit_code(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert "point_cap must be an integer" in result.stderr
     assert not out.exists()
+
+
+def test_sweep_index_out_of_range_exit_code(runner, tmp_path, monkeypatch):
+    """An index past the configured sweeps is a config error (exit 2), and
+    nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SNSPDKIT_OUT", raising=False)
+    result = runner.invoke(main, ["sweep", "--index", "5", "--json"])
+    assert result.exit_code == 2, result.output
+    assert "sweep index 5 out of range: config has 1 sweeps" in result.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_sweeps_not_a_list_exit_code(runner, tmp_path):

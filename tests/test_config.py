@@ -97,6 +97,10 @@ _MISSING = object()
      r"materials\[4\]: material 'air': index must be given as n - 1j\*k with k >= 0"),
     (("materials", 4), {"name": "air", "table_nm": [[1360, 1.0, 0.0], [1260, 1.0, 0.0]]},
      r"materials\[4\]: material 'air': wavelengths not strictly increasing"),
+    (("materials", 4), {"name": "air", "builtin": "air", "table_nm": [[1260, 1.0, 0.0], [1360, 1.0, 0.0]]},
+     r"materials\[4\]: exactly one of 'builtin' or 'table_nm' required"),
+    (("materials", 4), {"name": "air", "table_nm": [[1260, 1.0, 0.0], [1360, 1.0]]},
+     r"materials\[4\]: table_nm rows must be \[wavelength_nm, n, k\]"),
     (("output_dir",), None, "config: output_dir must be a non-empty string"),
     (("output_dir",), 5, "config: output_dir must be a non-empty string"),
     (("output_dir",), "", "config: output_dir must be a non-empty string"),
@@ -120,7 +124,7 @@ _MISSING = object()
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
         "material-name-list", "substrate-string",
         "target-value-x", "target-abs_tol-x", "target-no-tolerance", "target-scalar-x",
-        "table-empty", "table-negative-k", "table-decreasing",
+        "table-empty", "table-negative-k", "table-decreasing", "builtin-and-table", "table-short-row",
         "output_dir-null", "output_dir-5", "output_dir-empty",
         "tolerance-Infinity", "target_n_eff-NaN", "tolerance-huge-int", "powers_pW-NaN",
         "far-0", "x_base-negative", "edge_band-negative", "substrate-only", "wire-thickness-no-hint",
@@ -183,7 +187,9 @@ def test_negative_thickness_rejected():
     ("max_iterations", 0, "max_iterations must be >= 1"),
     ("max_iterations", 2.5, "max_iterations must be an integer"),
     ("target_n_eff", -3.3, "target_n_eff must be > 0"),
-], ids=["max_iterations-0", "max_iterations-2.5", "target_n_eff--3.3"])
+    ("num_modes", 0, "num_modes must be >= 1"),
+    ("tolerance", 0, "solver tolerance must be > 0"),
+], ids=["max_iterations-0", "max_iterations-2.5", "target_n_eff--3.3", "num_modes-0", "tolerance-0"])
 def test_invalid_solver_settings_rejected(key, value, message):
     """Settings ARPACK cannot run with, or that the shift would silently
     square into another value, fail at load time, not inside the solve."""
@@ -314,3 +320,7 @@ def test_config_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_project_config(bad)
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([_raw_default()]))
+    with pytest.raises(ConfigError, match="config root must be a JSON object"):
+        load_project_config(listed)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import snspdkit as sk
 from snspdkit.errors import ConfigError
-from snspdkit.geometry import MIN_CLEARANCE_M
+from snspdkit.geometry import MIN_CLEARANCE_M, SAME_POSITION_M, PermittivityGrid
 from snspdkit.materials import NBN_INDEX_1300
 
 
@@ -150,6 +150,28 @@ def test_policy_too_coarse_for_wire_width(reference_cs):
         sk.rasterize(reference_cs, sk.ResolutionPolicy(x_base_m=50e-9, edge_band_m=0.0))
 
 
+def test_touching_wires_share_one_grid_line(touching_wires_case):
+    """Neighbouring wires whose shared edge is computed twice, with values an
+    ulp apart, get one grid line there, not a sliver cell between two."""
+    cs, policy = touching_wires_case
+    grid = sk.rasterize(cs, policy)
+    assert np.diff(grid.x_edges_m).min() >= policy.fine_m / 4
+    areas = np.diff(grid.x_edges_m)[:, None] * np.diff(grid.y_edges_m)[None, :]
+    nbn_area = float(areas[grid.eps == NBN_INDEX_1300 ** 2].sum())
+    assert nbn_area == pytest.approx(cs.wires.count * cs.wires.width_m * cs.wires.thickness_m, rel=1e-6)
+
+
+def test_clipped_window_bottom_is_the_lowest_interface(clipped_four_layer_case):
+    """A window clipped at the substrate top starts on the lowest layer
+    interface itself: no row of air below it, no sliver cell."""
+    cs, policy = clipped_four_layer_case
+    grid = sk.rasterize(cs, policy)
+    lowest = cs.stack.finite_spans()[-1][0]
+    assert cs.window_bottom_m == cs.stack.stack_bottom_m == lowest == grid.y_edges_m[0]
+    assert np.diff(grid.y_edges_m).min() >= policy.fine_m / 4
+    assert np.all(grid.eps[:, 0] == cs.index_of("GaAs") ** 2)
+
+
 # -- construction validation ----------------------------------------------
 
 def test_window_clearance_enforced(mats):
@@ -219,8 +241,9 @@ def test_stack_substrate_flag():
     ({"y_refine": ((-1e-6, 0.0, 0.0),)}, "cell sizes must be > 0"),
     ({"y_refine": ((-2e-6, -1e-6, 5e-9), (-1e-6, 0.0, -3e-9))}, "cell sizes must be > 0"),
     ({"edge_band_m": -1e-9}, "edge band"),
+    ({"fine_m": 30e-9}, "fine cell size must not exceed the base cell size"),
 ], ids=["far-0", "far-negative", "x_base-0", "x_base-negative", "y_refine-0",
-        "y_refine-negative", "edge_band-negative"])
+        "y_refine-negative", "edge_band-negative", "fine-above-base"])
 def test_policy_rejects_bad_cells_at_construction(changes, message):
     """Every cell size is checked when the policy is built. These policies
     are never rasterized: a zero cell divides by zero there, and a negative
@@ -229,46 +252,82 @@ def test_policy_rejects_bad_cells_at_construction(changes, message):
         sk.ResolutionPolicy(**changes)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: sk.LayerStack(()), "layer stack is empty"),
+    (lambda: sk.RidgeSpec(0.0, 250e-9), "ridge width must be > 0"),
+    (lambda: sk.RidgeSpec(1.85e-6, -1e-9), "etch depth must be > 0"),
+    (lambda: sk.NanowireArray(0, 100e-9, 250e-9, 4.3e-9), "wire count must be >= 1"),
+    (lambda: sk.NanowireArray(4, 0.0, 250e-9, 4.3e-9), "wire width and thickness must be > 0"),
+    (lambda: sk.NanowireArray(4, 100e-9, 250e-9, -1e-9), "wire width and thickness must be > 0"),
+    (lambda: sk.NanowireArray(4, 100e-9, 250e-9, 4.3e-9, cap_thickness_m=-1e-9),
+     "cap thickness must be >= 0"),
+    (lambda: sk.NanowireArray(4, 100e-9, 250e-9, 4.3e-9, cap_material=None, cap_thickness_m=1e-7),
+     "cap thickness given without a cap material"),
+    (lambda: sk.CrossSection(
+        sk.LayerStack((sk.Layer("GaAs", substrate=True), sk.Layer("GaAs", 300e-9)), ambient="vacuum"),
+        sk.RidgeSpec(1.85e-6, 250e-9), None, 6e-6, 3.6e-6, 1300e-9, sk.default_materials()),
+     "material 'vacuum' referenced but not defined"),
+    (lambda: PermittivityGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 5), np.ones((3, 3), complex)),
+     "eps array shape does not match"),
+], ids=["empty-stack", "ridge-width-0", "etch-negative", "count-0", "width-0", "thickness-negative",
+        "cap-negative", "cap-without-material", "undefined-material", "eps-shape"])
+def test_construction_validation_raises(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
 def test_min_clearance_constant():
     assert MIN_CLEARANCE_M == pytest.approx(1.5e-6)
 
 
 @st.composite
 def _cross_sections(draw):
-    """A detector cross-section with random stack, ridge and (optional,
-    possibly offset, possibly capped) wire array, in a window that meets
-    the clearance rule."""
+    """A detector cross-section with a random stack of 1-4 finite layers,
+    ridge and (optional, possibly offset, possibly capped, possibly
+    touching) wire array, in a window that meets the clearance rule and
+    may be tall enough to clip at the substrate top."""
     core_nm = draw(st.integers(150, 400))
-    ridge = sk.RidgeSpec(width_m=draw(st.integers(800, 2500)) * 1e-9,
-                         etch_depth_m=draw(st.integers(20, core_nm)) * 1e-9)
-    stack = sk.LayerStack((
-        sk.Layer("GaAs", substrate=True),
-        sk.Layer("AlGaAs", 1.5e-6),
-        sk.Layer("GaAs", core_nm * 1e-9),
-    ))
+    etch_nm = draw(st.integers(20, core_nm))
+    ridge = sk.RidgeSpec(width_m=draw(st.integers(800, 2500)) * 1e-9, etch_depth_m=etch_nm * 1e-9)
+    nms = draw(st.lists(st.integers(100, 1600), max_size=3)) + [core_nm]   # bottom to top
+    nms[0] += max(0, 1500 + etch_nm - sum(nms))   # room for the clearance below the ridge
+    mats = draw(st.lists(st.sampled_from(["GaAs", "AlGaAs"]), min_size=len(nms), max_size=len(nms)))
+    stack = sk.LayerStack((sk.Layer("GaAs", substrate=True),)
+                          + tuple(sk.Layer(mat, nm * 1e-9) for mat, nm in zip(mats, nms)))
     wires = None
     if draw(st.booleans()):
         width_nm = draw(st.integers(40, 150))
         cap = draw(st.sampled_from(["SiOx", None]))
         wires = sk.NanowireArray(
             count=draw(st.integers(1, 5)), width_m=width_nm * 1e-9,
-            pitch_m=(width_nm + draw(st.integers(0, 200))) * 1e-9,
+            pitch_m=(width_nm + draw(st.one_of(st.just(0), st.integers(0, 200)))) * 1e-9,
             thickness_m=draw(st.integers(4, 12)) * 1e-9, cap_material=cap,
             cap_thickness_m=draw(st.sampled_from([0, 60, 100])) * 1e-9 if cap else 0.0,
             offset_m=draw(st.one_of(st.just(0), st.integers(-300, 300))) * 1e-9)
         assume(sk.alignment_margin(ridge, wires) >= 0)
     top = wires.top_m if wires is not None else 0.0
+    extra_m = draw(st.sampled_from([0.0, 2e-6, 6e-6]))
     return sk.CrossSection(stack, ridge, wires, ridge.width_m + 3.4e-6,
-                           top + ridge.etch_depth_m + 3.4e-6, 1300e-9, sk.default_materials())
+                           top + ridge.etch_depth_m + 3.4e-6 + extra_m, 1300e-9, sk.default_materials())
 
 
 _POLICY = sk.ResolutionPolicy(base_m=50e-9)
 
 
+def _on_grid_lines(positions, lines) -> bool:
+    """Every position is a grid line, or lies within rounding of another
+    position that is one (two computations of one shared interface, such
+    as the touching edges of neighbouring wires, are one line)."""
+    lines = set(lines.tolist())
+    return all(p in lines or any(abs(p - q) < SAME_POSITION_M and q in lines for q in positions)
+               for p in positions)
+
+
 @settings(max_examples=30, deadline=None)
 @given(cs=_cross_sections())
 def test_rasterize_interfaces_on_grid_lines(cs):
-    """Every material interface inside the window is exactly a grid line."""
+    """Every material interface inside the window is exactly a grid line,
+    and no cell is a rounding-error sliver."""
     grid = sk.rasterize(cs, _POLICY)
     xs = [-cs.ridge.width_m / 2, cs.ridge.width_m / 2]
     ys = [-cs.ridge.etch_depth_m]
@@ -285,8 +344,9 @@ def test_rasterize_interfaces_on_grid_lines(cs):
             xs += [c - w.width_m / 2, c + w.width_m / 2]
         ys += [w.thickness_m] + ([w.thickness_m + w.cap_thickness_m] if w.cap_material else [])
     y_lo, y_hi = grid.y_edges_m[0], grid.y_edges_m[-1]
-    assert set(xs) <= set(grid.x_edges_m.tolist())
-    assert {v for v in ys if y_lo <= v <= y_hi} <= set(grid.y_edges_m.tolist())
+    assert _on_grid_lines(xs, grid.x_edges_m)
+    assert _on_grid_lines([v for v in ys if y_lo <= v <= y_hi], grid.y_edges_m)
+    assert min(np.diff(grid.x_edges_m).min(), np.diff(grid.y_edges_m).min()) > 1e-12
 
 
 def _material_at(cs, x: float, y: float) -> str:

@@ -65,6 +65,14 @@ def test_operator_rejects_tiny_grids():
         assemble_operator(uniform_grid(3.4, 8, 2, 20e-6))
 
 
+@pytest.mark.parametrize("wavelength_m", [0.0, -1300e-9], ids=["zero", "negative"])
+def test_operator_rejects_nonpositive_wavelength(wavelength_m):
+    edges = np.linspace(0.0, 1e-6, 9)
+    grid = PermittivityGrid(edges, edges, np.ones((8, 8), complex), wavelength_m)
+    with pytest.raises(DomainError, match="wavelength must be > 0"):
+        assemble_operator(grid)
+
+
 def test_plane_wave_limit_in_homogeneous_medium():
     """Largest beta^2 approaches (k0 n)^2; the residual gap is the zero-wall
     box quantization, and the error against the analytic box eigenvalue
@@ -369,6 +377,26 @@ def test_solve_fundamental_failures_are_convergence_errors():
     with pytest.raises(ConvergenceError, match="exceeds tolerance") as info:
         solve_fundamental(op, "TE", sk.SolverConfig(tolerance=1e-30))
     assert info.value.residual is not None and info.value.residual > 1e-30
+
+
+def test_touching_wires_te_query_passes_residual_gate(touching_wires_case, default_config):
+    """The shared edge of touching wires is one grid line, so the TE query
+    passes the residual gate; a sub-femtometre cell there fails it by ten
+    orders of magnitude."""
+    cs, policy = touching_wires_case
+    _grid, te = solve_cross_section(cs, policy, default_config.solver, "TE")
+    assert te is not None and te.polarization == "TE"
+    assert modal_absorption(te) > 0
+
+
+def test_clipped_four_layer_te_query_passes_residual_gate(clipped_four_layer_case, default_config):
+    """A window clipped at the substrate top starts on the lowest interface,
+    so the TE query passes the residual gate; a sub-femtometre row of air
+    under that interface fails it."""
+    cs, policy = clipped_four_layer_case
+    _grid, te = solve_cross_section(cs, policy, default_config.solver, "TE")
+    assert te is not None and te.polarization == "TE"
+    assert cs.index_of("AlGaAs").real < te.n_eff.real < cs.index_of("GaAs").real
 
 
 # -- guided-mode physics -----------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from snspdkit.errors import ConfigError, InconsistencyError
@@ -53,6 +55,15 @@ def test_apply_parameters(base_cs):
     assert cs.wires.count == 3
     assert cs.wires.offset_m == pytest.approx(50e-9)
     assert cs.wavelength_m == pytest.approx(1310e-9)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"wire_count": 2}, "wire_count sweep on a cross-section without wires"),
+    ({"array_offset_nm": 50}, "array_offset sweep on a cross-section without wires"),
+], ids=["wire_count", "array_offset_nm"])
+def test_apply_wire_parameters_needs_wires(base_cs, values, message):
+    with pytest.raises(ConfigError, match=message):
+        apply_parameters(replace(base_cs, wires=None), values)
 
 
 def test_sweep_margin_tracks_offset(base_cs):
