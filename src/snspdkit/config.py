@@ -19,6 +19,7 @@ import difflib
 import hashlib
 import importlib.resources
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -309,11 +310,11 @@ def _parse_targets(t: _Reader) -> dict:
     return merged
 
 
-def load_project_config(source: str | Path | dict) -> ProjectConfig:
+def load_project_config(source: str | os.PathLike | dict) -> ProjectConfig:
     """Parse and validate a configuration document (path or dict)."""
     if isinstance(source, dict):
         raw = source
-    else:
+    elif isinstance(source, (str, os.PathLike)):   # open() would take an int as a descriptor
         try:
             with open(source, encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -321,6 +322,10 @@ def load_project_config(source: str | Path | dict) -> ProjectConfig:
             raise ConfigError(f"config file not found: {source}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {source} is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {source} cannot be read: {exc}") from exc
+    else:
+        raise ConfigError(f"config source must be a dict or a file path, got {type(source).__name__}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     root = _Reader(raw, "config", [])

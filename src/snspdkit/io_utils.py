@@ -49,9 +49,11 @@ def write_csv(path: Path, columns: list[str], rows, config_digest: str = "none")
 
 
 def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, bool):
+    # numpy scalars format as Python ones: under numpy >= 2 their repr is
+    # "np.float64(...)", and str(np.True_) is "True"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     return str(v)
 

@@ -37,6 +37,10 @@ from .errors import ConfigError, ConvergenceError, DomainError
 from .geometry import CrossSection, PermittivityGrid, ResolutionPolicy, rasterize
 
 _ARNOLDI_SEED = 718281828  # fixed start-vector seed: solves are deterministic
+# Weight, against the seeded start vector, of a carried mode of unit
+# full-domain norm: the start is the carried mode, while the seeded part
+# keeps every other eigenvector represented.
+_CARRY_WEIGHT = 1e6
 _DIELECTRIC_IM_CUT = 0.1   # |Im n| below this counts as a dielectric for bracketing
 # Shift-invert LU of A - sigma*I. The sparsity pattern is nearly symmetric
 # (five-point blocks plus corner couplings), so minimum degree on A^T + A with
@@ -285,7 +289,8 @@ def solve_modes(op: ModeOperator, config: SolverConfig | None = None) -> list[Mo
 
 
 def solve_fundamental(
-    op: ModeOperator, kind: str, config: SolverConfig | None = None
+    op: ModeOperator, kind: str, config: SolverConfig | None = None,
+    start: ModeSolution | None = None,
 ) -> ModeSolution | None:
     """The mode ``select_mode(solve_modes(op, config), kind)`` picks, computed
     from as few eigenpairs as the query needs.
@@ -300,32 +305,42 @@ def solve_fundamental(
     the full operator and is the only one finalized. Returns None if no such
     mode is found within the cap.
 
-    Each rung restarts from the same seeded start vector, so skipping k = 1
-    for TM changes the pick only where a k = 1 rung would have stopped the
-    ladder and the second pair is a guided TM mode of higher Re(n_eff).
+    Skipping k = 1 for TM changes the pick only where a k = 1 rung would have
+    stopped the ladder and the second pair is a guided TM mode of higher
+    Re(n_eff).
+
+    ``start``, a mode solved before (on any grid), seeds every Arnoldi run
+    with its fields (see :func:`_start_vector`). It changes only how fast
+    the eigenpairs converge, not which are computed: a start close to the
+    answer, such as the previous point of a sweep, saves back-solves.
     """
     kind = _mode_kind(kind)
     config = config or SolverConfig()
-    _sigma, vals, vecs = _search(op, config, kind)
+    _sigma, vals, vecs = _search(op, config, kind, start)
     found = _first_of_kind(op, vals, vecs, kind)
     return None if found is None else _gated_mode(op, *found, config)
 
 
-def _search(op: ModeOperator, config: SolverConfig, kind: str | None):
+def _search(op: ModeOperator, config: SolverConfig, kind: str | None,
+            start: ModeSolution | None = None):
     """The shift sigma, and the eigenvalues and full-domain eigenvectors that
     :func:`_nearest` computes on each operator ``op`` is solved as, joined
     in operator order."""
     sigma = (op.k0 * (config.target_n_eff or 0.98 * op.index_bracket()[1])) ** 2
-    found = [_nearest(op, mat, lift, sigma, kind, config) for mat, lift in _operators(op)]
+    carried = None if start is None else _carried(op, start)
+    found = [_nearest(op, mat, lift, sigma, kind, config, carried)
+             for mat, lift in _operators(op)]
     return sigma, np.concatenate([v for v, _ in found]), np.hstack([u for _, u in found])
 
 
-def _nearest(op, mat, lift, sigma, kind, config):
+def _nearest(op, mat, lift, sigma, kind, config, carried):
     """The eigenpairs of ``mat`` nearest sigma, eigenvectors lifted to the
     full domain: the cap, ``num_modes`` of them, for ``kind`` None, or the k
     ladder of :func:`solve_fundamental` for "TE" or "TM". ``mat`` is factored
-    once, and the factorization dies with this call."""
-    nearest = _shift_invert(mat, sigma, config)
+    once, and the factorization dies with this call. ``carried`` is a
+    full-domain start field of unit norm, or None."""
+    guess = carried if carried is None or lift is None else lift.T @ carried
+    nearest = _shift_invert(mat, sigma, config, _start_vector(mat.shape[0], guess))
     cap = min(config.num_modes, mat.shape[0] - 2)
     reach = max(0.0, (op.k0 * op.index_bracket()[1]) ** 2 - sigma)
     # the pair nearest the default shift has been TE-like on every section
@@ -362,17 +377,37 @@ def _guided(op: ModeOperator, vals: np.ndarray):
             if n_clad < n_effs[idx].real < n_high]
 
 
-def _shift_invert(mat, sigma: float, config: SolverConfig):
+def _start_vector(nn: int, guess: np.ndarray | None) -> np.ndarray:
+    """Arnoldi start vector of an ``nn``-unknown operator: the seeded random
+    vector, plus ``_CARRY_WEIGHT`` times ``guess`` (the carried field in this
+    operator's unknowns, scaled by its full-domain norm). A parity class that
+    holds none of the carried field thus starts from the seeded vector, not
+    from its round-off made large."""
+    rng = np.random.default_rng(_ARNOLDI_SEED)
+    v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
+    return v0 if guess is None else v0 + _CARRY_WEIGHT * guess
+
+
+def _carried(op: ModeOperator, start: ModeSolution) -> np.ndarray:
+    """(Hx, Hy) of ``start`` on ``op``'s nodes as one full-domain vector of
+    unit norm: separable linear interpolation along x, then y, held constant
+    beyond ``start``'s outermost nodes."""
+    def resample(h):
+        h = np.apply_along_axis(lambda a: np.interp(op.x_nodes_m, start.x_nodes_m, a), 0, h)
+        return np.apply_along_axis(lambda a: np.interp(op.y_nodes_m, start.y_nodes_m, a), 1, h)
+
+    vec = np.concatenate([resample(start.hx).ravel(), resample(start.hy).ravel()])
+    return vec / np.linalg.norm(vec)
+
+
+def _shift_invert(mat, sigma: float, config: SolverConfig, v0: np.ndarray):
     """Factor mat - sigma*I once and return ``nearest(k)``: the k eigenpairs
-    of ``mat`` nearest sigma, by shift-invert Arnoldi with that LU and a
-    seeded start vector. The LU lives as long as ``nearest`` does."""
+    of ``mat`` nearest sigma, by shift-invert Arnoldi with that LU and the
+    start vector ``v0``. The LU lives as long as ``nearest`` does."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     nn = mat.shape[0]
-    rng = np.random.default_rng(_ARNOLDI_SEED)
-    v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
-
     lu = spla.splu(mat - sigma * sp.identity(nn, format="csc"), **_SHIFT_INVERT_LU)
     opinv = spla.LinearOperator((nn, nn), matvec=lu.solve, dtype=complex)
 
@@ -541,16 +576,18 @@ def solve_cross_section(
     policy: ResolutionPolicy | None = None,
     config: SolverConfig | None = None,
     kind: str | None = None,
+    start: ModeSolution | None = None,
 ) -> tuple[PermittivityGrid, list[ModeSolution] | ModeSolution | None]:
     """Rasterize, assemble and solve: the path from a cross-section to its
     modes that the CLI, the pipeline and sweeps share.
 
     Returns ``(grid, result)``. With ``kind`` None, ``result`` is the
     :func:`solve_modes` list; with ``kind`` "TE" or "TM", it is the mode
-    :func:`solve_fundamental` computes, or None if there is none.
+    :func:`solve_fundamental` computes from ``start``, or None if there is
+    none; the mode list does not use ``start``.
     """
     grid = rasterize(cs, policy)
     op = assemble_operator(grid)
     if kind is None:
         return grid, solve_modes(op, config)
-    return grid, solve_fundamental(op, kind, config)
+    return grid, solve_fundamental(op, kind, config, start)

@@ -128,14 +128,23 @@ def apply_parameters(base: CrossSection, values: dict[str, float]) -> CrossSecti
 
 
 def _default_evaluate(base, spec, policy, solver_config):
-    """Real evaluation path: build, solve, select, measure."""
+    """Real evaluation path: build, solve, select, measure.
+
+    Each solve starts its Arnoldi runs from the last mode this evaluator
+    solved (continuation: neighbouring points have nearly the same mode);
+    the first point, and every point before the first solved one, starts
+    cold. A failed or no-mode point leaves the start as it was.
+    """
+    last = None
 
     def evaluate(values: dict[str, float]):
+        nonlocal last
         cs = apply_parameters(base, values)
         margin = alignment_margin(cs.ridge, cs.wires) if cs.wires is not None else None
-        _grid, mode = solve_cross_section(cs, policy, solver_config, spec.mode_kind)
+        _grid, mode = solve_cross_section(cs, policy, solver_config, spec.mode_kind, last)
         if mode is None:
             return None, None, None, margin
+        last = mode
         return mode.n_eff, modal_absorption(mode), mode.te_fraction, margin
 
     return evaluate

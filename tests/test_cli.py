@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -311,6 +312,16 @@ def test_solve_mode_invalid_config(runner, tmp_path):
     assert not out.exists()
 
 
+def test_config_directory_exit_code(runner, tmp_path):
+    """A directory given as ``--config`` is a config error (exit 2) that
+    names it, not a traceback with exit 1."""
+    out = tmp_path / "nothing"
+    result = runner.invoke(main, ["solve-mode", "--config", str(tmp_path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"config file {tmp_path} cannot be read" in result.output
+    assert not out.exists()
+
+
 def test_solve_mode_invalid_solver_setting_exit_code(runner, tmp_path):
     """max_iterations below 1 is a config error (exit 2), not an ARPACK
     ValueError escaping as an unexpected failure."""
@@ -480,8 +491,10 @@ def test_reproduce_skip_marks_not_run(runner, tmp_path):
 
 def test_reproduce_data_files_repeat_byte_identical(runner, tmp_path):
     """Two reproduce-paper runs of one config write byte-identical CSV/TXT
-    data files; only the JSON manifests carry timestamps. Coarse grid: base
-    and far cells doubled."""
+    data files; only the JSON manifests carry timestamps. Every CSV data
+    cell is a number, true/false or a word (a stage, check or status name),
+    never a repr such as ``np.float64(0.5)``. Coarse grid: base and far cells
+    doubled."""
     with open(default_config_path(), encoding="utf-8") as fh:
         raw = json.load(fh)
     policy = raw["solver"]["policy"]
@@ -498,6 +511,18 @@ def test_reproduce_data_files_repeat_byte_identical(runner, tmp_path):
                         for p in sorted(out.iterdir()) if p.suffix in (".csv", ".txt")})
     assert {"grid_eps.txt", "mode_te0_hx.txt", "count_rate_vs_power.csv"} <= set(digests[0])
     assert digests[0] == digests[1]
+    for path in sorted(out.glob("*.csv")):
+        for row in path.read_text(encoding="utf-8").splitlines()[2:]:
+            for cell in row.split(","):
+                assert _is_data_cell(cell), f"{path.name}: {cell!r}"
+
+
+def _is_data_cell(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return re.fullmatch(r"[a-z][A-Za-z0-9_-]*", cell) is not None
 
 
 def test_reproduce_without_wires_fails_dependents(runner, tmp_path):

@@ -314,13 +314,25 @@ def test_solve_at_other_wavelength_in_band():
 
 
 def test_config_file_errors(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
-        load_project_config(tmp_path / "missing.json")
+    """Every source that cannot be read as a config is a ConfigError naming
+    the path or the source type. An int or a bool is not taken as a file
+    descriptor (``load_project_config(True)`` once read, then closed, stdout)."""
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        load_project_config(bad)
     listed = tmp_path / "list.json"
     listed.write_text(json.dumps([_raw_default()]))
-    with pytest.raises(ConfigError, match="config root must be a JSON object"):
-        load_project_config(listed)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"version": "caf\u00e9"}'.encode("latin-1"))
+    cases = [
+        (tmp_path / "missing.json", "not found"),
+        (bad, "not valid JSON"),
+        (listed, "config root must be a JSON object"),
+        (tmp_path, f"config file {re.escape(str(tmp_path))} cannot be read"),
+        (str(latin1), f"config file {re.escape(str(latin1))} cannot be read"),
+        (True, "config source must be a dict or a file path, got bool"),
+        (1, "config source must be a dict or a file path, got int"),
+        ([], "config source must be a dict or a file path, got list"),
+    ]
+    for source, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            load_project_config(source)

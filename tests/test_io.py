@@ -23,6 +23,15 @@ def test_csv_header_and_rows(tmp_path):
     assert lines[2] == "1.5,x"
 
 
+def test_csv_numpy_scalars_format_as_python(tmp_path):
+    """numpy scalars are written as the Python float or bool they hold; under
+    numpy >= 2 their repr would write ``np.float64(0.5)``."""
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c", "d"],
+              [(np.float64(0.5), np.float32(0.25), np.bool_(True), np.False_)])
+    assert path.read_text().splitlines()[2] == "0.5,0.25,true,false"
+
+
 def test_complex_matrix_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))

@@ -129,10 +129,10 @@ def solves(monkeypatch):
     record = SimpleNamespace(factored=[], runs=[], lus=[])
     inner = modes_module._shift_invert
 
-    def spy(mat, sigma, config):
+    def spy(mat, sigma, config, v0):
         assert all(lu() is None for lu in record.lus), "an earlier factorization is still alive"
         record.factored.append(mat.shape[0])
-        nearest = inner(mat, sigma, config)
+        nearest = inner(mat, sigma, config, v0)
         record.lus.append(weakref.ref(nearest))
 
         def counted(k):
@@ -377,6 +377,66 @@ def test_solve_fundamental_failures_are_convergence_errors():
     with pytest.raises(ConvergenceError, match="exceeds tolerance") as info:
         solve_fundamental(op, "TE", sk.SolverConfig(tolerance=1e-30))
     assert info.value.residual is not None and info.value.residual > 1e-30
+
+
+# -- start from a solved mode ---------------------------------------------------
+
+@pytest.fixture()
+def backsolves(monkeypatch):
+    """Counts the OPinv applications (LU back-solves) of the solves that follow."""
+    record = SimpleNamespace(count=0)
+    splu = spla.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            record.count += 1
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: Counted(splu(*a, **k)))
+    return record
+
+
+def test_start_from_neighbour_saves_backsolves(default_config, coarse_solved, backsolves):
+    """An asymmetric step (array offset 100 -> 200 nm, which moves grid
+    lines) started from the neighbour's TE mode takes fewer OPinv
+    applications than the seeded start, for the same eigenpair."""
+    cfg = default_config
+    start = select_mode(coarse_solved["offset"][1], "TE")
+    cs = apply_parameters(cfg.cross_section, {"array_offset_nm": 200})
+    op = assemble_operator(rasterize(cs, coarse_case(cfg, "offset")[1]))
+    assert not np.array_equal(op.x_nodes_m, start.x_nodes_m)
+    counts = []
+    for kwargs in ({}, {"start": start}):
+        backsolves.count = 0
+        mode = solve_fundamental(op, "TE", cfg.solver, **kwargs)
+        counts.append(backsolves.count)
+        if not kwargs:
+            cold = mode
+    assert counts[1] < counts[0]
+    assert abs(mode.n_eff - cold.n_eff) <= 1e-9 * abs(cold.n_eff)
+    assert mode.polarization == cold.polarization == "TE"
+
+
+@pytest.mark.parametrize("start_from", ["tm-mode", "other-section"])
+@pytest.mark.parametrize("geometry", ["shipped", "offset"])
+def test_wrong_start_gives_the_cold_pick(default_config, coarse_solved, geometry, start_from):
+    """A start far from the answer, the TM mode for a TE query or a mode of
+    an unrelated section on another grid, changes only the convergence: the
+    TE query still picks the mode the seeded start picks, on the split and
+    the full-domain paths."""
+    op, modes = coarse_solved[geometry]
+    if start_from == "tm-mode":
+        start = select_mode(modes, "TM")
+    else:
+        start = solve_fundamental(assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6)), "TE")
+    assert start is not None
+    cold = select_mode(modes, "TE")
+    mode = solve_fundamental(op, "TE", default_config.solver, start)
+    assert abs(mode.n_eff - cold.n_eff) <= 1e-9 * abs(cold.n_eff)
+    assert mode.polarization == "TE"
 
 
 def test_touching_wires_te_query_passes_residual_gate(touching_wires_case, default_config):

@@ -2,8 +2,12 @@ from dataclasses import replace
 
 import pytest
 
+import snspdkit.sweep as sweep_module
+from snspdkit import ResolutionPolicy, SolverConfig
 from snspdkit.errors import ConfigError, InconsistencyError
+from snspdkit.geometry import alignment_margin
 from snspdkit.io_utils import sweep_to_rows
+from snspdkit.modes import modal_absorption, solve_cross_section
 from snspdkit.sweep import (
     OptimizeResult,
     SweepParameter,
@@ -218,6 +222,96 @@ def test_sweep_wavelength_across_band_edge(default_config):
     assert f"material {info.value.material!r}" in out.status
     assert out.n_eff is None and not out.feasible
     assert result.best in (ok_1340, ok_1360)
+
+
+# -- continuation: each solve starts from the last solved mode ------------------
+
+COARSE = ResolutionPolicy(base_m=50e-9, band_m=30e-9, edge_band_m=12e-9,
+                          far_m=125e-9, far_margin_m=400e-9)
+
+
+@pytest.fixture()
+def starts(monkeypatch):
+    """The n_eff of the mode each real-path solve started from (None: cold)."""
+    record = []
+    inner = sweep_module.solve_cross_section
+
+    def spy(cs, policy, config, kind, start=None):
+        record.append(None if start is None else start.n_eff)
+        return inner(cs, policy, config, kind, start)
+
+    monkeypatch.setattr(sweep_module, "solve_cross_section", spy)
+    return record
+
+
+def cold_point(base, spec, values):
+    """The point of ``values`` as a one-point sweep, which solves cold."""
+    one = replace(spec, parameters=tuple(SweepParameter(n, v, v, 1.0) for n, v in values.items()))
+    return run_sweep(base, one, COARSE).points[0]
+
+
+def assert_same_point(p, ref):
+    """The row of a started solve is the cold row up to the last digits."""
+    assert (p.params, p.status, p.feasible, p.margin_m) == (ref.params, ref.status, ref.feasible,
+                                                            ref.margin_m)
+    if ref.status == "ok":
+        assert abs(p.n_eff - ref.n_eff) <= 1e-9 * abs(ref.n_eff)
+        assert (p.te_fraction >= 0.5) == (ref.te_fraction >= 0.5)   # same polarization
+
+
+@pytest.mark.parametrize("axis, kind", [
+    (("array_offset_nm", 0.0, 200.0, 100.0), "TE"),
+    (("core_thickness_nm", 330.0, 350.0, 20.0), "TM"),
+    (("wavelength_nm", 1300.0, 1320.0, 20.0), "TE"),   # mirror-symmetric at every point
+], ids=["te-offset", "tm-core", "te-wavelength"])
+def test_continued_sweep_matches_cold_solves(base_cs, starts, axis, kind):
+    """Every point after the first starts from the previous point's mode,
+    and equals the cold solve of that point alone."""
+    spec = SweepSpec((SweepParameter(*axis),), mode_kind=kind, min_margin_m=0.3e-6)
+    result = run_sweep(base_cs, spec, COARSE)
+    assert all(p.status == "ok" for p in result.points)
+    assert starts == [None] + [p.n_eff for p in result.points[:-1]]
+    for p in result.points:
+        assert_same_point(p, cold_point(base_cs, spec, p.params))
+
+
+def test_continued_sweep_repeats_bit_identically(base_cs):
+    spec = SweepSpec((SweepParameter("array_offset_nm", 0.0, 100.0, 100.0),))
+    first, second = (run_sweep(base_cs, spec, COARSE) for _ in range(2))
+    assert first.points == second.points
+
+
+def test_failed_point_keeps_the_start(base_cs, starts):
+    """A point that fails (1380 nm is above the material tables, so building
+    its section raises before any solve) does not replace the start: the next
+    point starts from the last solved mode and equals its cold solve."""
+    spec = SweepSpec((SweepParameter("array_offset_nm", 0.0, 100.0, 100.0),
+                      SweepParameter("wavelength_nm", 1360.0, 1380.0, 20.0)))
+    result = run_sweep(base_cs, spec, COARSE)
+    assert [p.status.split(":")[0] for p in result.points] == ["ok", "failed", "ok", "failed"]
+    assert starts == [None, result.points[0].n_eff]
+    assert_same_point(result.points[2], cold_point(base_cs, spec, result.points[2].params))
+
+
+def test_continued_optimize_matches_cold_optimize(base_cs):
+    """``maximize_alpha`` with the real evaluator (continued over the coarse
+    pass and the refinement) probes the same points, with the same statuses,
+    and returns the same best point as with every point solved cold."""
+    spec = SweepSpec((SweepParameter("core_thickness_nm", 280.0, 360.0, 40.0),), min_margin_m=0.0)
+
+    def cold(values):
+        cs = apply_parameters(base_cs, values)
+        _grid, mode = solve_cross_section(cs, COARSE, SolverConfig(), spec.mode_kind)
+        return (mode.n_eff, modal_absorption(mode), mode.te_fraction,
+                alignment_margin(cs.ridge, cs.wires))
+
+    warm = maximize_alpha(base_cs, spec, COARSE, tolerance=20.0)
+    ref = maximize_alpha(base_cs, spec, evaluate=cold, tolerance=20.0)
+    assert len(warm.trace) == len(ref.trace) > 3   # the refinement probed
+    for p, q in zip(warm.trace, ref.trace):
+        assert_same_point(p, q)
+    assert (warm.status, warm.iterations, warm.best.params) == (ref.status, ref.iterations,
+                                                                ref.best.params)
 
 
 def test_optimize_recovers_synthetic_argmax(base_cs):
