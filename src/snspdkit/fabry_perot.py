@@ -112,7 +112,11 @@ def fresnel_reflectivity(n_eff: float) -> float:
 
 def read_fringe_scan(path: str | Path, single_pass: float = 1.0) -> FringeData:
     """Load a fringe scan CSV (wavelength_nm, transmission) and pick robust
-    extrema as the 95th/5th percentiles of the transmission samples."""
+    extrema as the 95th/5th percentiles of the transmission samples.
+
+    Blank and ``#`` comment rows are skipped, and so are non-numeric rows
+    before the first data row (headers). A later non-numeric row, or a row
+    with one column, is a DomainError naming its line."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -121,9 +125,9 @@ def read_fringe_scan(path: str | Path, single_pass: float = 1.0) -> FringeData:
                 continue
             try:
                 rows.append((float(row[0]), float(row[1])))
-            except ValueError:
-                continue  # header row
-            except IndexError:
+            except (ValueError, IndexError) as exc:
+                if isinstance(exc, ValueError) and not rows:
+                    continue  # header row
                 raise DomainError(f"fringe scan {path} line {reader.line_num}: "
                                   "expected wavelength_nm, transmission") from None
     if len(rows) < 10:

@@ -325,29 +325,51 @@ def _search(op: ModeOperator, config: SolverConfig, kind: str | None,
             start: ModeSolution | None = None):
     """The shift sigma, and the eigenvalues and full-domain eigenvectors that
     :func:`_nearest` computes on each operator ``op`` is solved as, joined
-    in operator order."""
-    sigma = (op.k0 * (config.target_n_eff or 0.98 * op.index_bracket()[1])) ** 2
+    in operator order; sigma and the ladder's reach are computed once."""
+    n_core = op.index_bracket()[1]
+    sigma = (op.k0 * (config.target_n_eff or 0.98 * n_core)) ** 2
+    reach = max(0.0, (op.k0 * n_core) ** 2 - sigma)
     carried = None if start is None else _carried(op, start)
-    found = [_nearest(op, mat, lift, sigma, kind, config, carried)
+    found = [_nearest(op, mat, lift, sigma, reach, kind, config, carried)
              for mat, lift in _operators(op)]
     return sigma, np.concatenate([v for v, _ in found]), np.hstack([u for _, u in found])
 
 
-def _nearest(op, mat, lift, sigma, kind, config, carried):
+def _nearest(op, mat, lift, sigma, reach, kind, config, carried):
     """The eigenpairs of ``mat`` nearest sigma, eigenvectors lifted to the
     full domain: the cap, ``num_modes`` of them, for ``kind`` None, or the k
-    ladder of :func:`solve_fundamental` for "TE" or "TM". ``mat`` is factored
-    once, and the factorization dies with this call. ``carried`` is a
-    full-domain start field of unit norm, or None."""
-    guess = carried if carried is None or lift is None else lift.T @ carried
-    nearest = _shift_invert(mat, sigma, config, _start_vector(mat.shape[0], guess))
-    cap = min(config.num_modes, mat.shape[0] - 2)
-    reach = max(0.0, (op.k0 * op.index_bracket()[1]) ** 2 - sigma)
+    ladder of :func:`solve_fundamental`, with its reach from sigma, for "TE"
+    or "TM". Every Arnoldi run uses one LU of mat - sigma*I, which dies with
+    this call, and a start built from ``carried``, a full-domain field of
+    unit norm or None."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    nn = mat.shape[0]
+    lu = spla.splu(mat - sigma * sp.identity(nn, format="csc"), **_SHIFT_INVERT_LU)
+    backsolves = 0
+
+    def backsolve(rhs):
+        nonlocal backsolves
+        backsolves += 1
+        return lu.solve(rhs)
+
+    opinv = spla.LinearOperator((nn, nn), matvec=backsolve, dtype=complex)
+    v0 = _start_vector(nn, carried if carried is None or lift is None else lift.T @ carried)
+    cap = min(config.num_modes, nn - 2)
     # the pair nearest the default shift has been TE-like on every section
     # solved so far, so a TM ladder skips k = 1
     k = cap if kind is None else min(2 if kind == "TM" else 1, cap)
     while True:
-        vals, vecs = nearest(k)
+        try:
+            vals, vecs = spla.eigs(mat, k=k, sigma=sigma, OPinv=opinv, v0=v0, tol=0,
+                                   maxiter=config.max_iterations, return_eigenvectors=True)
+        except spla.ArpackNoConvergence as exc:
+            found = 0 if exc.eigenvalues is None else len(exc.eigenvalues)
+            raise ConvergenceError(
+                f"eigensolver did not converge within {config.max_iterations} iterations "
+                f"(k = {k} of cap {cap}, {found} eigenvalues found; "
+                f"{nn} unknowns, {backsolves} back-solves)") from exc
         if lift is not None:
             vecs = lift @ vecs
         if k == cap or (_first_of_kind(op, vals, vecs, kind) is not None
@@ -398,33 +420,6 @@ def _carried(op: ModeOperator, start: ModeSolution) -> np.ndarray:
 
     vec = np.concatenate([resample(start.hx).ravel(), resample(start.hy).ravel()])
     return vec / np.linalg.norm(vec)
-
-
-def _shift_invert(mat, sigma: float, config: SolverConfig, v0: np.ndarray):
-    """Factor mat - sigma*I once and return ``nearest(k)``: the k eigenpairs
-    of ``mat`` nearest sigma, by shift-invert Arnoldi with that LU and the
-    start vector ``v0``. The LU lives as long as ``nearest`` does."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    nn = mat.shape[0]
-    lu = spla.splu(mat - sigma * sp.identity(nn, format="csc"), **_SHIFT_INVERT_LU)
-    opinv = spla.LinearOperator((nn, nn), matvec=lu.solve, dtype=complex)
-
-    def nearest(k: int):
-        try:
-            return spla.eigs(
-                mat, k=k, sigma=sigma, OPinv=opinv, v0=v0, tol=0,
-                maxiter=config.max_iterations, return_eigenvectors=True,
-            )
-        except spla.ArpackNoConvergence as exc:
-            found = 0 if exc.eigenvalues is None else len(exc.eigenvalues)
-            raise ConvergenceError(
-                f"eigensolver did not converge within {config.max_iterations} iterations "
-                f"({found}/{k} eigenvalues found)"
-            ) from exc
-
-    return nearest
 
 
 def _operators(op: ModeOperator):

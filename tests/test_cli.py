@@ -150,6 +150,16 @@ def test_fp_extract_one_column_scan_exit_code(runner, tmp_path):
     assert "line 2" in result.output
 
 
+def test_fp_extract_garbled_scan_row_exit_code(runner, tmp_path):
+    scan = tmp_path / "scan.csv"
+    rows = [f"{1300 + k},{0.02 + 0.004 * k}" for k in range(12)]
+    scan.write_text("wavelength_nm,transmission\n" + "\n".join(rows[:5]) + "\n1320,0.0x5\n"
+                    + "\n".join(rows[5:]) + "\n")
+    result = runner.invoke(main, ["fp-extract", "--scan-csv", str(scan)])
+    assert result.exit_code == 3, result.output
+    assert "line 7" in result.output
+
+
 def test_fp_extract_without_inputs_exit_code(runner):
     result = runner.invoke(main, ["fp-extract", "--tmax", "0.061"])
     assert result.exit_code == 3, result.output

@@ -151,12 +151,26 @@ def test_read_fringe_scan_needs_data(tmp_path):
         read_fringe_scan(path)
 
 
-def test_read_fringe_scan_one_column_row_names_line(tmp_path):
-    """A data row without a transmission column is a DomainError naming its
-    line; comment and header rows are still skipped."""
+def scan_with_bad_row(tmp_path, bad):
+    """A fringe scan file: a comment, a header and 12 data rows, with ``bad``
+    on line 8, after the fifth data row."""
     path = tmp_path / "scan.csv"
     rows = [f"{1300 + k},{0.02 + 0.004 * k}" for k in range(12)]
     path.write_text("# fringe scan\nwavelength_nm,transmission\n" + "\n".join(rows[:5])
-                    + "\n1320\n" + "\n".join(rows[5:]) + "\n")
+                    + f"\n{bad}\n" + "\n".join(rows[5:]) + "\n")
+    return path
+
+
+def test_read_fringe_scan_one_column_row_names_line(tmp_path):
+    """A data row without a transmission column is a DomainError naming its
+    line; comment and header rows are still skipped."""
     with pytest.raises(DomainError, match="line 8"):
-        read_fringe_scan(path)
+        read_fringe_scan(scan_with_bad_row(tmp_path, "1320"))
+
+
+@pytest.mark.parametrize("garbled", ["1320,0.0x5", "1321,n/a", "n/a,0.05"])
+def test_read_fringe_scan_garbled_row_names_line(tmp_path, garbled):
+    """A non-numeric row after the first data row is a DomainError naming its
+    line, not a header: the extrema never come from the other rows alone."""
+    with pytest.raises(DomainError, match="line 8"):
+        read_fringe_scan(scan_with_bad_row(tmp_path, garbled))

@@ -12,7 +12,6 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import snspdkit as sk
-import snspdkit.modes as modes_module
 from snspdkit.errors import ConfigError, ConvergenceError, DomainError
 from snspdkit.geometry import PermittivityGrid, rasterize
 from snspdkit.modes import (
@@ -120,28 +119,39 @@ def test_max_iterations_at_arpack_limit_solves():
 
 @pytest.fixture()
 def solves(monkeypatch):
-    """Records the shift-invert work of a solve: ``factored`` holds the
-    unknown count of each factorization (one full-size operator, or one
-    half-size operator per mirror parity class), ``runs`` the (unknowns, k)
-    of each Arnoldi run on those factorizations, and ``lus`` a weak reference
-    to each factorization's closure. Each new factorization asserts that the
-    earlier ones are dead: one LU is alive at a time."""
-    record = SimpleNamespace(factored=[], runs=[], lus=[])
-    inner = modes_module._shift_invert
+    """Records the shift-invert work of the solves that follow through
+    SciPy's public ``splu`` and ``eigs``: ``factored`` holds the unknown
+    count of each factorization (one full-size operator, or one half-size
+    operator per mirror parity class), ``runs`` the (unknowns, k) of each
+    Arnoldi run given an ``OPinv`` (the ``full_domain_eigs`` oracle passes
+    none and is not recorded), ``backsolves`` the number of LU back-solves,
+    and ``lus`` a weak reference to each LU. Each new factorization asserts
+    that the earlier ones are dead: one LU is alive at a time."""
+    record = SimpleNamespace(factored=[], runs=[], lus=[], backsolves=0)
+    splu, eigs = spla.splu, spla.eigs
 
-    def spy(mat, sigma, config, v0):
+    class CountedLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            record.backsolves += 1
+            return self.lu.solve(rhs)
+
+    def factor(mat, *args, **kwargs):
         assert all(lu() is None for lu in record.lus), "an earlier factorization is still alive"
         record.factored.append(mat.shape[0])
-        nearest = inner(mat, sigma, config, v0)
-        record.lus.append(weakref.ref(nearest))
+        lu = CountedLU(splu(mat, *args, **kwargs))
+        record.lus.append(weakref.ref(lu))
+        return lu
 
-        def counted(k):
+    def arnoldi(mat, k=6, *args, **kwargs):
+        if kwargs.get("OPinv") is not None:
             record.runs.append((mat.shape[0], k))
-            return nearest(k)
+        return eigs(mat, k, *args, **kwargs)
 
-        return counted
-
-    monkeypatch.setattr(modes_module, "_shift_invert", spy)
+    monkeypatch.setattr(spla, "splu", factor)
+    monkeypatch.setattr(spla, "eigs", arnoldi)
     return record
 
 
@@ -231,7 +241,11 @@ def test_arpack_no_convergence_is_convergence_error(mirrored, solves):
     assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
     # linspace edges are not exactly symmetric: one full-domain solve; the
     # reflected grid is split and its first parity class already fails
-    assert solves.factored == [op.matrix.shape[0] // 2 if mirrored else op.matrix.shape[0]]
+    unknowns = op.matrix.shape[0] // 2 if mirrored else op.matrix.shape[0]
+    assert solves.factored == [unknowns]
+    # the message names the failing operator, its rung and the back-solves spent
+    assert "(k = 8 of cap 8, " in str(info.value)
+    assert str(info.value).endswith(f"; {unknowns} unknowns, {solves.backsolves} back-solves)")
 
 
 def test_residual_gate_raises_with_residual():
@@ -240,6 +254,18 @@ def test_residual_gate_raises_with_residual():
     with pytest.raises(ConvergenceError, match="exceeds tolerance") as info:
         solve_modes(op, sk.SolverConfig(tolerance=1e-30))
     assert info.value.residual is not None and info.value.residual > 1e-30
+
+
+@pytest.mark.parametrize("fine_nm", [2.0, 1.5, 1.0])
+def test_residual_gate_headroom_as_wire_cells_shrink(default_config, fine_nm):
+    """TE0 passes the residual gate with at least 10x headroom as the
+    wire-layer cells shrink from 2 to 1 nm on a coarse bulk grid (measured:
+    about 102, 84 and 40). The residual's round-off floor grows as
+    1/h_min^2, so a shrinking margin shows here before the gate fails."""
+    cfg = default_config
+    policy = cfg.policy.bulk_refined(0.35, fine_m=fine_nm * 1e-9)
+    grid, mode = solve_cross_section(cfg.cross_section, policy, cfg.solver, "TE")
+    assert cfg.solver.tolerance / mode_residual(assemble_operator(grid), mode) >= 10
 
 
 # -- query-sized solve ---------------------------------------------------------
@@ -365,13 +391,17 @@ def test_one_factorization_alive_at_a_time(default_config, coarse_solved, kind, 
     assert all(lu() is None for lu in solves.lus)
 
 
-def test_solve_fundamental_failures_are_convergence_errors():
+def test_solve_fundamental_failures_are_convergence_errors(solves):
     # the clustered spectrum of an empty window does not converge in one
     # iteration even at k = 1
     empty = assemble_operator(uniform_grid(1.0, 24, 24, 10e-6))
     with pytest.raises(ConvergenceError, match="did not converge within 1 iterations") as info:
         solve_fundamental(empty, "TE", sk.SolverConfig(max_iterations=1))
     assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
+    assert "(k = 1 of cap 8, " in str(info.value)
+    assert str(info.value).endswith(
+        f"; {empty.matrix.shape[0]} unknowns, {solves.backsolves} back-solves)")
+    del info   # its traceback holds the failed operator's LU
     op = assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6))
     assert solve_fundamental(op, "TE") is not None   # the gate is reached
     with pytest.raises(ConvergenceError, match="exceeds tolerance") as info:
@@ -381,25 +411,7 @@ def test_solve_fundamental_failures_are_convergence_errors():
 
 # -- start from a solved mode ---------------------------------------------------
 
-@pytest.fixture()
-def backsolves(monkeypatch):
-    """Counts the OPinv applications (LU back-solves) of the solves that follow."""
-    record = SimpleNamespace(count=0)
-    splu = spla.splu
-
-    class Counted:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, rhs):
-            record.count += 1
-            return self.lu.solve(rhs)
-
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: Counted(splu(*a, **k)))
-    return record
-
-
-def test_start_from_neighbour_saves_backsolves(default_config, coarse_solved, backsolves):
+def test_start_from_neighbour_saves_backsolves(default_config, coarse_solved, solves):
     """An asymmetric step (array offset 100 -> 200 nm, which moves grid
     lines) started from the neighbour's TE mode takes fewer OPinv
     applications than the seeded start, for the same eigenpair."""
@@ -410,9 +422,9 @@ def test_start_from_neighbour_saves_backsolves(default_config, coarse_solved, ba
     assert not np.array_equal(op.x_nodes_m, start.x_nodes_m)
     counts = []
     for kwargs in ({}, {"start": start}):
-        backsolves.count = 0
+        solves.backsolves = 0
         mode = solve_fundamental(op, "TE", cfg.solver, **kwargs)
-        counts.append(backsolves.count)
+        counts.append(solves.backsolves)
         if not kwargs:
             cold = mode
     assert counts[1] < counts[0]
