@@ -9,6 +9,7 @@ the ``SNSPDKIT_OUT`` environment variable, then the config's
 5 inconsistency errors; 1 unexpected failure.
 """
 
+import math
 import os
 import sys
 
@@ -44,6 +45,21 @@ def _resolve_out(flag_value: str | None, config=None) -> OutputDir:
         return OutputDir(env)
     return OutputDir(config.output_dir if config is not None else "runs")
 
+
+class _FiniteFloat(click.ParamType):
+    """A float flag: ``nan`` and ``inf`` are usage errors, as config numbers
+    must be finite and JSON has no spelling for them."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        number = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return number
+
+
+FINITE_FLOAT = _FiniteFloat()
 
 config_option = click.option(
     "--config", "config_path", type=click.Path(), default=None,
@@ -118,8 +134,8 @@ def cmd_solve_mode(config_path, mode_index, dump_fields, dump_grid, as_json, out
 
 
 @main.command("absorptance")
-@click.option("--alpha-per-cm", type=float, required=True)
-@click.option("--length-um", type=float, required=True)
+@click.option("--alpha-per-cm", type=FINITE_FLOAT, required=True)
+@click.option("--length-um", type=FINITE_FLOAT, required=True)
 @json_option
 def cmd_absorptance(alpha_per_cm, length_um, as_json):
     """Beer-Lambert absorbed fraction after a propagation length."""
@@ -128,13 +144,13 @@ def cmd_absorptance(alpha_per_cm, length_um, as_json):
 
 
 @main.command("pulse")
-@click.option("--lsq-ph-per-sq", type=float, default=90.0, help="Sheet kinetic inductance [pH/square].")
+@click.option("--lsq-ph-per-sq", type=FINITE_FLOAT, default=90.0, help="Sheet kinetic inductance [pH/square].")
 @click.option("--wires", type=int, default=4)
-@click.option("--length-um", type=float, default=50.0)
-@click.option("--width-nm", type=float, default=100.0)
-@click.option("--rload-ohm", type=float, default=50.0)
-@click.option("--rise-ps", type=float, default=200.0)
-@click.option("--fwhm-target-ns", type=float, default=None,
+@click.option("--length-um", type=FINITE_FLOAT, default=50.0)
+@click.option("--width-nm", type=FINITE_FLOAT, default=100.0)
+@click.option("--rload-ohm", type=FINITE_FLOAT, default=50.0)
+@click.option("--rise-ps", type=FINITE_FLOAT, default=200.0)
+@click.option("--fwhm-target-ns", type=FINITE_FLOAT, default=None,
               help="Fit the rise constant that reproduces this measured FWHM.")
 @click.option("--dump-trace", is_flag=True, help="Write the pulse trace CSV.")
 @json_option
@@ -168,9 +184,9 @@ def cmd_pulse(lsq_ph_per_sq, wires, length_um, width_nm, rload_ohm, rise_ps,
 
 
 @main.command("fp-extract")
-@click.option("--tmax", type=float, default=None, help="Maximum fringe transmission.")
-@click.option("--tmin", type=float, default=None, help="Minimum fringe transmission.")
-@click.option("--single-pass", type=float, default=1.0,
+@click.option("--tmax", type=FINITE_FLOAT, default=None, help="Maximum fringe transmission.")
+@click.option("--tmin", type=FINITE_FLOAT, default=None, help="Minimum fringe transmission.")
+@click.option("--single-pass", type=FINITE_FLOAT, default=1.0,
               help="Assumed single-pass propagation transmission (default 1).")
 @click.option("--scan-csv", type=click.Path(), default=None,
               help="Fringe scan CSV (wavelength_nm, transmission); extrema by 95th/5th percentile.")
@@ -195,10 +211,10 @@ def cmd_fp_extract(tmax, tmin, single_pass, scan_csv, as_json):
 
 
 @main.command("efficiency")
-@click.option("--coupling", type=float, default=None)
-@click.option("--absorptance", "absorptance_", type=float, required=True)
-@click.option("--internal", type=float, default=None)
-@click.option("--dqe", type=float, default=None,
+@click.option("--coupling", type=FINITE_FLOAT, default=None)
+@click.option("--absorptance", "absorptance_", type=FINITE_FLOAT, required=True)
+@click.option("--internal", type=FINITE_FLOAT, default=None)
+@click.option("--dqe", type=FINITE_FLOAT, default=None,
               help="Measured DQE; inverts to the internal efficiency instead of taking --internal.")
 @json_option
 def cmd_efficiency(coupling, absorptance_, internal, dqe, as_json):
@@ -207,17 +223,16 @@ def cmd_efficiency(coupling, absorptance_, internal, dqe, as_json):
         raise DomainError("give exactly one of --internal or --dqe")
     if internal is None:
         internal = det.invert_internal(dqe, absorptance_)
-    payload = {"absorptance": absorptance_, "internal": internal,
-               "dqe": absorptance_ * internal}
+    budget = det.EfficiencyBudget(1.0 if coupling is None else coupling, absorptance_, internal)
+    payload = {"absorptance": absorptance_, "internal": internal, "dqe": budget.dqe}
     if coupling is not None:
-        budget = det.EfficiencyBudget(coupling, absorptance_, internal)
-        payload.update({"coupling": coupling, "dqe": budget.dqe, "sqe": budget.sqe})
+        payload.update({"coupling": coupling, "sqe": budget.sqe})
     emit(payload, as_json)
 
 
 @main.command("jitter")
-@click.option("--total-ps", type=float, required=True)
-@click.option("--source-ps", type=float, required=True)
+@click.option("--total-ps", type=FINITE_FLOAT, required=True)
+@click.option("--source-ps", type=FINITE_FLOAT, required=True)
 @json_option
 def cmd_jitter(total_ps, source_ps, as_json):
     """Intrinsic jitter from total and source jitter (quadrature model)."""
@@ -228,8 +243,8 @@ def cmd_jitter(total_ps, source_ps, as_json):
 
 @main.command("counts")
 @config_option
-@click.option("--power-pw", type=float, required=True)
-@click.option("--duration-s", type=float, default=0.1)
+@click.option("--power-pw", type=FINITE_FLOAT, required=True)
+@click.option("--duration-s", type=FINITE_FLOAT, default=0.1)
 @click.option("--seed", type=int, default=None, help="Override the derived stage seed.")
 @json_option
 @out_option
@@ -282,7 +297,7 @@ def cmd_sweep(config_path, index, as_json, out_dir):
 @main.command("optimize")
 @config_option
 @click.option("--index", type=int, default=0, help="Which sweep spec from the config to refine.")
-@click.option("--tolerance-nm", type=float, default=5.0)
+@click.option("--tolerance-nm", type=FINITE_FLOAT, default=5.0)
 @json_option
 @out_option
 def cmd_optimize(config_path, index, tolerance_nm, as_json, out_dir):

@@ -149,9 +149,20 @@ def _given(**kwargs) -> dict:
 
 @dataclass(frozen=True)
 class CountingSpec:
+    """The simulated power sweep; SQE is the slope of a line fit to rate
+    against power, which takes two distinct powers."""
+
     powers_w: tuple[float, ...]
     duration_s: float
     jitter_sigma_s: float
+
+    def __post_init__(self):
+        if len(set(self.powers_w)) < 2 or min(self.powers_w) < 0:
+            raise ConfigError("counting: powers_pW must be >= 0 with at least two distinct values")
+        if self.duration_s <= 0:
+            raise ConfigError("counting: duration_s must be > 0")
+        if self.jitter_sigma_s < 0:
+            raise ConfigError("counting: jitter_ps must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,9 +248,8 @@ def _parse_wires(w: _Reader) -> NanowireArray:
         width_m=width,
         pitch_m=width if pitch is _ABSENT else pitch,
         thickness_m=w.length("thickness", required=True),
-        cap_material=w.value("cap_material", None),   # no cap unless one is named
-        **_given(material=w.value("material"), cap_thickness_m=w.length("cap_thickness"),
-                 offset_m=w.length("offset")),
+        **_given(material=w.value("material"), cap_material=w.value("cap_material"),
+                 cap_thickness_m=w.length("cap_thickness"), offset_m=w.length("offset")),
     )
 
 

@@ -404,6 +404,8 @@ def estimate_sqe_from_sweep(
     then fit linearly vs power; the slope maps to SQE via the photon flux
     per watt. A constant dark rate only moves the intercept.
     """
+    if np.unique(powers_w).size < 2:
+        raise DomainError("the power sweep needs at least two distinct powers to fit a slope")
     rates = []
     for rec in records:
         m = len(rec) / rec.metadata["duration_s"]

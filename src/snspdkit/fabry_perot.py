@@ -115,8 +115,10 @@ def read_fringe_scan(path: str | Path, single_pass: float = 1.0) -> FringeData:
     extrema as the 95th/5th percentiles of the transmission samples.
 
     Blank and ``#`` comment rows are skipped, and so are non-numeric rows
-    before the first data row (headers). A later non-numeric row, or a row
-    with one column, is a DomainError naming its line."""
+    before the first data row (headers). A later non-numeric row, a row
+    with one column, a non-finite wavelength or a transmission that is not
+    a number in [0, 1] is a DomainError naming its line: the percentiles
+    would silently drop an outlier, and a NaN would spoil both extrema."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -124,12 +126,16 @@ def read_fringe_scan(path: str | Path, single_pass: float = 1.0) -> FringeData:
             if not row or row[0].lstrip().startswith("#"):
                 continue
             try:
-                rows.append((float(row[0]), float(row[1])))
+                wavelength, transmission = float(row[0]), float(row[1])
             except (ValueError, IndexError) as exc:
                 if isinstance(exc, ValueError) and not rows:
                     continue  # header row
                 raise DomainError(f"fringe scan {path} line {reader.line_num}: "
                                   "expected wavelength_nm, transmission") from None
+            if not (math.isfinite(wavelength) and 0.0 <= transmission <= 1.0):
+                raise DomainError(f"fringe scan {path} line {reader.line_num}: needs a finite "
+                                  f"wavelength and a transmission in [0, 1], got {row[0]}, {row[1]}")
+            rows.append((wavelength, transmission))
     if len(rows) < 10:
         raise DomainError(f"fringe scan {path} has fewer than 10 samples")
     t = np.array([r[1] for r in rows])

@@ -105,7 +105,7 @@ class NanowireArray:
     pitch_m: float
     thickness_m: float
     material: str = "NbN"
-    cap_material: str | None = "SiOx"
+    cap_material: str | None = None
     cap_thickness_m: float = 0.0
     offset_m: float = 0.0
 
@@ -127,7 +127,7 @@ class NanowireArray:
 
     @property
     def top_m(self) -> float:
-        return self.thickness_m + (self.cap_thickness_m if self.cap_material else 0.0)
+        return self.thickness_m + self.cap_thickness_m
 
     def wire_centers(self) -> list[float]:
         """Wire center x positions [m]."""
@@ -155,7 +155,9 @@ class CrossSection:
     materials: dict[str, Material] = field(repr=False)
 
     def __post_init__(self):
-        for name in self._referenced_materials():
+        # the substrate has no box, so the layers are named as well as the boxes
+        named = [lay.material for lay in self.stack.layers] + [self.stack.ambient]
+        for name in dict.fromkeys(named + [mat for mat, *_ in self._boxes()]):
             if name not in self.materials:
                 raise ConfigError(f"material {name!r} referenced but not defined")
             # early wavelength-range validation with a precise error
@@ -183,14 +185,6 @@ class CrossSection:
                 f">= {MIN_CLEARANCE_M * 1e6:.1f} um required"
             )
 
-    def _referenced_materials(self):
-        names = [lay.material for lay in self.stack.layers] + [self.stack.ambient]
-        if self.wires is not None:
-            names.append(self.wires.material)
-            if self.wires.cap_material and self.wires.cap_thickness_m > 0:
-                names.append(self.wires.cap_material)
-        return names
-
     def _boxes(self) -> list[tuple[str, float, float, float, float]]:
         """The section as (material, x0, x1, y0, y1) boxes in paint order over
         the ambient: finite layers, etched trenches, then each wire and its cap.
@@ -203,7 +197,7 @@ class CrossSection:
             for c in w.wire_centers():
                 x0, x1 = c - w.width_m / 2.0, c + w.width_m / 2.0
                 boxes.append((w.material, x0, x1, 0.0, w.thickness_m))
-                if w.cap_material and w.cap_thickness_m > 0:
+                if w.cap_thickness_m > 0:
                     boxes.append((w.cap_material, x0, x1, w.thickness_m, w.top_m))
         return boxes
 

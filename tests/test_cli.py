@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -160,6 +161,19 @@ def test_fp_extract_garbled_scan_row_exit_code(runner, tmp_path):
     assert "line 7" in result.output
 
 
+def test_fp_extract_out_of_range_scan_sample_exit_code(runner, tmp_path):
+    """One infinite transmission in a long scan lies above the 95th
+    percentile, so it used to be dropped without a word; it is now a domain
+    error naming its line."""
+    scan = tmp_path / "scan.csv"
+    rows = [f"{1300 + 0.01 * k:.2f},{0.04 + 0.02 * math.sin(0.3 * k):.6f}" for k in range(200)]
+    scan.write_text("wavelength_nm,transmission\n" + "\n".join(rows[:100]) + "\n1301.005,inf\n"
+                    + "\n".join(rows[100:]) + "\n")
+    result = runner.invoke(main, ["fp-extract", "--scan-csv", str(scan)])
+    assert result.exit_code == 3, result.output
+    assert "line 102" in result.output
+
+
 def test_fp_extract_without_inputs_exit_code(runner):
     result = runner.invoke(main, ["fp-extract", "--tmax", "0.061"])
     assert result.exit_code == 3, result.output
@@ -238,6 +252,36 @@ def test_efficiency_command_modes(runner):
     result = runner.invoke(main, ["efficiency", "--absorptance", "0.9",
                                   "--dqe", "0.95"])
     assert result.exit_code == 5  # inconsistency: DQE above absorptance
+
+
+@pytest.mark.parametrize("args", [
+    ["--absorptance", "1.5", "--internal", "0.5"],
+    ["--absorptance", "0.9", "--internal", "-0.2"],
+], ids=["absorptance-1.5", "internal-negative"])
+def test_efficiency_without_coupling_checks_ranges(runner, args):
+    """Without ``--coupling`` the chain is still an EfficiencyBudget, so its
+    inputs are range-checked as with it."""
+    result = runner.invoke(main, ["efficiency", *args])
+    assert result.exit_code == 3, result.output
+    assert "must be in [0, 1]" in result.output
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (["jitter", "--source-ps", "40"], "--total-ps", "nan"),
+    (["absorptance", "--length-um", "51"], "--alpha-per-cm", "nan"),
+    (["absorptance", "--length-um", "51"], "--alpha-per-cm", "inf"),
+    (["counts", "--duration-s", "0.01"], "--power-pw", "nan"),
+    (["efficiency", "--absorptance", "0.9", "--internal", "0.2"], "--coupling", "-inf"),
+], ids=["jitter-nan", "absorptance-nan", "absorptance-inf", "counts-nan", "efficiency-minus-inf"])
+def test_non_finite_float_flag_is_usage_error(runner, tmp_path, monkeypatch, command, flag, value):
+    """nan and inf are usage errors naming the flag (JSON cannot carry them),
+    and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SNSPDKIT_OUT", raising=False)
+    result = runner.invoke(main, [*command, flag, value, "--json"])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{flag}': '{value}' is not a finite number" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_counts_command_writes_under_out_dir(runner, tmp_path):

@@ -119,6 +119,15 @@ _MISSING = object()
     (("solver", "max_iterations"), 2**63, r"max_iterations must be <= 2\*\*31 - 1"),
     (("solver", "max_iterations"), 2**31, r"max_iterations must be <= 2\*\*31 - 1"),
     (("sweeps", 0, "parameters", 0, "step"), 1e-307, "sweep range holds too many steps to count"),
+    (("counting", "powers_pW"), [0, 0, 0], "powers_pW must be >= 0 with at least two distinct values"),
+    (("counting", "powers_pW"), [1.0], "powers_pW must be >= 0 with at least two distinct values"),
+    (("counting", "powers_pW"), [1.0, 1.0], "powers_pW must be >= 0 with at least two distinct values"),
+    (("counting", "powers_pW"), [-0.1, 1.0], "powers_pW must be >= 0 with at least two distinct values"),
+    (("counting", "duration_s"), -1, "counting: duration_s must be > 0"),
+    (("counting", "duration_s"), 0, "counting: duration_s must be > 0"),
+    (("counting", "jitter_ps"), -1, "counting: jitter_ps must be >= 0"),
+    (("wires", "material"), "Nb", "material 'Nb' referenced but not defined"),
+    (("wires", "cap_material"), "Al2O3", "material 'Al2O3' referenced but not defined"),
 ], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
         "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
@@ -129,7 +138,9 @@ _MISSING = object()
         "tolerance-Infinity", "target_n_eff-NaN", "tolerance-huge-int", "powers_pW-NaN",
         "far-0", "x_base-negative", "edge_band-negative", "substrate-only", "wire-thickness-no-hint",
         "count-huge-int", "wire_count-huge-int", "max_iterations-huge-int", "max_iterations-2**63",
-        "max_iterations-2**31", "step-tiny"])
+        "max_iterations-2**31", "step-tiny", "powers_pW-all-zero", "powers_pW-one",
+        "powers_pW-repeated", "powers_pW-negative", "duration_s-negative", "duration_s-0",
+        "jitter_ps-negative", "wire-material-undefined", "cap-material-undefined"])
 def test_malformed_inputs_rejected(path, value, message):
     """Malformed values fail at load time as a ConfigError naming the key,
     not as a raw Python error that the CLI would report as an unexpected

@@ -304,6 +304,17 @@ def test_power_sweep_recovers_sqe_slope():
     assert sqe_est == pytest.approx(budget.sqe, rel=0.03)
 
 
+@pytest.mark.parametrize("powers", [[1e-12], [1e-12, 1e-12], [0.0, 0.0, 0.0]],
+                         ids=["one", "repeated", "all-zero"])
+def test_power_sweep_needs_two_distinct_powers(powers):
+    """A line through fewer than two distinct powers has no slope: a
+    DomainError, not a LinAlgError or a RankWarning and a meaningless SQE."""
+    records = [det.simulate_counting(REFERENCE, _budget(), det.SourceSpec(p, 1300e-9, 73e-12),
+                                     0.01, seed=k) for k, p in enumerate(powers)]
+    with pytest.raises(DomainError, match="at least two distinct powers"):
+        det.estimate_sqe_from_sweep(powers, records, 1300e-9)
+
+
 # -- jitter ---------------------------------------------------------------------
 
 def test_jitter_deconvolve_reference():

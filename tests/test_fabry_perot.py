@@ -168,9 +168,14 @@ def test_read_fringe_scan_one_column_row_names_line(tmp_path):
         read_fringe_scan(scan_with_bad_row(tmp_path, "1320"))
 
 
-@pytest.mark.parametrize("garbled", ["1320,0.0x5", "1321,n/a", "n/a,0.05"])
+@pytest.mark.parametrize("garbled", ["1320,0.0x5", "1321,n/a", "n/a,0.05", "1320,inf", "1320,nan",
+                                     "1320,-0.5", "1320,1.5", "inf,0.05", "nan,0.05"])
 def test_read_fringe_scan_garbled_row_names_line(tmp_path, garbled):
     """A non-numeric row after the first data row is a DomainError naming its
-    line, not a header: the extrema never come from the other rows alone."""
+    line, not a header: the extrema never come from the other rows alone. So
+    is a row with a non-finite wavelength, or with a transmission that is
+    non-finite or outside [0, 1]: the percentiles would drop such an outlier
+    without a word, and a NaN would spoil both extrema."""
     with pytest.raises(DomainError, match="line 8"):
         read_fringe_scan(scan_with_bad_row(tmp_path, garbled))
+

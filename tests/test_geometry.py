@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -250,6 +252,20 @@ def test_policy_rejects_bad_cells_at_construction(changes, message):
     graded cell size grows its list of cells without end."""
     with pytest.raises(ConfigError, match=message):
         sk.ResolutionPolicy(**changes)
+
+
+def test_wires_have_no_cap_unless_one_is_named():
+    wires = sk.NanowireArray(4, 100e-9, 250e-9, 4.3e-9)
+    assert wires.cap_material is None
+    assert wires.top_m == wires.thickness_m
+
+
+def test_undefined_cap_material_without_cap_thickness_accepted(reference_cs):
+    """A cap of zero thickness is no cap, so its material is never painted
+    and need not be defined."""
+    cs = replace(reference_cs, wires=replace(reference_cs.wires, cap_material="Al2O3", cap_thickness_m=0.0))
+    assert cs.wires.top_m == cs.wires.thickness_m
+    assert "Al2O3" not in [mat for mat, *_ in cs._boxes()]
 
 
 @pytest.mark.parametrize("build, message", [
