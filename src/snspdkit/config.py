@@ -87,6 +87,16 @@ class _Reader:
         hint = f"; did you mean {near[0]!r}?" if near else ""
         return ConfigError(f"{self.ctx}: missing {key}{hint}")
 
+    def string(self, key: str, default=_ABSENT, required: bool = False, nullable: bool = False):
+        """A non-empty string, such as a material name; with ``nullable``, an
+        explicit null, which stands for none."""
+        v = self.value(key, default, required)
+        if v is _ABSENT or (v is None and nullable):
+            return v
+        if not (isinstance(v, str) and v):
+            raise ConfigError(f"{self.ctx}: {key} must be a non-empty string")
+        return v
+
     def number(self, key: str, scale: float = 1.0, default=_ABSENT, required: bool = False):
         v = self.value(key, default, required)
         if v is _ABSENT:
@@ -204,9 +214,8 @@ def config_digest(raw: dict) -> str:
 def _parse_materials(entries: list[_Reader], aluminum_fraction) -> dict[str, Material]:
     mats: dict[str, Material] = {}
     for entry in entries:
-        name, builtin, table = entry.value("name"), entry.value("builtin"), entry.value("table_nm")
-        if not isinstance(name, str) or not name:
-            raise ConfigError(f"{entry.ctx}: name must be a non-empty string")
+        name = entry.string("name", required=True)
+        builtin, table = entry.value("builtin"), entry.value("table_nm")
         if (builtin is _ABSENT) == (table is _ABSENT):
             raise ConfigError(f"{entry.ctx}: exactly one of 'builtin' or 'table_nm' required")
         try:
@@ -230,7 +239,7 @@ def _parse_materials(entries: list[_Reader], aluminum_fraction) -> dict[str, Mat
 def _parse_layers(entries: list[_Reader]) -> tuple[Layer, ...]:
     layers = []
     for entry in entries:
-        material = entry.value("material", required=True)
+        material = entry.string("material", required=True)
         substrate = entry.value("substrate")
         if substrate is not _ABSENT and not isinstance(substrate, bool):
             raise ConfigError(f"{entry.ctx}: substrate must be true or false")
@@ -248,7 +257,7 @@ def _parse_wires(w: _Reader) -> NanowireArray:
         width_m=width,
         pitch_m=width if pitch is _ABSENT else pitch,
         thickness_m=w.length("thickness", required=True),
-        **_given(material=w.value("material"), cap_material=w.value("cap_material"),
+        **_given(material=w.string("material"), cap_material=w.string("cap_material", nullable=True),
                  cap_thickness_m=w.length("cap_thickness"), offset_m=w.length("offset")),
     )
 
@@ -346,7 +355,7 @@ def load_project_config(source: str | os.PathLike | dict) -> ProjectConfig:
     materials = (default_materials(**_given(aluminum_fraction=aluminum_fraction))
                  if root.value("materials") is _ABSENT
                  else _parse_materials(root.objects("materials"), aluminum_fraction))
-    stack = LayerStack(_parse_layers(root.objects("layers")), **_given(ambient=root.value("ambient")))
+    stack = LayerStack(_parse_layers(root.objects("layers")), **_given(ambient=root.string("ambient")))
     ri = root.section("ridge")
     ridge = RidgeSpec(width_m=ri.length("width", required=True),
                       etch_depth_m=ri.length("etch_depth", required=True))
@@ -382,9 +391,7 @@ def load_project_config(source: str | os.PathLike | dict) -> ProjectConfig:
         jitter_sigma_s=co.number("jitter_ps", 1e-12, default=73.0),
     )
 
-    output_dir = root.value("output_dir", "runs")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("config: output_dir must be a non-empty string")
+    output_dir = root.string("output_dir", "runs")
     ji = root.section("jitter")
     config = ProjectConfig(
         digest=config_digest(raw),

@@ -42,6 +42,11 @@ _ARNOLDI_SEED = 718281828  # fixed start-vector seed: solves are deterministic
 # keeps every other eigenvector represented.
 _CARRY_WEIGHT = 1e6
 _DIELECTRIC_IM_CUT = 0.1   # |Im n| below this counts as a dielectric for bracketing
+# Hx parity of the mirror class a TE or TM query solves (see _mirror_bases):
+# the class in which the kind's dominant E component is even, Ex (paired
+# with Hy) for TE and Ey (paired with Hx) for TM. It holds the kind's
+# fundamental mode; the other class holds the kind's modes odd in x.
+_FUNDAMENTAL_HX_PARITY = {"TE": -1, "TM": 1}
 # Shift-invert LU of A - sigma*I. The sparsity pattern is nearly symmetric
 # (five-point blocks plus corner couplings), so minimum degree on A^T + A with
 # diagonal pivots gives about half the fill of SciPy's default COLAMD column
@@ -295,19 +300,26 @@ def solve_fundamental(
     """The mode ``select_mode(solve_modes(op, config), kind)`` picks, computed
     from as few eigenpairs as the query needs.
 
-    Each operator (the full domain, or each mirror parity class in turn) is
-    factored once, and Arnoldi runs for the k = 1, 2, 4, ... eigenpairs
+    One operator is factored once: the full domain or, on an exactly
+    mirror-symmetric operator, the one parity class in which the kind's
+    dominant E component is even (Hx odd and Hy even for TE, Hx even and Hy
+    odd for TM). Arnoldi runs on it for the k = 1, 2, 4, ... eigenpairs
     nearest the shift (at most ``num_modes``; a TM ladder starts at k = 2)
     until the computed set holds a guided ``kind`` mode and reaches at least
     (k0 * n_core)^2 - sigma from the shift, so that every dielectric-guided
     eigenvalue above the shift has been seen. The highest-Re(n_eff) guided
-    ``kind`` mode over all computed pairs passes the residual gate against
+    ``kind`` mode over the computed pairs passes the residual gate against
     the full operator and is the only one finalized. Returns None if no such
     mode is found within the cap.
 
     Skipping k = 1 for TM changes the pick only where a k = 1 rung would have
     stopped the ladder and the second pair is a guided TM mode of higher
-    Re(n_eff).
+    Re(n_eff). Solving one class changes the pick only where the other
+    class holds a guided ``kind`` mode of higher Re(n_eff). Its modes are
+    odd in the kind's dominant E component, so they are higher-order modes;
+    on every section solved so far, one lay above the pick only where the
+    ladder stopped at the cap short of the fundamental, which then neither
+    search computes.
 
     ``start``, a mode solved before (on any grid), seeds every Arnoldi run
     with its fields (see :func:`_start_vector`). It changes only how fast
@@ -324,14 +336,15 @@ def solve_fundamental(
 def _search(op: ModeOperator, config: SolverConfig, kind: str | None,
             start: ModeSolution | None = None):
     """The shift sigma, and the eigenvalues and full-domain eigenvectors that
-    :func:`_nearest` computes on each operator ``op`` is solved as, joined
-    in operator order; sigma and the ladder's reach are computed once."""
+    :func:`_nearest` computes on each operator ``op`` is solved as for
+    ``kind`` (see :func:`_operators`), joined in operator order; sigma and
+    the ladder's reach are computed once."""
     n_core = op.index_bracket()[1]
     sigma = (op.k0 * (config.target_n_eff or 0.98 * n_core)) ** 2
     reach = max(0.0, (op.k0 * n_core) ** 2 - sigma)
     carried = None if start is None else _carried(op, start)
     found = [_nearest(op, mat, lift, sigma, reach, kind, config, carried)
-             for mat, lift in _operators(op)]
+             for mat, lift in _operators(op, kind)]
     return sigma, np.concatenate([v for v, _ in found]), np.hstack([u for _, u in found])
 
 
@@ -358,7 +371,8 @@ def _nearest(op, mat, lift, sigma, reach, kind, config, carried):
     v0 = _start_vector(nn, carried if carried is None or lift is None else lift.T @ carried)
     cap = min(config.num_modes, nn - 2)
     # the pair nearest the default shift has been TE-like on every section
-    # solved so far, so a TM ladder skips k = 1
+    # solved so far, also in the class a TM query solves (on the shipped
+    # section, a TE mode odd in Ex at n_eff 3.1006), so a TM ladder skips k = 1
     k = cap if kind is None else min(2 if kind == "TM" else 1, cap)
     while True:
         try:
@@ -422,12 +436,14 @@ def _carried(op: ModeOperator, start: ModeSolution) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _operators(op: ModeOperator):
-    """The eigenproblems ``op`` is solved as, built one at a time as
-    ``(matrix, lift)``: the full operator with lift None, or, for an exactly
-    mirror-symmetric operator, each parity class's restriction with the
-    basis that lifts its eigenvectors to the full domain."""
-    bases = _mirror_bases(op)
+def _operators(op: ModeOperator, kind: str | None):
+    """The eigenproblems ``op`` is solved as for ``kind``, built one at a
+    time as ``(matrix, lift)``: the full operator with lift None, or, for an
+    exactly mirror-symmetric operator, a parity class's restriction with the
+    basis that lifts its eigenvectors to the full domain. The mode list
+    (``kind`` None) takes both classes; a "TE" or "TM" query takes only the
+    class of :data:`_FUNDAMENTAL_HX_PARITY`."""
+    bases = _mirror_bases(op, (1, -1) if kind is None else (_FUNDAMENTAL_HX_PARITY[kind],))
     if bases is None:
         yield op.matrix, None
         return
@@ -454,14 +470,15 @@ def _gated_mode(op: ModeOperator, n_eff: complex, val, vec, config: SolverConfig
     return _finalize_mode(op, n_eff, *_components(op, vec))
 
 
-def _mirror_bases(op: ModeOperator):
+def _mirror_bases(op: ModeOperator, hx_parities=(1, -1)):
     """Parity-class restrictions of an exactly mirror-symmetric operator.
 
     With an odd node count, x spacing equal to its reverse and eps equal to
     its mirror image, the operator commutes with S = mirror * diag(+1 on Hx,
     -1 on Hy), so every eigenvector has S v = +v (Hx even, Hy odd and zero
-    on the centre line) or S v = -v (Hx odd, Hy even). For each class this
-    returns ``(keep, basis)``: ``basis`` (2N x N, entries 0/+-1) maps the
+    on the centre line) or S v = -v (Hx odd, Hy even). For each class, named
+    by its Hx parity in ``hx_parities`` (+1 or -1), this returns
+    ``(keep, basis)``: ``basis`` (2N x N, entries 0/+-1) maps the
     unknowns on the nodes left of and on the centre line to the full vector,
     and ``keep`` are their full-vector indices, so ``A[keep] @ basis`` is the
     class's exact restriction and ``basis @ u`` lifts its eigenvectors.
@@ -478,7 +495,7 @@ def _mirror_bases(op: ModeOperator):
     node = np.arange(nn).reshape(nnx, nny)
     off_centre = np.arange(centre * nny)
     bases = []
-    for hx_parity in (1, -1):
+    for hx_parity in hx_parities:
         keep, rows, cols, vals = [], [], [], []
         col = 0
         for comp, parity in ((0, hx_parity), (1, -hx_parity)):

@@ -366,6 +366,25 @@ def test_solve_mode_invalid_config(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["layers"][1].update(material=[1]), "layers[1]: material must be a non-empty string"),
+    (lambda raw: raw.update(ambient=[1]), "config: ambient must be a non-empty string"),
+    (lambda raw: raw["wires"].update(cap_material={"a": 1}),
+     "wires: cap_material must be a non-empty string"),
+], ids=["layer-material-list", "ambient-list", "cap_material-object"])
+def test_unhashable_material_name_exit_code(runner, tmp_path, edit, message):
+    """A material name that is not a string, even one that cannot be a dict
+    key, is a config error (exit 2) naming the key, not a traceback."""
+    raw = _coarse_raw()
+    edit(raw)
+    out = tmp_path / "nothing"
+    result = runner.invoke(main, ["solve-mode", "--config", str(_write(tmp_path, raw)),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_config_directory_exit_code(runner, tmp_path):
     """A directory given as ``--config`` is a config error (exit 2) that
     names it, not a traceback with exit 1."""

@@ -264,6 +264,17 @@ def test_target_overrides_merge():
         load_project_config(raw)
 
 
+def test_null_cap_material_is_no_cap():
+    """``wires.cap_material: null`` names no cap, while every other material
+    name must be a string (see test_cli)."""
+    raw = _raw_default()
+    raw["wires"].update(cap_material=None, cap_thickness_nm=0)
+    assert load_project_config(raw).cross_section.wires.cap_material is None
+    raw["wires"]["material"] = None
+    with pytest.raises(ConfigError, match="wires: material must be a non-empty string"):
+        load_project_config(raw)
+
+
 def test_custom_material_table():
     raw = _raw_default()
     raw["materials"].append({"name": "probe", "table_nm": [[1260, 2.0, 0.1], [1360, 2.1, 0.2]]})

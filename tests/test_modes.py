@@ -10,6 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snspdkit as sk
 from snspdkit.errors import ConfigError, ConvergenceError, DomainError
@@ -19,7 +21,10 @@ from snspdkit.modes import (
     _cell_area,
     _centered,
     _finalize_mode,
+    _first_of_kind,
+    _gated_mode,
     _mirror_bases,
+    _nearest,
     _power,
     _relative_residual,
     assemble_operator,
@@ -41,16 +46,19 @@ def uniform_grid(n_index, nx, ny, size):
     return PermittivityGrid(edges_x, edges_y, eps, 1300e-9)
 
 
-def step_index_grid(n_core, n_clad, cells, size, mirrored=False):
-    """Square core of half the window width, centered. ``mirrored`` builds
-    the edges by reflection, so the grid is exactly mirror-symmetric."""
+def step_index_grid(n_core, n_clad, cells, size, mirrored=False, core_fraction=(0.5, 0.5)):
+    """Centered rectangular core whose width and height are
+    ``core_fraction`` of the window's (a square of half its width by
+    default). ``mirrored`` builds the edges by reflection, so the grid is
+    exactly mirror-symmetric."""
     if mirrored:
         half = np.linspace(0.0, size / 2, cells // 2 + 1)
         edges = np.concatenate([-half[:0:-1], half])
     else:
         edges = np.linspace(-size / 2, size / 2, cells + 1)
     centers = 0.5 * (edges[1:] + edges[:-1])
-    core = (np.abs(centers)[:, None] < size / 4) & (np.abs(centers)[None, :] < size / 4)
+    width, height = (size * f / 2 for f in core_fraction)
+    core = (np.abs(centers)[:, None] < width) & (np.abs(centers)[None, :] < height)
     eps = np.where(core, complex(n_core) ** 2, complex(n_clad) ** 2)
     return PermittivityGrid(edges, edges, eps, 1300e-9)
 
@@ -324,19 +332,20 @@ def test_solve_fundamental_matches_select_mode(default_config, coarse_solved, ge
         assert mode.polarization == ref.polarization == kind
         assert unit_power(mode) == pytest.approx(1.0, rel=1e-9)
         assert mode_residual(op, mode) <= default_config.solver.tolerance
-        # one factorization per operator, whatever k grows to
+        # one factorization, whatever k grows to: the kind's parity class, or
+        # the full domain of the asymmetric section
         split = geometry != "offset"
-        assert solves.factored == ([op.matrix.shape[0] // 2] * 2 if split else [op.matrix.shape[0]])
+        assert solves.factored == [op.matrix.shape[0] // 2 if split else op.matrix.shape[0]]
 
 
 def test_solve_fundamental_grows_k_only_as_needed(default_config, coarse_solved, solves):
     """TE0 of the shipped section is nearest the shift in its class: k = 1 in
-    each class. TM0 is not, so the TM query starts at k = 2 and grows
-    k = 2, 4, ... per class."""
+    the one class the TE query solves. TM0 is not, so the TM query starts at
+    k = 2 and grows k = 2, 4, ... in its class."""
     op, _modes = coarse_solved["shipped"]
     half = op.matrix.shape[0] // 2
     solve_fundamental(op, "TE", default_config.solver)
-    assert solves.runs == [(half, 1), (half, 1)]
+    assert solves.runs == [(half, 1)]
 
     solves.runs.clear()
     solve_fundamental(op, "TM", default_config.solver)
@@ -367,7 +376,7 @@ def test_solve_fundamental_none_without_kind_within_cap(default_config, coarse_s
     assert select_mode(solve_modes(op, config), "TM") is None
     solves.runs.clear()
     assert solve_fundamental(op, "TM", config) is None
-    assert solves.runs == [(op.matrix.shape[0] // 2, 1)] * 2
+    assert solves.runs == [(op.matrix.shape[0] // 2, 1)]
     # a homogeneous window guides nothing: the ladder runs up to the cap
     empty = assemble_operator(uniform_grid(1.0, 24, 24, 10e-6))
     solves.runs.clear()
@@ -380,15 +389,71 @@ def test_solve_fundamental_none_without_kind_within_cap(default_config, coarse_s
 @pytest.mark.parametrize("kind", [None, "TE", "TM"])
 def test_one_factorization_alive_at_a_time(default_config, coarse_solved, kind, solves):
     """Each parity class's LU dies before the next class is factored, for the
-    mode list and for both queries: the ``solves`` spy checks it at every
-    factorization, and the last one is dead once the solve returns."""
+    mode list (both classes) and for both queries (one class each): the
+    ``solves`` spy checks it at every factorization, and the last one is
+    dead once the solve returns."""
     op, _modes = coarse_solved["shipped"]
     if kind is None:
         solve_modes(op, default_config.solver)
     else:
         solve_fundamental(op, kind, default_config.solver)
-    assert solves.factored == [op.matrix.shape[0] // 2] * 2
+    assert solves.factored == [op.matrix.shape[0] // 2] * (2 if kind is None else 1)
     assert all(lu() is None for lu in solves.lus)
+
+
+def two_class_pick(op, kind, config):
+    """Oracle: the pick of a query that searches both parity classes, every
+    class of ``_mirror_bases(op)`` through ``_nearest``, ``_first_of_kind``
+    over the joined pairs and then the residual gate, with the shift and the
+    ladder's reach computed as ``solve_fundamental`` computes them."""
+    n_core = op.index_bracket()[1]
+    sigma = (op.k0 * (config.target_n_eff or 0.98 * n_core)) ** 2
+    reach = max(0.0, (op.k0 * n_core) ** 2 - sigma)
+    bases = _mirror_bases(op)
+    assert bases is not None
+    by_row = op.matrix.tocsr()
+    found = [_nearest(op, (by_row[keep] @ basis).tocsc(), basis, sigma, reach, kind, config, None)
+             for keep, basis in bases]
+    pick = _first_of_kind(op, np.concatenate([v for v, _ in found]),
+                          np.hstack([u for _, u in found]), kind)
+    return None if pick is None else _gated_mode(op, *pick, config)
+
+
+def assert_same_pick(mode, ref):
+    assert (mode is None) == (ref is None)
+    if ref is not None:
+        assert np.array_equal(mode.n_eff, ref.n_eff)
+        assert np.array_equal(mode.hx, ref.hx) and np.array_equal(mode.hy, ref.hy)
+
+
+@pytest.mark.parametrize("kind", ["TE", "TM"])
+@pytest.mark.parametrize("geometry", ["shipped", "tm-design"])
+def test_one_class_query_picks_the_two_class_mode(default_config, coarse_solved, geometry, kind):
+    """A query on a mirror-symmetric section solves only the parity class in
+    which the kind's dominant E component is even, and picks bit for bit
+    the mode a search over both classes picks."""
+    op, _modes = coarse_solved[geometry]
+    ref = two_class_pick(op, kind, default_config.solver)
+    assert ref is not None and ref.polarization == kind
+    assert_same_pick(solve_fundamental(op, kind, default_config.solver), ref)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_core=st.floats(3.3, 3.6), n_clad=st.floats(1.0, 3.25), k_core=st.floats(0.0, 0.02),
+       half_cells=st.integers(10, 20), core_fraction=st.tuples(st.floats(0.1, 0.5), st.floats(0.1, 0.5)),
+       kind=st.sampled_from(["TE", "TM"]))
+def test_one_class_query_on_drawn_mirrored_sections(n_core, n_clad, k_core, half_cells,
+                                                     core_fraction, kind):
+    """The same on mirrored rectangular-core step-index sections, lossless
+    or absorbing, where the two searches may also both find no mode. The
+    core is at most half the window, which keeps every class's ladder
+    within the cap: a larger, strongly guiding core can hold more than
+    ``num_modes`` eigenvalues nearer the shift than the fundamental, so
+    either search misses it and the two picks can differ."""
+    op = assemble_operator(step_index_grid(complex(n_core, -k_core), n_clad, 2 * half_cells,
+                                           4e-6, mirrored=True, core_fraction=core_fraction))
+    config = sk.SolverConfig()
+    assert_same_pick(solve_fundamental(op, kind, config), two_class_pick(op, kind, config))
 
 
 def test_solve_fundamental_failures_are_convergence_errors(solves):
