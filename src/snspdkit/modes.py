@@ -23,7 +23,7 @@ Boundaries: the outer walls of the window are zero-field (perfect walls);
 the modes of interest are bound and decay well inside the mandated window
 clearance. A mirror plane at x = 0 needs no boundary stencil of its own: an
 exactly mirror-symmetric operator is split into its two parity classes (see
-:func:`_mirror_bases`), each solved as a half-size eigenproblem.
+:func:`_mirror_classes`), each solved as a half-size eigenproblem.
 """
 
 from dataclasses import dataclass, field
@@ -42,11 +42,15 @@ _ARNOLDI_SEED = 718281828  # fixed start-vector seed: solves are deterministic
 # keeps every other eigenvector represented.
 _CARRY_WEIGHT = 1e6
 _DIELECTRIC_IM_CUT = 0.1   # |Im n| below this counts as a dielectric for bracketing
-# Hx parity of the mirror class a TE or TM query solves (see _mirror_bases):
-# the class in which the kind's dominant E component is even, Ex (paired
-# with Hy) for TE and Ey (paired with Hx) for TM. It holds the kind's
-# fundamental mode; the other class holds the kind's modes odd in x.
-_FUNDAMENTAL_HX_PARITY = {"TE": -1, "TM": 1}
+# Per kind of fundamental-mode query: the Hx parity of the one mirror class
+# it solves (see _mirror_classes), and the first k of its ladder (see
+# _nearest). The class is the one in which the kind's dominant E component
+# is even, Ex (paired with Hy) for TE and Ey (paired with Hx) for TM, so it
+# holds the kind's fundamental mode; the other class holds the kind's modes
+# odd in x. The pair nearest the default shift has been TE-like on every
+# section solved so far, also in the class a TM query solves (on the shipped
+# section, a TE mode odd in Ex at n_eff 3.1006), so a TM ladder skips k = 1.
+_QUERY = {"TE": (-1, 1), "TM": (1, 2)}
 # Shift-invert LU of A - sigma*I. The sparsity pattern is nearly symmetric
 # (five-point blocks plus corner couplings), so minimum degree on A^T + A with
 # diagonal pivots gives about half the fill of SciPy's default COLAMD column
@@ -301,10 +305,9 @@ def solve_fundamental(
     from as few eigenpairs as the query needs.
 
     One operator is factored once: the full domain or, on an exactly
-    mirror-symmetric operator, the one parity class in which the kind's
-    dominant E component is even (Hx odd and Hy even for TE, Hx even and Hy
-    odd for TM). Arnoldi runs on it for the k = 1, 2, 4, ... eigenpairs
-    nearest the shift (at most ``num_modes``; a TM ladder starts at k = 2)
+    mirror-symmetric operator, the one parity class :data:`_QUERY` names for
+    ``kind``. Arnoldi runs on it for the k = 1, 2, 4, ... eigenpairs nearest
+    the shift (at most ``num_modes``; :data:`_QUERY` gives the first k)
     until the computed set holds a guided ``kind`` mode and reaches at least
     (k0 * n_core)^2 - sigma from the shift, so that every dielectric-guided
     eigenvalue above the shift has been seen. The highest-Re(n_eff) guided
@@ -336,25 +339,29 @@ def solve_fundamental(
 def _search(op: ModeOperator, config: SolverConfig, kind: str | None,
             start: ModeSolution | None = None):
     """The shift sigma, and the eigenvalues and full-domain eigenvectors that
-    :func:`_nearest` computes on each operator ``op`` is solved as for
-    ``kind`` (see :func:`_operators`), joined in operator order; sigma and
-    the ladder's reach are computed once."""
+    :func:`_nearest` computes on each eigenproblem ``op`` is solved as for
+    ``kind``, joined in order: on an exactly mirror-symmetric operator both
+    parity classes for the mode list (``kind`` None) and the class of
+    :data:`_QUERY` for "TE" or "TM", else the full operator. Sigma and the
+    ladder's reach are computed once."""
     n_core = op.index_bracket()[1]
     sigma = (op.k0 * (config.target_n_eff or 0.98 * n_core)) ** 2
     reach = max(0.0, (op.k0 * n_core) ** 2 - sigma)
     carried = None if start is None else _carried(op, start)
+    classes = _mirror_classes(op, (1, -1) if kind is None else _QUERY[kind][:1])
     found = [_nearest(op, mat, lift, sigma, reach, kind, config, carried)
-             for mat, lift in _operators(op, kind)]
+             for mat, lift in classes or [(op.matrix, None)]]
     return sigma, np.concatenate([v for v, _ in found]), np.hstack([u for _, u in found])
 
 
 def _nearest(op, mat, lift, sigma, reach, kind, config, carried):
     """The eigenpairs of ``mat`` nearest sigma, eigenvectors lifted to the
-    full domain: the cap, ``num_modes`` of them, for ``kind`` None, or the k
-    ladder of :func:`solve_fundamental`, with its reach from sigma, for "TE"
-    or "TM". Every Arnoldi run uses one LU of mat - sigma*I, which dies with
-    this call, and a start built from ``carried``, a full-domain field of
-    unit norm or None."""
+    full domain by ``lift`` (None for the full operator): the cap,
+    ``num_modes`` of them, for ``kind`` None, or the k ladder of
+    :func:`solve_fundamental`, from the first k of :data:`_QUERY` and with
+    its reach from sigma, for "TE" or "TM". Every Arnoldi run uses one LU
+    of mat - sigma*I, which dies with this call, and a start built from
+    ``carried``, a full-domain field of unit norm or None."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -370,10 +377,7 @@ def _nearest(op, mat, lift, sigma, reach, kind, config, carried):
     opinv = spla.LinearOperator((nn, nn), matvec=backsolve, dtype=complex)
     v0 = _start_vector(nn, carried if carried is None or lift is None else lift.T @ carried)
     cap = min(config.num_modes, nn - 2)
-    # the pair nearest the default shift has been TE-like on every section
-    # solved so far, also in the class a TM query solves (on the shipped
-    # section, a TE mode odd in Ex at n_eff 3.1006), so a TM ladder skips k = 1
-    k = cap if kind is None else min(2 if kind == "TM" else 1, cap)
+    k = cap if kind is None else min(_QUERY[kind][1], cap)
     while True:
         try:
             vals, vecs = spla.eigs(mat, k=k, sigma=sigma, OPinv=opinv, v0=v0, tol=0,
@@ -436,22 +440,6 @@ def _carried(op: ModeOperator, start: ModeSolution) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _operators(op: ModeOperator, kind: str | None):
-    """The eigenproblems ``op`` is solved as for ``kind``, built one at a
-    time as ``(matrix, lift)``: the full operator with lift None, or, for an
-    exactly mirror-symmetric operator, a parity class's restriction with the
-    basis that lifts its eigenvectors to the full domain. The mode list
-    (``kind`` None) takes both classes; a "TE" or "TM" query takes only the
-    class of :data:`_FUNDAMENTAL_HX_PARITY`."""
-    bases = _mirror_bases(op, (1, -1) if kind is None else (_FUNDAMENTAL_HX_PARITY[kind],))
-    if bases is None:
-        yield op.matrix, None
-        return
-    by_row = op.matrix.tocsr()
-    for keep, basis in bases:
-        yield (by_row[keep] @ basis).tocsc(), basis
-
-
 def _components(op: ModeOperator, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Hx, Hy) node arrays of a full-domain eigenvector."""
     nxn, nyn = op.shape
@@ -470,7 +458,7 @@ def _gated_mode(op: ModeOperator, n_eff: complex, val, vec, config: SolverConfig
     return _finalize_mode(op, n_eff, *_components(op, vec))
 
 
-def _mirror_bases(op: ModeOperator, hx_parities=(1, -1)):
+def _mirror_classes(op: ModeOperator, hx_parities=(1, -1)):
     """Parity-class restrictions of an exactly mirror-symmetric operator.
 
     With an odd node count, x spacing equal to its reverse and eps equal to
@@ -478,11 +466,11 @@ def _mirror_bases(op: ModeOperator, hx_parities=(1, -1)):
     -1 on Hy), so every eigenvector has S v = +v (Hx even, Hy odd and zero
     on the centre line) or S v = -v (Hx odd, Hy even). For each class, named
     by its Hx parity in ``hx_parities`` (+1 or -1), this returns
-    ``(keep, basis)``: ``basis`` (2N x N, entries 0/+-1) maps the
-    unknowns on the nodes left of and on the centre line to the full vector,
-    and ``keep`` are their full-vector indices, so ``A[keep] @ basis`` is the
-    class's exact restriction and ``basis @ u`` lifts its eigenvectors.
-    Returns None when the operator is not exactly symmetric.
+    ``(A[keep] @ basis, basis)`` in CSC: ``basis`` (2N x N, entries 0/+-1)
+    maps the unknowns on the nodes left of and on the centre line to the
+    full vector, and ``keep`` are their full-vector indices, so the first
+    is the class's exact restriction and ``basis @ u`` lifts its
+    eigenvectors. Returns None when the operator is not exactly symmetric.
     """
     import scipy.sparse as sp
 
@@ -494,7 +482,8 @@ def _mirror_bases(op: ModeOperator, hx_parities=(1, -1)):
     centre = nnx // 2
     node = np.arange(nn).reshape(nnx, nny)
     off_centre = np.arange(centre * nny)
-    bases = []
+    by_row = op.matrix.tocsr()
+    classes = []
     for hx_parity in hx_parities:
         keep, rows, cols, vals = [], [], [], []
         col = 0
@@ -509,8 +498,8 @@ def _mirror_bases(op: ModeOperator, hx_parities=(1, -1)):
         basis = sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * nn, col)
         )
-        bases.append((np.concatenate(keep), basis))
-    return bases
+        classes.append(((by_row[np.concatenate(keep)] @ basis).tocsc(), basis))
+    return classes
 
 
 def _relative_residual(mat, val, vec) -> float:

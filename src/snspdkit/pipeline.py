@@ -71,6 +71,11 @@ def band(target: dict) -> tuple[float, float]:
     return value - tol, value + tol
 
 
+def _check(rec: StageRecord, config: ProjectConfig, name: str, value: float) -> None:
+    """Record ``value`` as check ``name`` against the band of the target of that name."""
+    rec.checks.append(CheckResult(name, value, *band(config.targets[name])))
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -123,8 +128,7 @@ def _reference_budget(targets: dict, coupling: float) -> EfficiencyBudget:
 def _stage_mode_solver(config: ProjectConfig, out, rec, results):
     grid, te = solve_cross_section(config.cross_section, config.policy, config.solver, "TE")
     alpha = 0.0 if te is None else modal_absorption(te)
-    lo, hi = band(config.targets["alpha_per_cm"])
-    rec.checks.append(CheckResult("alpha_per_cm", alpha, lo, hi))
+    _check(rec, config, "alpha_per_cm", alpha)
     if te is not None:
         rec.notes["n_eff"] = {"re": te.n_eff.real, "im": te.n_eff.imag}
         rec.notes["te_fraction"] = te.te_fraction
@@ -152,8 +156,8 @@ def _stage_absorptance(config: ProjectConfig, out, rec, results):
     alpha_ref = config.targets["alpha_per_cm"]["value"]
     a51 = det.absorptance(alpha_ref, 51e-4)
     a102 = det.absorptance(alpha_ref, 102e-4)
-    rec.checks.append(CheckResult("absorptance_51um", a51, *band(config.targets["absorptance_51um"])))
-    rec.checks.append(CheckResult("absorptance_102um", a102, *band(config.targets["absorptance_102um"])))
+    _check(rec, config, "absorptance_51um", a51)
+    _check(rec, config, "absorptance_102um", a102)
     alpha_solved = results["alpha_per_cm"]
     rec.notes["alpha_reference_per_cm"] = alpha_ref
     rec.notes["absorptance_51um_at_solved_alpha"] = det.absorptance(alpha_solved, 51e-4)
@@ -168,7 +172,7 @@ def _stage_absorptance(config: ProjectConfig, out, rec, results):
 
 def _stage_fp_extract(config: ProjectConfig, out, rec, results):
     res = extract_coupling(config.fringes)
-    rec.checks.append(CheckResult("coupling", res.coupling, *band(config.targets["coupling"])))
+    _check(rec, config, "coupling", res.coupling)
     rec.notes.update({
         "facet_reflectivity": res.facet_reflectivity,
         "mode_match": res.mode_match,
@@ -187,7 +191,7 @@ def _stage_efficiency(config: ProjectConfig, out, rec, results):
     coupling = results["coupling"]
     budget = _reference_budget(config.targets, coupling)
     a_ref, eta_int = budget.absorptance, budget.internal
-    rec.checks.append(CheckResult("sqe", budget.sqe, *band(config.targets["sqe"])))
+    _check(rec, config, "sqe", budget.sqe)
     rec.notes.update({"coupling": coupling, "absorptance": a_ref,
                       "internal_efficiency": eta_int, "dqe": budget.dqe})
     model = config.detector
@@ -206,13 +210,10 @@ def _stage_pulse(config: ProjectConfig, out, rec, results):
     model = config.detector
     lkin = det.kinetic_inductance(model)
     tau = det.recovery_time_constant(model)
-    rec.checks.append(CheckResult("kinetic_inductance_nH", lkin * 1e9,
-                                  *band(config.targets["kinetic_inductance_nH"])))
-    rec.checks.append(CheckResult("tau_ns", tau * 1e9, *band(config.targets["tau_ns"])))
-    rec.checks.append(CheckResult("recovery_3tau", det.recovery_fraction(det.dead_time(model), tau),
-                                  *band(config.targets["recovery_3tau"])))
-    rec.checks.append(CheckResult("max_rate_MHz", det.max_count_rate(model) / 1e6,
-                                  *band(config.targets["max_rate_MHz"])))
+    _check(rec, config, "kinetic_inductance_nH", lkin * 1e9)
+    _check(rec, config, "tau_ns", tau * 1e9)
+    _check(rec, config, "recovery_3tau", det.recovery_fraction(det.dead_time(model), tau))
+    _check(rec, config, "max_rate_MHz", det.max_count_rate(model) / 1e6)
     trace = det.pulse_shape(model, config.pulse_rise_s)
     rec.notes["fwhm_ns"] = trace.fwhm_s * 1e9
     rec.notes["decay_time_1e_ns"] = trace.decay_time_1e_s * 1e9
@@ -227,8 +228,7 @@ def _stage_pulse(config: ProjectConfig, out, rec, results):
 
 def _stage_jitter(config: ProjectConfig, out, rec, results):
     intrinsic = det.jitter_deconvolve(config.jitter_total_s, config.jitter_source_s)
-    rec.checks.append(CheckResult("jitter_intrinsic_ps", intrinsic * 1e12,
-                                  *band(config.targets["jitter_intrinsic_ps"])))
+    _check(rec, config, "jitter_intrinsic_ps", intrinsic * 1e12)
     rec.notes["total_ps"] = config.jitter_total_s * 1e12
     rec.notes["source_ps"] = config.jitter_source_s * 1e12
 
@@ -282,9 +282,7 @@ def _write_summary(manifest: RunManifest, config: ProjectConfig, out: OutputDir)
         if not s.checks:
             rows.append([s.name, "", "", "", "", s.status])
         for c in s.checks:
-            rows.append([s.name, c.name, c.value, c.lo,
-                         "inf" if math.isinf(c.hi) else c.hi,
-                         "pass" if c.passed else s.status])
+            rows.append([s.name, c.name, c.value, c.lo, c.hi, "pass" if c.passed else s.status])
     p = out.path("summary.csv")
     write_csv(p, ["stage", "check", "value", "target_lo", "target_hi", "status"],
               rows, config.digest)

@@ -564,10 +564,11 @@ def test_reproduce_skip_marks_not_run(runner, tmp_path):
 
 def test_reproduce_data_files_repeat_byte_identical(runner, tmp_path):
     """Two reproduce-paper runs of one config write byte-identical CSV/TXT
-    data files; only the JSON manifests carry timestamps. Every CSV data
-    cell is a number, true/false or a word (a stage, check or status name),
-    never a repr such as ``np.float64(0.5)``. Coarse grid: base and far cells
-    doubled."""
+    data files; only the JSON manifests carry timestamps. Each run writes
+    exactly the stage outputs its manifest lists, the two summaries and the
+    manifest. Every CSV data cell is a number, true/false or a word (a
+    stage, check or status name), never a repr such as ``np.float64(0.5)``.
+    Coarse grid: base and far cells doubled."""
     with open(default_config_path(), encoding="utf-8") as fh:
         raw = json.load(fh)
     policy = raw["solver"]["policy"]
@@ -580,6 +581,10 @@ def test_reproduce_data_files_repeat_byte_identical(runner, tmp_path):
         result = runner.invoke(main, ["reproduce-paper", "--config", str(cfg),
                                       "--out", str(out), "--json"])
         assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        listed = {name for stage in manifest["stages"] for name in stage["outputs"]}
+        assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == (
+            listed | {"summary.csv", "summary.json", "run_manifest.json"})
         digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                         for p in sorted(out.iterdir()) if p.suffix in (".csv", ".txt")})
     assert {"grid_eps.txt", "mode_te0_hx.txt", "count_rate_vs_power.csv"} <= set(digests[0])

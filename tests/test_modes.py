@@ -23,7 +23,7 @@ from snspdkit.modes import (
     _finalize_mode,
     _first_of_kind,
     _gated_mode,
-    _mirror_bases,
+    _mirror_classes,
     _nearest,
     _power,
     _relative_residual,
@@ -403,17 +403,15 @@ def test_one_factorization_alive_at_a_time(default_config, coarse_solved, kind, 
 
 def two_class_pick(op, kind, config):
     """Oracle: the pick of a query that searches both parity classes, every
-    class of ``_mirror_bases(op)`` through ``_nearest``, ``_first_of_kind``
+    class of ``_mirror_classes(op)`` through ``_nearest``, ``_first_of_kind``
     over the joined pairs and then the residual gate, with the shift and the
     ladder's reach computed as ``solve_fundamental`` computes them."""
     n_core = op.index_bracket()[1]
     sigma = (op.k0 * (config.target_n_eff or 0.98 * n_core)) ** 2
     reach = max(0.0, (op.k0 * n_core) ** 2 - sigma)
-    bases = _mirror_bases(op)
-    assert bases is not None
-    by_row = op.matrix.tocsr()
-    found = [_nearest(op, (by_row[keep] @ basis).tocsc(), basis, sigma, reach, kind, config, None)
-             for keep, basis in bases]
+    classes = _mirror_classes(op)
+    assert classes is not None
+    found = [_nearest(op, mat, lift, sigma, reach, kind, config, None) for mat, lift in classes]
     pick = _first_of_kind(op, np.concatenate([v for v, _ in found]),
                           np.hstack([u for _, u in found]), kind)
     return None if pick is None else _gated_mode(op, *pick, config)
@@ -585,13 +583,13 @@ def test_asymmetric_operators_take_full_path(default_config, solves):
     policy = cfg.policy.bulk_refined(0.35)
     offset = rasterize(apply_parameters(cfg.cross_section, {"array_offset_nm": 100}), policy)
     grid = rasterize(cfg.cross_section, policy)
-    assert _mirror_bases(assemble_operator(grid)) is not None
+    assert _mirror_classes(assemble_operator(grid)) is not None
     eps = grid.eps.copy()
     eps[3, 5] = 1.5 ** 2
     perturbed = PermittivityGrid(grid.x_edges_m, grid.y_edges_m, eps, grid.wavelength_m)
     for g in (offset, perturbed):
         op = assemble_operator(g)
-        assert _mirror_bases(op) is None
+        assert _mirror_classes(op) is None
         solves.factored.clear()
         found = solve_modes(op, cfg.solver)
         assert solves.factored == [op.matrix.shape[0]]
@@ -617,14 +615,14 @@ import numpy as np
 
 import snspdkit as sk
 from snspdkit.config import default_config_path, load_project_config
-from snspdkit.modes import _mirror_bases
+from snspdkit.modes import _mirror_classes
 
 cs = replace(load_project_config(default_config_path()).cross_section, window_width_m=5.2e-6)
 policy = sk.ResolutionPolicy(base_m=50e-9, far_m=125e-9)
 op = sk.assemble_operator(sk.rasterize(cs, policy))
 runs = [sk.solve_modes(op, sk.SolverConfig(num_modes=4)) for _ in range(2)]
 print(json.dumps({
-    "split": _mirror_bases(op) is not None,
+    "split": _mirror_classes(op) is not None,
     "n_eff": [[m.n_eff.real, m.n_eff.imag] for m in runs[0]],
     "repeat_n_eff_identical": [m.n_eff for m in runs[0]] == [m.n_eff for m in runs[1]],
     "repeat_hx_identical": all(np.array_equal(a.hx, b.hx) for a, b in zip(*runs)),
