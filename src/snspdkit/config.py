@@ -276,21 +276,19 @@ def _parse_solver(s: _Reader) -> tuple[SolverConfig, ResolutionPolicy]:
     return cfg, policy
 
 
-def _parse_detector(d: _Reader) -> DetectorModel:
+def _parse_detector(d: _Reader, meander: dict) -> DetectorModel:
     ie, dc = d.section("internal_efficiency"), d.section("dark_counts")
     return DetectorModel(
         wire_length_m=d.length("length", required=True),
-        wire_width_m=d.length("width", required=True),
         sheet_inductance_H=d.number("sheet_inductance_pH_per_sq", 1e-12, required=True),
         load_resistance_ohm=d.number("load_resistance_ohm", required=True),
         critical_current_A=d.number("critical_current_uA", 1e-6, required=True),
         bias_current_A=d.number("bias_current_uA", 1e-6, required=True),
+        **meander,
         **_given(
-            wire_count=d.integer("wire_count"),
             eta_max=ie.number("eta_max"), bias_midpoint=ie.number("midpoint"),
             bias_width=ie.number("width"),
             dark_rate_prefactor_hz=dc.number("prefactor_hz"), dark_rate_slope=dc.number("slope"),
-            tc_K=d.number("tc_K"), delta_tc_K=d.number("delta_tc_mK", 1e-3),
         ),
     )
 
@@ -359,7 +357,7 @@ def load_project_config(source: str | os.PathLike | dict) -> ProjectConfig:
     ri = root.section("ridge")
     ridge = RidgeSpec(width_m=ri.length("width", required=True),
                       etch_depth_m=ri.length("etch_depth", required=True))
-    wires = _parse_wires(root.section("wires")) if root.value("wires", None) else None
+    wires = None if root.value("wires", None) is None else _parse_wires(root.section("wires"))
     window = root.section("window")
     cs = CrossSection(
         stack=stack, ridge=ridge, wires=wires,
@@ -370,8 +368,9 @@ def load_project_config(source: str | os.PathLike | dict) -> ProjectConfig:
     )
 
     solver_cfg, policy = _parse_solver(root.section("solver"))
-    detector = (DetectorModel() if root.value("detector") is _ABSENT
-                else _parse_detector(root.section("detector")))
+    meander = {} if wires is None else dict(wire_count=wires.count, wire_width_m=wires.width_m)
+    detector = (DetectorModel(**meander) if root.value("detector") is _ABSENT
+                else _parse_detector(root.section("detector"), meander))
 
     fr = root.section("fringes", {"t_max": 0.061, "t_min": 0.018})
     fringes = FringeData(t_max=fr.number("t_max", required=True),

@@ -19,11 +19,10 @@ _FLAG_NAMES = ("dark", "photon")   # CountRecord.flags, indexed by the photon ma
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Electrical and counting parameters of a nanowire detector.
-
-    ``tc_K`` and ``delta_tc_K`` are film metadata kept for provenance only;
-    nothing in this module reads them.
-    """
+    """Electrical and counting parameters of a nanowire detector. Its meander
+    is the wire array the mode solver paints: a loaded config takes
+    ``wire_count`` and ``wire_width_m`` from its ``wires`` section (without
+    one, the defaults below) and only the wire length from ``detector``."""
 
     wire_count: int = 4
     wire_length_m: float = 50e-6
@@ -37,8 +36,6 @@ class DetectorModel:
     bias_width: float = 0.07                 # logistic width in i
     dark_rate_prefactor_hz: float = 1e-2     # R_dc = R0 * exp(s * i)
     dark_rate_slope: float = 15.0
-    tc_K: float = 10.0
-    delta_tc_K: float = 0.65
 
     def __post_init__(self):
         if self.wire_count < 1:
@@ -53,6 +50,10 @@ class DetectorModel:
             raise DomainError("load resistance must be > 0")
         if not 0 < self.eta_max <= 1:
             raise DomainError("eta_max must be in (0, 1]")
+        if self.bias_width <= 0:
+            raise DomainError("internal-efficiency logistic width must be > 0")
+        if self.dark_rate_prefactor_hz < 0:
+            raise DomainError("dark-count prefactor must be >= 0")
         if not 0 < self.bias_current_A < self.critical_current_A:
             raise DomainError("operating point requires 0 < I_b < I_c")
 

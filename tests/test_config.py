@@ -10,7 +10,7 @@ from snspdkit.config import (
     load_project_config,
     stable_seed,
 )
-from snspdkit.errors import ConfigError
+from snspdkit.errors import ConfigError, DomainError
 
 
 def _raw_default():
@@ -22,6 +22,8 @@ def test_shipped_config_loads(default_config):
     cfg = default_config
     assert cfg.cross_section.wavelength_m == pytest.approx(1300e-9)
     assert cfg.cross_section.wires.count == 4
+    assert cfg.detector.wire_count == cfg.cross_section.wires.count
+    assert cfg.detector.wire_width_m == cfg.cross_section.wires.width_m
     assert cfg.detector.critical_current_A == pytest.approx(16.9e-6)
     assert cfg.fringes.t_max == pytest.approx(0.061)
     assert cfg.policy.base_m == pytest.approx(25e-9)
@@ -114,7 +116,6 @@ _MISSING = object()
     (("layers",), [{"material": "GaAs", "substrate": True}], "needs a layer above the substrate"),
     (("wires", "thickness_nm"), _MISSING, r"wires: missing thickness_<nm\|um\|mm\|m>$"),
     (("wires", "count"), 10**400, "wires: count must be an integer"),
-    (("detector", "wire_count"), 10**400, "detector: wire_count must be an integer"),
     (("solver", "max_iterations"), 10**400, "solver: max_iterations must be an integer"),
     (("solver", "max_iterations"), 2**63, r"max_iterations must be <= 2\*\*31 - 1"),
     (("solver", "max_iterations"), 2**31, r"max_iterations must be <= 2\*\*31 - 1"),
@@ -128,6 +129,11 @@ _MISSING = object()
     (("counting", "jitter_ps"), -1, "counting: jitter_ps must be >= 0"),
     (("wires", "material"), "Nb", "material 'Nb' referenced but not defined"),
     (("wires", "cap_material"), "Al2O3", "material 'Al2O3' referenced but not defined"),
+    (("wires",), {}, "wires: missing count"),
+    (("wires",), False, "wires: must be a JSON object"),
+    (("wires",), 0, "wires: must be a JSON object"),
+    (("wires",), [], "wires: must be a JSON object"),
+    (("wires",), "", "wires: must be a JSON object"),
 ], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
         "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
@@ -137,10 +143,11 @@ _MISSING = object()
         "output_dir-null", "output_dir-5", "output_dir-empty",
         "tolerance-Infinity", "target_n_eff-NaN", "tolerance-huge-int", "powers_pW-NaN",
         "far-0", "x_base-negative", "edge_band-negative", "substrate-only", "wire-thickness-no-hint",
-        "count-huge-int", "wire_count-huge-int", "max_iterations-huge-int", "max_iterations-2**63",
+        "count-huge-int", "max_iterations-huge-int", "max_iterations-2**63",
         "max_iterations-2**31", "step-tiny", "powers_pW-all-zero", "powers_pW-one",
         "powers_pW-repeated", "powers_pW-negative", "duration_s-negative", "duration_s-0",
-        "jitter_ps-negative", "wire-material-undefined", "cap-material-undefined"])
+        "jitter_ps-negative", "wire-material-undefined", "cap-material-undefined",
+        "wires-empty-object", "wires-false", "wires-0", "wires-empty-list", "wires-empty-string"])
 def test_malformed_inputs_rejected(path, value, message):
     """Malformed values fail at load time as a ConfigError naming the key,
     not as a raw Python error that the CLI would report as an unexpected
@@ -154,6 +161,52 @@ def test_malformed_inputs_rejected(path, value, message):
     else:
         node[key] = value
     with pytest.raises(ConfigError, match=message):
+        load_project_config(raw)
+
+
+@pytest.mark.parametrize("with_detector", [True, False], ids=["detector", "no-detector"])
+def test_meander_follows_wires(with_detector):
+    """The wires the mode solver paints are the meander whose kinetic
+    inductance the pulse, recovery and counting models use: two wires
+    halve the shipped 180 nH and 3.6 ns, with or without a detector section."""
+    from snspdkit.detector import kinetic_inductance, recovery_time_constant
+
+    raw = _raw_default()
+    raw["wires"]["count"] = 2
+    if not with_detector:
+        del raw["detector"]
+    cfg = load_project_config(raw)
+    assert cfg.cross_section.wires.count == cfg.detector.wire_count == 2
+    assert kinetic_inductance(cfg.detector) == pytest.approx(90e-9, rel=1e-12)
+    assert recovery_time_constant(cfg.detector) == pytest.approx(1.8e-9, rel=1e-12)
+
+
+def test_no_wires_keeps_detector_defaults():
+    from snspdkit.detector import DetectorModel
+
+    raw = _raw_default()
+    raw["wires"] = None
+    cfg = load_project_config(raw)
+    assert cfg.cross_section.wires is None
+    assert (cfg.detector.wire_count, cfg.detector.wire_width_m) == (
+        DetectorModel.wire_count, DetectorModel.wire_width_m)
+
+
+@pytest.mark.parametrize("key", ["wire_count", "width_nm", "tc_K", "delta_tc_mK"])
+def test_detector_meander_and_film_keys_rejected(key):
+    """The detector section gives neither the wire count and width (they
+    come from ``wires``) nor film metadata that nothing reads."""
+    raw = _raw_default()
+    raw["detector"][key] = 4
+    with pytest.raises(ConfigError, match=re.escape(f"detector: unknown keys ['{key}']")):
+        load_project_config(raw)
+
+
+def test_zero_logistic_width_rejected_at_load():
+    """A zero width would divide by zero in the efficiency stage."""
+    raw = _raw_default()
+    raw["detector"]["internal_efficiency"]["width"] = 0
+    with pytest.raises(DomainError, match="logistic width must be > 0"):
         load_project_config(raw)
 
 

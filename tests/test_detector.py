@@ -345,3 +345,16 @@ def test_model_bias_window():
         det.DetectorModel(bias_current_A=20e-6)  # above I_c
     with pytest.raises(DomainError):
         det.DetectorModel(bias_current_A=0.0)
+
+
+@pytest.mark.parametrize("width", [0.0, -0.07])
+def test_model_logistic_width_positive(width):
+    """A zero width divides by zero; a negative one inverts the logistic."""
+    with pytest.raises(DomainError, match="logistic width must be > 0"):
+        det.DetectorModel(bias_width=width)
+
+
+def test_model_dark_prefactor_nonnegative():
+    with pytest.raises(DomainError, match="dark-count prefactor must be >= 0"):
+        det.DetectorModel(dark_rate_prefactor_hz=-1000.0)
+    assert det.dark_count_rate(det.DetectorModel(dark_rate_prefactor_hz=0.0)) == 0.0
