@@ -21,6 +21,7 @@ import importlib.resources
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -211,6 +212,15 @@ def config_digest(raw: dict) -> str:
 # section parsers
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _section_errors(ctx: str):
+    """Report a model's DomainError as a ConfigError naming the config section."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+
+
 def _parse_materials(entries: list[_Reader], aluminum_fraction) -> dict[str, Material]:
     mats: dict[str, Material] = {}
     for entry in entries:
@@ -218,7 +228,7 @@ def _parse_materials(entries: list[_Reader], aluminum_fraction) -> dict[str, Mat
         builtin, table = entry.value("builtin"), entry.value("table_nm")
         if (builtin is _ABSENT) == (table is _ABSENT):
             raise ConfigError(f"{entry.ctx}: exactly one of 'builtin' or 'table_nm' required")
-        try:
+        with _section_errors(entry.ctx):
             if table is _ABSENT:
                 if not isinstance(builtin, str):
                     raise ConfigError(f"{entry.ctx}: builtin must be a string")
@@ -231,8 +241,6 @@ def _parse_materials(entries: list[_Reader], aluminum_fraction) -> dict[str, Mat
                 except (TypeError, IndexError, ValueError) as exc:
                     raise ConfigError(f"{entry.ctx}: table_nm rows must be [wavelength_nm, n, k]") from exc
                 mats[name] = Material(name, wl, idx)
-        except DomainError as exc:
-            raise ConfigError(f"{entry.ctx}: {exc}") from exc
     return mats
 
 
@@ -369,13 +377,15 @@ def load_project_config(source: str | os.PathLike | dict) -> ProjectConfig:
 
     solver_cfg, policy = _parse_solver(root.section("solver"))
     meander = {} if wires is None else dict(wire_count=wires.count, wire_width_m=wires.width_m)
-    detector = (DetectorModel(**meander) if root.value("detector") is _ABSENT
-                else _parse_detector(root.section("detector"), meander))
+    with _section_errors("detector"):
+        detector = (DetectorModel(**meander) if root.value("detector") is _ABSENT
+                    else _parse_detector(root.section("detector"), meander))
 
     fr = root.section("fringes", {"t_max": 0.061, "t_min": 0.018})
-    fringes = FringeData(t_max=fr.number("t_max", required=True),
-                         t_min=fr.number("t_min", required=True),
-                         **_given(single_pass=fr.number("single_pass")))
+    with _section_errors(fr.ctx):
+        fringes = FringeData(t_max=fr.number("t_max", required=True),
+                             t_min=fr.number("t_min", required=True),
+                             **_given(single_pass=fr.number("single_pass")))
 
     pu = root.section("pulse")
     fwhm_target = pu.number("fwhm_target_ns", 1e-9)

@@ -6,11 +6,12 @@ All functions are pure except :func:`simulate_counting`, which owns one seeded
 generator per call; independent calls may run concurrently.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .constants import photon_flux
 from .errors import ConfigError, DomainError, InconsistencyError
 

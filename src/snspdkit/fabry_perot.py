@@ -7,13 +7,14 @@ symmetric throughout; an asymmetric extraction is underdetermined by the two
 observables T_max and T_min.
 """
 
+from __future__ import annotations
+
 import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, InconsistencyError
 
 

@@ -23,12 +23,13 @@ cap. Rasterization makes every box edge inside the window a grid line
 ``eps = (n - 1j*k)**2`` box by box by cell midpoint: no sub-cell averaging.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError
 from .materials import Material, lookup_index
 

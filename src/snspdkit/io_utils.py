@@ -6,12 +6,13 @@ inputs are byte-identical). JSON written to stdout or disk uses a canonical
 form (sorted keys) so parse -> re-serialize round-trips exactly.
 """
 
+from __future__ import annotations
+
 import json
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from ._numpy import np
 from .errors import ConfigError
 
 TOOL = "snspdkit"

@@ -17,9 +17,10 @@ Shipped dispersion sources (1260-1360 nm band):
 * air -- n = 1.
 """
 
+import cmath
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .constants import E_CHARGE, HC
 from .errors import DomainError, WavelengthRangeError
@@ -37,8 +38,9 @@ NBN_INDEX_1300 = complex(5.23, -5.82)
 class Material:
     """A named material with a tabulated complex index vs wavelength.
 
-    ``wavelengths_m`` must be strictly increasing; real and imaginary parts
-    are interpolated linearly and independently between table nodes.
+    ``wavelengths_m`` must be strictly increasing and every entry finite;
+    real and imaginary parts are interpolated linearly and independently
+    between table nodes.
     """
 
     name: str
@@ -50,10 +52,13 @@ class Material:
             raise DomainError(f"material {self.name!r}: empty index table")
         if len(self.wavelengths_m) != len(self.indices):
             raise DomainError(f"material {self.name!r}: table length mismatch")
-        wl = np.asarray(self.wavelengths_m)
-        if len(wl) > 1 and not np.all(np.diff(wl) > 0):
+        wl = self.wavelengths_m
+        # in the positive form, so that a NaN wavelength fails it too
+        if not all(b > a for a, b in zip(wl, wl[1:])):
             raise DomainError(f"material {self.name!r}: wavelengths not strictly increasing")
-        for nk in self.indices:
+        for w, nk in zip(wl, self.indices):
+            if not (math.isfinite(w) and cmath.isfinite(nk)):
+                raise DomainError(f"material {self.name!r}: non-finite table entry {nk} at {w} m")
             if nk.real <= 0:
                 raise DomainError(f"material {self.name!r}: Re(n) must be > 0, got {nk}")
             if nk.imag > 0:
@@ -71,11 +76,15 @@ def lookup_index(material: Material, wavelength_m: float) -> complex:
     lo, hi = material.wavelengths_m[0], material.wavelengths_m[-1]
     if not (lo <= wavelength_m <= hi):
         raise WavelengthRangeError(material.name, wavelength_m, lo, hi)
-    wl = np.asarray(material.wavelengths_m)
-    idx = np.asarray(material.indices)
-    re = float(np.interp(wavelength_m, wl, idx.real))
-    im = float(np.interp(wavelength_m, wl, idx.imag))
-    return complex(re, im)
+    # numpy.interp's arithmetic, part by part: the node value at a node and
+    # at the upper edge, else the left value plus slope times offset
+    wl, idx = material.wavelengths_m, material.indices
+    j = bisect_right(wl, wavelength_m) - 1
+    if j == len(wl) - 1 or wl[j] == wavelength_m:
+        return complex(idx[j])
+    a, b = idx[j], idx[j + 1]
+    dx, width = wavelength_m - wl[j], wl[j + 1] - wl[j]
+    return complex((b.real - a.real) / width * dx + a.real, (b.imag - a.imag) / width * dx + a.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +105,14 @@ def algaas_index(wavelength_m: float, aluminum_fraction: float) -> float:
             f"photon energy {e:.3f} eV above the AlGaAs gap {eg:.3f} eV (x={x}); "
             "model valid only in the transparent region"
         )
-    eta = np.pi * ed / (2 * e0**3 * (e0**2 - eg**2))
+    eta = math.pi * ed / (2 * e0**3 * (e0**2 - eg**2))
     n2 = (
         1.0
         + ed / e0
         + ed * e**2 / e0**3
-        + (eta / np.pi) * e**4 * np.log((2 * e0**2 - eg**2 - e**2) / (eg**2 - e**2))
+        + (eta / math.pi) * e**4 * math.log((2 * e0**2 - eg**2 - e**2) / (eg**2 - e**2))
     )
-    return float(np.sqrt(n2))
+    return math.sqrt(n2)
 
 
 def gaas_index(wavelength_m: float) -> float:
@@ -118,12 +127,12 @@ def silica_index(wavelength_m: float) -> float:
     n2 = 1.0
     for b, c in ((0.6961663, 0.0684043), (0.4079426, 0.1162414), (0.8974794, 9.896161)):
         n2 += b * lam2 / (lam2 - c * c)
-    return float(np.sqrt(n2))
+    return math.sqrt(n2)
 
 
 def _sampled_material(name, model) -> Material:
-    wl = np.arange(BAND_NM[0], BAND_NM[1] + 1, _TABLE_STEP_NM) / 1e9
-    return Material(name, tuple(float(w) for w in wl), tuple(complex(model(w), 0.0) for w in wl))
+    wl = tuple(nm / 1e9 for nm in range(BAND_NM[0], BAND_NM[1] + 1, _TABLE_STEP_NM))
+    return Material(name, wl, tuple(complex(model(w), 0.0) for w in wl))
 
 
 def make_builtin_material(name: str, kind: str, aluminum_fraction: float = 0.75) -> Material:

@@ -26,13 +26,14 @@ exactly mirror-symmetric operator is split into its two parity classes (see
 :func:`_mirror_classes`), each solved as a half-size eigenproblem.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
 
-import numpy as np
 # scipy.sparse is imported inside the functions that build or solve an
 # operator, so that ``import snspdkit`` and the CLI commands that never solve
-# do not pay ~0.35 s for it at start-up.
-
+# do not pay ~0.35 s for it at start-up; numpy loads at its first use too.
+from ._numpy import np
 from .errors import ConfigError, ConvergenceError, DomainError
 from .geometry import CrossSection, PermittivityGrid, ResolutionPolicy, rasterize
 

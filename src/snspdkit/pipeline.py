@@ -7,14 +7,15 @@ skipped stage marks them "not-run". The pipeline always runs to the end
 and the manifest records every stage, its checks, outputs and seed.
 """
 
+from __future__ import annotations
+
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__, detector as det
+from ._numpy import np
 from .config import ProjectConfig
 from .detector import EfficiencyBudget, SourceSpec, dark_count_rate, internal_efficiency
 from .errors import ConfigError, SnspdKitError

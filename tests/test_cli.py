@@ -70,19 +70,25 @@ def _fresh_python(*args) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=True)
 
 
-_SPARSE_LOADED = "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules))\n"
+def _loaded(*modules) -> str:
+    """Python code printing which of ``modules`` the interpreter has loaded."""
+    return f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
+
+
+_SPARSE_LOADED = _loaded("scipy.sparse", "scipy.sparse.linalg")
 
 
 def test_cli_import_skips_sparse():
-    """Importing the CLI and loading the shipped config does not load
-    scipy.sparse: it loads at the first operator assembly, so commands that
-    never solve do not pay for it at start-up."""
+    """Importing the CLI and loading the shipped config loads neither
+    scipy.sparse nor numpy: scipy.sparse loads at the first operator assembly
+    and numpy at the first array computation, so commands that never solve
+    do not pay for them at start-up."""
     done = _fresh_python("-c", (
         "import sys\n"
         "from snspdkit.cli import main\n"
         "from snspdkit.config import default_config_path, load_project_config\n"
         "load_project_config(default_config_path())\n"
-    ) + _SPARSE_LOADED)
+    ) + _loaded("numpy", "scipy.sparse", "scipy.sparse.linalg"))
     assert done.stdout.strip() == "[]"
 
 
@@ -107,6 +113,26 @@ def test_non_solver_commands_skip_sparse(tmp_path):
     lines = done.stdout.splitlines()
     assert any(line.startswith("intrinsic_ps") for line in lines)   # jitter ran
     assert (tmp_path / "counts" / "counts.csv").exists()
+    assert lines[-1] == "[]"
+
+
+def test_scalar_commands_skip_numpy():
+    """The four subcommands that do scalar arithmetic only run to completion
+    without loading numpy."""
+    commands = [
+        ["jitter", "--total-ps", "73", "--source-ps", "40", "--json"],
+        ["absorptance", "--alpha-per-cm", "451", "--length-um", "51"],
+        ["efficiency", "--coupling", "0.174", "--absorptance", "0.90", "--dqe", "0.197"],
+        ["fp-extract", "--tmax", "0.061", "--tmin", "0.018"],
+    ]
+    done = _fresh_python("-c", (
+        "import sys\n"
+        "from snspdkit.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+    ) + _loaded("numpy"))
+    lines = done.stdout.splitlines()
+    assert any(line.startswith("coupling") for line in lines)   # fp-extract ran
     assert lines[-1] == "[]"
 
 

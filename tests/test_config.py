@@ -10,7 +10,7 @@ from snspdkit.config import (
     load_project_config,
     stable_seed,
 )
-from snspdkit.errors import ConfigError, DomainError
+from snspdkit.errors import ConfigError
 
 
 def _raw_default():
@@ -103,6 +103,12 @@ _MISSING = object()
      r"materials\[4\]: exactly one of 'builtin' or 'table_nm' required"),
     (("materials", 4), {"name": "air", "table_nm": [[1260, 1.0, 0.0], [1360, 1.0]]},
      r"materials\[4\]: table_nm rows must be \[wavelength_nm, n, k\]"),
+    (("materials", 3), {"name": "SiOx", "table_nm": [[1260, float("nan"), 0.0], [1360, 1.45, 0.0]]},
+     r"materials\[3\]: material 'SiOx': non-finite table entry"),
+    (("materials", 3), {"name": "SiOx", "table_nm": [[1260, 1.45, float("inf")], [1360, 1.45, 0.0]]},
+     r"materials\[3\]: material 'SiOx': non-finite table entry"),
+    (("materials", 3), {"name": "SiOx", "table_nm": [[float("nan"), 1.45, 0.0], [1360, 1.45, 0.0]]},
+     r"materials\[3\]: material 'SiOx': wavelengths not strictly increasing"),
     (("output_dir",), None, "config: output_dir must be a non-empty string"),
     (("output_dir",), 5, "config: output_dir must be a non-empty string"),
     (("output_dir",), "", "config: output_dir must be a non-empty string"),
@@ -134,12 +140,16 @@ _MISSING = object()
     (("wires",), 0, "wires: must be a JSON object"),
     (("wires",), [], "wires: must be a JSON object"),
     (("wires",), "", "wires: must be a JSON object"),
+    (("detector", "bias_current_uA"), 20, "detector: operating point requires 0 < I_b < I_c"),
+    (("fringes", "t_max"), 2, r"fringes: extrema must satisfy 0 < T_min < T_max <= 1"),
+    (("fringes", "single_pass"), 0, r"fringes: single-pass transmission must be in \(0, 1\]"),
 ], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
         "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
         "material-name-list", "substrate-string",
         "target-value-x", "target-abs_tol-x", "target-no-tolerance", "target-scalar-x",
         "table-empty", "table-negative-k", "table-decreasing", "builtin-and-table", "table-short-row",
+        "table-NaN-n", "table-inf-k", "table-NaN-wavelength",
         "output_dir-null", "output_dir-5", "output_dir-empty",
         "tolerance-Infinity", "target_n_eff-NaN", "tolerance-huge-int", "powers_pW-NaN",
         "far-0", "x_base-negative", "edge_band-negative", "substrate-only", "wire-thickness-no-hint",
@@ -147,7 +157,8 @@ _MISSING = object()
         "max_iterations-2**31", "step-tiny", "powers_pW-all-zero", "powers_pW-one",
         "powers_pW-repeated", "powers_pW-negative", "duration_s-negative", "duration_s-0",
         "jitter_ps-negative", "wire-material-undefined", "cap-material-undefined",
-        "wires-empty-object", "wires-false", "wires-0", "wires-empty-list", "wires-empty-string"])
+        "wires-empty-object", "wires-false", "wires-0", "wires-empty-list", "wires-empty-string",
+        "bias_current-above-critical", "fringes-t_max-2", "fringes-single_pass-0"])
 def test_malformed_inputs_rejected(path, value, message):
     """Malformed values fail at load time as a ConfigError naming the key,
     not as a raw Python error that the CLI would report as an unexpected
@@ -203,10 +214,11 @@ def test_detector_meander_and_film_keys_rejected(key):
 
 
 def test_zero_logistic_width_rejected_at_load():
-    """A zero width would divide by zero in the efficiency stage."""
+    """A zero width would divide by zero in the efficiency stage; the error
+    names the detector section like any other malformed config value."""
     raw = _raw_default()
     raw["detector"]["internal_efficiency"]["width"] = 0
-    with pytest.raises(DomainError, match="logistic width must be > 0"):
+    with pytest.raises(ConfigError, match="detector: internal-efficiency logistic width must be > 0"):
         load_project_config(raw)
 
 

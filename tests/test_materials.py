@@ -5,6 +5,8 @@ import pytest
 
 from snspdkit.errors import DomainError, WavelengthRangeError
 from snspdkit.materials import (
+    BAND_M,
+    BAND_NM,
     Material,
     algaas_index,
     default_materials,
@@ -86,6 +88,60 @@ def test_interpolation_exact_at_nodes_and_monotone_between():
             got = lookup_index(mat, float(mid)).real
             lo, hi = sorted((idx[k].real, idx[k + 1].real))
             assert lo - 1e-12 <= got <= hi + 1e-12
+
+
+def _bits(z) -> tuple[str, str]:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _numpy_lookup(material, wavelength_m):
+    """Linear interpolation of each part by numpy.interp."""
+    wl, idx = np.asarray(material.wavelengths_m), np.asarray(material.indices)
+    return complex(np.interp(wavelength_m, wl, idx.real), np.interp(wavelength_m, wl, idx.imag))
+
+
+def _numpy_algaas(wavelength_m, x):
+    """The Afromowitz formula of ``algaas_index`` term by term, on numpy
+    float64 scalars with numpy's log and sqrt."""
+    e = HC / np.float64(wavelength_m) / EV
+    e0 = 3.65 + 0.871 * x + 0.179 * x**2
+    ed = 36.1 - 2.45 * x
+    eg = 1.424 + 1.266 * x + 0.26 * x**2
+    eta = np.pi * ed / (2 * e0**3 * (e0**2 - eg**2))
+    n2 = (1.0 + ed / e0 + ed * e**2 / e0**3
+          + (eta / np.pi) * e**4 * np.log((2 * e0**2 - eg**2 - e**2) / (eg**2 - e**2)))
+    return float(np.sqrt(n2))
+
+
+def _numpy_silica(wavelength_m):
+    lam2 = (np.float64(wavelength_m) * 1e6) ** 2
+    n2 = 1.0
+    for b, c in ((0.6961663, 0.0684043), (0.4079426, 0.1162414), (0.8974794, 9.896161)):
+        n2 += b * lam2 / (lam2 - c * c)
+    return float(np.sqrt(n2))
+
+
+@pytest.mark.parametrize("x", [0.0, 0.25, 0.5, 0.7, 0.75, 1.0])
+def test_tables_and_lookup_match_numpy_bit_for_bit(x):
+    """The pure-Python tables and interpolation give numpy's float64 answers
+    exactly: the tables against the same formulas evaluated with numpy's
+    log and sqrt on numpy's arange grid, and ``lookup_index`` against
+    numpy.interp on a dense grid, at every node and at both band edges."""
+    nodes = np.arange(BAND_NM[0], BAND_NM[1] + 1, 5) / 1e9
+    mats = default_materials(x)
+    probe = Material("probe", (1260e-9, 1283.7e-9, 1300e-9, 1360e-9),
+                     (complex(2.0, -0.1), complex(2.3, -0.0), complex(2.1, -0.4), complex(1.9, -0.2)))
+    expected = {"GaAs": [_numpy_algaas(w, 0.0) for w in nodes],
+                "AlGaAs": [_numpy_algaas(w, x) for w in nodes],
+                "SiOx": [_numpy_silica(w) for w in nodes]}
+    for name, table in expected.items():
+        assert mats[name].wavelengths_m == tuple(nodes.tolist())
+        assert [_bits(n) for n in mats[name].indices] == [_bits(n) for n in table], name
+    grid = np.linspace(*BAND_M, 4001).tolist() + list(BAND_M)
+    for mat in [*mats.values(), probe]:
+        for w in grid + list(mat.wavelengths_m):
+            assert _bits(lookup_index(mat, w)) == _bits(_numpy_lookup(mat, w)), (mat.name, w)
 
 
 def test_material_invariants():
