@@ -4,8 +4,8 @@
 numpy, and each attribute it hands out is cached on it. So ``import
 snspdkit``, loading a config and the CLI commands that do no array
 arithmetic do not pay for numpy at start-up, as ``modes`` already defers
-scipy.sparse. Modules that take ``np`` from here use postponed annotations,
-so an ``np.ndarray`` annotation does not import numpy either.
+scipy.sparse. Modules that annotate with ``np.ndarray`` use postponed
+annotations, so the annotation does not import numpy either.
 """
 
 import importlib

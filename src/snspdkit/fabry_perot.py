@@ -7,8 +7,6 @@ symmetric throughout; an asymmetric extraction is underdetermined by the two
 observables T_max and T_min.
 """
 
-from __future__ import annotations
-
 import csv
 import math
 from dataclasses import dataclass

@@ -7,8 +7,6 @@ skipped stage marks them "not-run". The pipeline always runs to the end
 and the manifest records every stage, its checks, outputs and seed.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from dataclasses import asdict, dataclass, field
