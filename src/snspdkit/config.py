@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .detector import DetectorModel
+from .detector import DetectorModel, pulse_fall_time
 from .errors import ConfigError, DomainError
 from .fabry_perot import FringeData
 from .geometry import CrossSection, Layer, LayerStack, NanowireArray, ResolutionPolicy, RidgeSpec
@@ -388,6 +388,9 @@ def load_project_config(source: str | os.PathLike | dict) -> ProjectConfig:
                              **_given(single_pass=fr.number("single_pass")))
 
     pu = root.section("pulse")
+    pulse_rise = pu.number("rise_ps", 1e-12, default=200.0)
+    with _section_errors(pu.ctx):
+        pulse_fall_time(detector, pulse_rise)
     fwhm_target = pu.number("fwhm_target_ns", 1e-9)
 
     co = root.section("counting")
@@ -411,7 +414,7 @@ def load_project_config(source: str | os.PathLike | dict) -> ProjectConfig:
         solver=solver_cfg,
         detector=detector,
         fringes=fringes,
-        pulse_rise_s=pu.number("rise_ps", 1e-12, default=200.0),
+        pulse_rise_s=pulse_rise,
         pulse_fwhm_target_s=None if fwhm_target is _ABSENT else fwhm_target,
         counting=counting,
         jitter_total_s=ji.number("total_ps", 1e-12, default=73.0),

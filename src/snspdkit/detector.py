@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ._numpy import np
 from .constants import photon_flux
-from .errors import ConfigError, DomainError, InconsistencyError
+from .errors import DomainError, InconsistencyError
 
 _FLAG_NAMES = ("dark", "photon")   # CountRecord.flags, indexed by the photon mask
 
@@ -161,8 +161,6 @@ class PulseTrace:
 
     time_s: np.ndarray
     voltage: np.ndarray = field(repr=False)
-    tau_rise_s: float = 0.0
-    tau_fall_s: float = 0.0
     peak_time_s: float = 0.0
     fwhm_s: float = 0.0
     decay_time_1e_s: float = 0.0
@@ -182,6 +180,17 @@ def _crossing(t: np.ndarray, v: np.ndarray, level: float, rising: bool) -> float
     return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
 
 
+def pulse_fall_time(model: DetectorModel, tau_rise_s: float) -> float:
+    """The model's recovery constant tau_fall, once 0 < tau_rise < tau_fall is checked."""
+    tau_fall = recovery_time_constant(model)
+    if not 0 < tau_rise_s < tau_fall:
+        raise DomainError(
+            f"rise constant must satisfy 0 < tau_rise < tau_fall "
+            f"({tau_rise_s:.3g} s vs {tau_fall:.3g} s)"
+        )
+    return tau_fall
+
+
 def pulse_shape(model: DetectorModel, tau_rise_s: float = 200e-12) -> PulseTrace:
     """Peak-normalized V(t) = exp(-t/tau_fall) - exp(-t/tau_rise).
 
@@ -189,12 +198,7 @@ def pulse_shape(model: DetectorModel, tau_rise_s: float = 200e-12) -> PulseTrace
     the rise constant bundles hot-spot and amplifier dynamics. The tail 1/e
     decay time is measured by a log-linear fit beyond the peak.
     """
-    tau_fall = recovery_time_constant(model)
-    if not 0 < tau_rise_s < tau_fall:
-        raise ConfigError(
-            f"rise constant must satisfy 0 < tau_rise < tau_fall "
-            f"({tau_rise_s:.3g} s vs {tau_fall:.3g} s)"
-        )
+    tau_fall = pulse_fall_time(model, tau_rise_s)
     t = np.linspace(0.0, 10.0 * tau_fall, 6000)
     v = np.exp(-t / tau_fall) - np.exp(-t / tau_rise_s)
     ratio = tau_fall / tau_rise_s
@@ -211,7 +215,7 @@ def pulse_shape(model: DetectorModel, tau_rise_s: float = 200e-12) -> PulseTrace
     decay_1e = -1.0 / slope
 
     return PulseTrace(
-        time_s=t, voltage=v, tau_rise_s=tau_rise_s, tau_fall_s=tau_fall,
+        time_s=t, voltage=v,
         peak_time_s=t_peak, fwhm_s=float(fwhm), decay_time_1e_s=float(decay_1e),
     )
 

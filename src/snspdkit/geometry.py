@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 from ._numpy import np
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .materials import Material, lookup_index
 
 MIN_CLEARANCE_M = 1.5e-6   # mandated cladding/air margin around ridge + array
@@ -294,19 +294,27 @@ class PermittivityGrid:
     """Cell-edge coordinates plus per-cell complex relative permittivity.
 
     ``eps[i, j]`` belongs to the cell between ``x_edges[i:i+2]`` and
-    ``y_edges[j:j+2]`` and equals ``(n - 1j*k)**2`` of the material there.
+    ``y_edges[j:j+2]`` and equals ``(n - 1j*k)**2`` of the material there
+    at ``wavelength_m``. The edges are the mode solver's field nodes.
     """
 
     x_edges_m: np.ndarray
     y_edges_m: np.ndarray
     eps: np.ndarray = field(repr=False)
-    wavelength_m: float = 0.0
+    wavelength_m: float
 
     def __post_init__(self):
         for arr in (self.x_edges_m, self.y_edges_m, self.eps):
             arr.setflags(write=False)
         if self.eps.shape != (len(self.x_edges_m) - 1, len(self.y_edges_m) - 1):
             raise ConfigError("eps array shape does not match the grid edges")
+        if not self.wavelength_m > 0:   # NaN too
+            raise DomainError("wavelength must be > 0")
+
+    @property
+    def k0(self) -> float:
+        """Vacuum wavenumber 2*pi/lambda [1/m]."""
+        return 2.0 * math.pi / self.wavelength_m
 
     @property
     def x_centers_m(self) -> np.ndarray:

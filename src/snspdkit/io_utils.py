@@ -14,6 +14,7 @@ from pathlib import Path
 from . import __version__
 from ._numpy import np
 from .errors import ConfigError
+from .modes import modal_absorption
 
 TOOL = "snspdkit"
 
@@ -102,8 +103,6 @@ def export_grid(grid, out: OutputDir, prefix: str = "grid", config_digest: str =
 
 def export_mode_fields(mode, out: OutputDir, prefix: str = "mode", config_digest: str = "none") -> list[str]:
     """One delimited-text matrix per field component + JSON header."""
-    from .modes import modal_absorption  # local import to avoid cycle
-
     names = []
     for comp in ("hx", "hy", "hz", "ex", "ey", "ez"):
         p = out.path(f"{prefix}_{comp}.txt")
@@ -115,9 +114,9 @@ def export_mode_fields(mode, out: OutputDir, prefix: str = "mode", config_digest
         "alpha_per_cm": modal_absorption(mode),
         "te_fraction": mode.te_fraction,
         "polarization": mode.polarization,
-        "wavelength_m": mode.wavelength_m,
-        "x_nodes_m": list(map(float, mode.x_nodes_m)),
-        "y_nodes_m": list(map(float, mode.y_nodes_m)),
+        "wavelength_m": mode.grid.wavelength_m,
+        "x_nodes_m": list(map(float, mode.grid.x_edges_m)),
+        "y_nodes_m": list(map(float, mode.grid.y_edges_m)),
         "component_files": names,
         "h_components_on": "nodes",
         "e_components_on": "cell centers",

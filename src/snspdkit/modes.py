@@ -83,17 +83,15 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class ModeOperator:
-    """Assembled eigenproblem A [Hx; Hy] = beta^2 [Hx; Hy]."""
+    """Assembled eigenproblem A [Hx; Hy] = beta^2 [Hx; Hy] on the nodes of ``grid``."""
 
     matrix: "scipy.sparse.csc_matrix" = field(repr=False)
-    k0: float
-    x_nodes_m: np.ndarray
-    y_nodes_m: np.ndarray
     eps: np.ndarray = field(repr=False)   # solver-convention (conjugated) cell eps
+    grid: PermittivityGrid
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.x_nodes_m), len(self.y_nodes_m))
+        return (len(self.grid.x_edges_m), len(self.grid.y_edges_m))
 
     def index_bracket(self) -> tuple[float, float, float]:
         """(cladding max, core, global max) of Re(n) over the cells.
@@ -118,15 +116,13 @@ class ModeOperator:
 class ModeSolution:
     """One guided mode: complex effective index plus discrete field profiles.
 
-    Hx, Hy (eigenvector) and the derived longitudinal Hz live on the grid
-    nodes; Ex, Ey, Ez are derived at cell centers. Fields are normalized to
-    unit guided power with a deterministic phase.
+    Hx, Hy (eigenvector) and the derived longitudinal Hz live on the nodes of
+    ``grid``; Ex, Ey, Ez are derived at its cell centers. Fields are
+    normalized to unit guided power with a deterministic phase.
     """
 
     n_eff: complex
-    k0: float
-    x_nodes_m: np.ndarray
-    y_nodes_m: np.ndarray
+    grid: PermittivityGrid
     hx: np.ndarray = field(repr=False)
     hy: np.ndarray = field(repr=False)
     hz: np.ndarray = field(repr=False)
@@ -143,11 +139,7 @@ class ModeSolution:
     @property
     def beta(self) -> complex:
         """Propagation constant [1/m]."""
-        return self.k0 * self.n_eff
-
-    @property
-    def wavelength_m(self) -> float:
-        return 2.0 * np.pi / self.k0
+        return self.grid.k0 * self.n_eff
 
     @property
     def polarization(self) -> str:
@@ -156,7 +148,7 @@ class ModeSolution:
 
 def modal_absorption(mode: ModeSolution) -> float:
     """Power absorption coefficient alpha = 4*pi*Im(n_eff)/lambda in 1/cm."""
-    return 4.0 * np.pi * mode.n_eff.imag / mode.wavelength_m / 100.0
+    return 4.0 * np.pi * mode.n_eff.imag / mode.grid.wavelength_m / 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +160,12 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
     the wavelength the grid was painted at."""
     import scipy.sparse as sp
 
-    if grid.wavelength_m <= 0:
-        raise DomainError("wavelength must be > 0")
     nx_cells, ny_cells = grid.eps.shape
     if nx_cells < 3 or ny_cells < 3:
         raise ConfigError("grid too small: need >= 3 cells in each direction")
 
-    x = np.asarray(grid.x_edges_m, dtype=float)
-    y = np.asarray(grid.y_edges_m, dtype=float)
+    x, y, k0 = grid.x_edges_m, grid.y_edges_m, grid.k0
     nnx, nny = len(x), len(y)
-    k0 = 2.0 * np.pi / grid.wavelength_m
 
     # exp(-i w t) convention: absorbing cells get Im(eps) > 0
     eps_cells = np.conj(grid.eps)
@@ -225,7 +213,7 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(2 * nn, 2 * nn)).tocsc()
 
-    return ModeOperator(mat, k0, x, y, eps_cells)
+    return ModeOperator(mat, eps_cells, grid)
 
 
 def _x_couplings(w, e, s, n, e1, e2, e3, e4, k0):
@@ -258,8 +246,7 @@ def _centered(a: np.ndarray) -> np.ndarray:
 def _derive_fields(op: ModeOperator, beta: complex, hx: np.ndarray, hy: np.ndarray):
     """Hz at nodes from the divergence relation; E at cell centers from
     Ampere's law, D = i (curl H) / omega, with relative eps per cell."""
-    x, y = op.x_nodes_m, op.y_nodes_m
-    k0 = op.k0
+    x, y, k0 = op.grid.x_edges_m, op.grid.y_edges_m, op.grid.k0
     hz = 1j * (np.gradient(hx, x, axis=0) + np.gradient(hy, y, axis=1)) / beta
 
     dxc = np.diff(x)[:, None]
@@ -346,8 +333,8 @@ def _search(op: ModeOperator, config: SolverConfig, kind: str | None,
     :data:`_QUERY` for "TE" or "TM", else the full operator. Sigma and the
     ladder's reach are computed once."""
     n_core = op.index_bracket()[1]
-    sigma = (op.k0 * (config.target_n_eff or 0.98 * n_core)) ** 2
-    reach = max(0.0, (op.k0 * n_core) ** 2 - sigma)
+    sigma = (op.grid.k0 * (config.target_n_eff or 0.98 * n_core)) ** 2
+    reach = max(0.0, (op.grid.k0 * n_core) ** 2 - sigma)
     carried = None if start is None else _carried(op, start)
     classes = _mirror_classes(op, (1, -1) if kind is None else _QUERY[kind][:1])
     found = [_nearest(op, mat, lift, sigma, reach, kind, config, carried)
@@ -400,7 +387,7 @@ def _nearest(op, mat, lift, sigma, reach, kind, config, carried):
 def _first_of_kind(op: ModeOperator, vals: np.ndarray, vecs: np.ndarray, kind: str):
     """``(n_eff, eigenvalue, vector)`` of the highest-Re(n_eff) guided
     ``kind`` mode among the eigenpairs, the earliest on a tie; or None."""
-    area = _cell_area(op)
+    area = _cell_area(op.grid)
     for idx, n_eff in _guided(op, vals):
         hx, hy = _components(op, vecs[:, idx])
         if _polarization(_te_share(_centered(hx), _centered(hy), area)) == kind:
@@ -413,7 +400,7 @@ def _guided(op: ModeOperator, vals: np.ndarray):
     sqrt(lambda)/k0 strictly inside :meth:`ModeOperator.index_bracket`, by
     descending Re(n_eff)."""
     n_clad, _n_core, n_high = op.index_bracket()
-    n_effs = np.sqrt(vals.astype(complex)) / op.k0
+    n_effs = np.sqrt(vals.astype(complex)) / op.grid.k0
     return [(idx, complex(n_effs[idx])) for idx in np.argsort(-n_effs.real, kind="stable")
             if n_clad < n_effs[idx].real < n_high]
 
@@ -434,8 +421,8 @@ def _carried(op: ModeOperator, start: ModeSolution) -> np.ndarray:
     unit norm: separable linear interpolation along x, then y, held constant
     beyond ``start``'s outermost nodes."""
     def resample(h):
-        h = np.apply_along_axis(lambda a: np.interp(op.x_nodes_m, start.x_nodes_m, a), 0, h)
-        return np.apply_along_axis(lambda a: np.interp(op.y_nodes_m, start.y_nodes_m, a), 1, h)
+        h = np.apply_along_axis(lambda a: np.interp(op.grid.x_edges_m, start.grid.x_edges_m, a), 0, h)
+        return np.apply_along_axis(lambda a: np.interp(op.grid.y_edges_m, start.grid.y_edges_m, a), 1, h)
 
     vec = np.concatenate([resample(start.hx).ravel(), resample(start.hy).ravel()])
     return vec / np.linalg.norm(vec)
@@ -475,7 +462,7 @@ def _mirror_classes(op: ModeOperator, hx_parities=(1, -1)):
     """
     import scipy.sparse as sp
 
-    dx = np.diff(op.x_nodes_m)
+    dx = np.diff(op.grid.x_edges_m)
     nnx, nny = op.shape
     if nnx % 2 == 0 or not np.array_equal(dx, dx[::-1]) or not np.array_equal(op.eps, op.eps[::-1]):
         return None
@@ -509,7 +496,7 @@ def _relative_residual(mat, val, vec) -> float:
 
 
 def _finalize_mode(op: ModeOperator, n_eff: complex, hx: np.ndarray, hy: np.ndarray) -> ModeSolution:
-    beta = op.k0 * n_eff
+    beta = op.grid.k0 * n_eff
     # deterministic phase: largest transverse H sample made real positive
     stacked = np.concatenate([hx.ravel(), hy.ravel()])
     pivot = stacked[np.argmax(np.abs(stacked))]
@@ -521,23 +508,20 @@ def _finalize_mode(op: ModeOperator, n_eff: complex, hx: np.ndarray, hy: np.ndar
     if not all(np.all(np.isfinite(f)) for f in (hx, hy, hz, ex, ey, ez)):
         raise ConvergenceError("non-finite field values in computed mode")
 
-    area = _cell_area(op)
+    area = _cell_area(op.grid)
     hxc, hyc = _centered(hx), _centered(hy)
     scale = 1.0 / np.sqrt(abs(_power(hxc, hyc, ex, ey, area)))
     hx, hy, hz = hx * scale, hy * scale, hz * scale
     ex, ey, ez = ex * scale, ey * scale, ez * scale
 
     return ModeSolution(
-        n_eff=n_eff, k0=op.k0,
-        x_nodes_m=op.x_nodes_m, y_nodes_m=op.y_nodes_m,
-        hx=hx, hy=hy, hz=hz, ex=ex, ey=ey, ez=ez,
+        n_eff=n_eff, grid=op.grid, hx=hx, hy=hy, hz=hz, ex=ex, ey=ey, ez=ez,
         te_fraction=_te_share(hxc, hyc, area),
     )
 
 
-def _cell_area(nodes) -> np.ndarray:
-    """Cell areas of the node grid of a :class:`ModeOperator` or :class:`ModeSolution`."""
-    return np.diff(nodes.x_nodes_m)[:, None] * np.diff(nodes.y_nodes_m)[None, :]
+def _cell_area(grid: PermittivityGrid) -> np.ndarray:
+    return np.diff(grid.x_edges_m)[:, None] * np.diff(grid.y_edges_m)[None, :]
 
 
 def _power(hxc, hyc, ex, ey, area) -> float:

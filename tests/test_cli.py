@@ -245,6 +245,15 @@ def test_pulse_dump_trace_and_rise_fit(runner, tmp_path):
     assert json.loads(refit.output)["pulse_fwhm_ns"] == pytest.approx(3.2, rel=1e-3)
 
 
+@pytest.mark.parametrize("args", [["--rise-ps", "5000"], ["--fwhm-target-ns", "0.1"]],
+                         ids=["rise-above-fall", "fwhm-unreachable"])
+def test_pulse_out_of_range_exit_code(runner, args):
+    """A rise constant at or above the 3.6 ns recovery constant is a domain
+    error, as an unreachable FWHM target is."""
+    result = runner.invoke(main, ["pulse", *args])
+    assert result.exit_code == 3, result.output
+
+
 def test_pulse_dump_trace_defaults_to_runs(runner, tmp_path, monkeypatch):
     """Without ``--out`` or SNSPDKIT_OUT, ``--dump-trace`` writes under
     ``runs/`` in the working directory."""

@@ -143,6 +143,7 @@ _MISSING = object()
     (("detector", "bias_current_uA"), 20, "detector: operating point requires 0 < I_b < I_c"),
     (("fringes", "t_max"), 2, r"fringes: extrema must satisfy 0 < T_min < T_max <= 1"),
     (("fringes", "single_pass"), 0, r"fringes: single-pass transmission must be in \(0, 1\]"),
+    (("pulse", "rise_ps"), 5000, "pulse: rise constant must satisfy 0 < tau_rise < tau_fall"),
 ], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
         "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
@@ -158,7 +159,8 @@ _MISSING = object()
         "powers_pW-repeated", "powers_pW-negative", "duration_s-negative", "duration_s-0",
         "jitter_ps-negative", "wire-material-undefined", "cap-material-undefined",
         "wires-empty-object", "wires-false", "wires-0", "wires-empty-list", "wires-empty-string",
-        "bias_current-above-critical", "fringes-t_max-2", "fringes-single_pass-0"])
+        "bias_current-above-critical", "fringes-t_max-2", "fringes-single_pass-0",
+        "rise_ps-above-fall"])
 def test_malformed_inputs_rejected(path, value, message):
     """Malformed values fail at load time as a ConfigError naming the key,
     not as a raw Python error that the CLI would report as an unexpected
@@ -384,8 +386,11 @@ def test_alternate_stack_options_solve():
     assert 200.0 < modal_absorption(te) < 800.0
 
 
-def test_solve_at_other_wavelength_in_band():
-    from snspdkit import ResolutionPolicy, SolverConfig
+def test_solve_at_other_wavelength_in_band(tmp_path):
+    """A mode carries the wavelength its grid was painted at, bit for bit:
+    1340 nm does not survive a round trip through k0 = 2*pi/lambda, so the
+    mode's field header and the grid's sidecar would otherwise disagree."""
+    from snspdkit.io_utils import OutputDir, export_grid, export_mode_fields
     from snspdkit.modes import modal_absorption, solve_cross_section
     from snspdkit.sweep import apply_parameters
 
@@ -394,9 +399,15 @@ def test_solve_at_other_wavelength_in_band():
                                "edge_band_nm": 12, "far_nm": 125, "far_margin_nm": 400}
     cfg = load_project_config(raw)
     shifted = apply_parameters(cfg.cross_section, {"wavelength_nm": 1340.0})
-    _grid, te = solve_cross_section(shifted, cfg.policy, cfg.solver, kind="TE")
+    grid, te = solve_cross_section(shifted, cfg.policy, cfg.solver, kind="TE")
     assert te is not None
-    assert te.wavelength_m == pytest.approx(1340e-9)
+    out = OutputDir(tmp_path)
+    export_mode_fields(te, out)
+    export_grid(grid, out)
+    header = json.loads((tmp_path / "mode_header.json").read_text())
+    sidecar = json.loads((tmp_path / "grid_coords.json").read_text())
+    assert header["wavelength_m"] == sidecar["wavelength_m"] == 1340 / 1e9
+    assert te.grid.wavelength_m == 1340 / 1e9
     assert modal_absorption(te) > 100.0
 
 

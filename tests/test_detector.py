@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import snspdkit.detector as det
 from snspdkit.constants import HC
-from snspdkit.errors import ConfigError, DomainError, InconsistencyError
+from snspdkit.errors import DomainError, InconsistencyError
 
 REFERENCE = det.DetectorModel()  # 4 x 50 um x 100 nm, 90 pH/sq, 50 ohm
 
@@ -116,7 +116,7 @@ def test_pulse_single_maximum():
 
 
 def test_pulse_rise_must_be_below_fall():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match="0 < tau_rise < tau_fall"):
         det.pulse_shape(REFERENCE, tau_rise_s=det.recovery_time_constant(REFERENCE))
 
 

@@ -283,7 +283,7 @@ def test_undefined_cap_material_without_cap_thickness_accepted(reference_cs):
         sk.LayerStack((sk.Layer("GaAs", substrate=True), sk.Layer("GaAs", 300e-9)), ambient="vacuum"),
         sk.RidgeSpec(1.85e-6, 250e-9), None, 6e-6, 3.6e-6, 1300e-9, sk.default_materials()),
      "material 'vacuum' referenced but not defined"),
-    (lambda: PermittivityGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 5), np.ones((3, 3), complex)),
+    (lambda: PermittivityGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 5), np.ones((3, 3), complex), 1300e-9),
      "eps array shape does not match"),
 ], ids=["empty-stack", "ridge-width-0", "etch-negative", "count-0", "width-0", "thickness-negative",
         "cap-negative", "cap-without-material", "undefined-material", "eps-shape"])

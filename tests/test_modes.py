@@ -72,12 +72,11 @@ def test_operator_rejects_tiny_grids():
         assemble_operator(uniform_grid(3.4, 8, 2, 20e-6))
 
 
-@pytest.mark.parametrize("wavelength_m", [0.0, -1300e-9], ids=["zero", "negative"])
+@pytest.mark.parametrize("wavelength_m", [0.0, -1300e-9, float("nan")], ids=["zero", "negative", "nan"])
 def test_operator_rejects_nonpositive_wavelength(wavelength_m):
     edges = np.linspace(0.0, 1e-6, 9)
-    grid = PermittivityGrid(edges, edges, np.ones((8, 8), complex), wavelength_m)
     with pytest.raises(DomainError, match="wavelength must be > 0"):
-        assemble_operator(grid)
+        PermittivityGrid(edges, edges, np.ones((8, 8), complex), wavelength_m)
 
 
 def test_plane_wave_limit_in_homogeneous_medium():
@@ -169,7 +168,7 @@ def full_domain_eigs(op, k, return_eigenvectors=True):
     nn = op.matrix.shape[0]
     rng = np.random.default_rng(_ARNOLDI_SEED)
     v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
-    sigma = (op.k0 * 0.98 * op.index_bracket()[1]) ** 2
+    sigma = (op.grid.k0 * 0.98 * op.index_bracket()[1]) ** 2
     return spla.eigs(op.matrix, k, sigma=sigma, v0=v0, tol=0,
                      return_eigenvectors=return_eigenvectors)
 
@@ -182,7 +181,7 @@ def mode_residual(op, mode):
 
 def unit_power(mode):
     """Guided power of the stored fields (1 after normalization)."""
-    return _power(_centered(mode.hx), _centered(mode.hy), mode.ex, mode.ey, _cell_area(mode))
+    return _power(_centered(mode.hx), _centered(mode.hy), mode.ex, mode.ey, _cell_area(mode.grid))
 
 
 @pytest.mark.parametrize("core_nm", [None, 350.0], ids=["shipped", "tm-design"])
@@ -200,7 +199,7 @@ def test_factorization_matches_default_shift_invert(default_config, core_nm, sol
     assert solves.runs == [(op.matrix.shape[0] // 2, cfg.solver.num_modes)] * 2
 
     vals, vecs = full_domain_eigs(op, cfg.solver.num_modes)
-    n_effs = np.sqrt(vals.astype(complex)) / op.k0
+    n_effs = np.sqrt(vals.astype(complex)) / op.grid.k0
     n_clad, _n_core, n_high = op.index_bracket()
     nxn, nyn = op.shape
     oracle, oracle_residuals = [], []
@@ -235,7 +234,7 @@ def test_mirror_split_keeps_modes_nearest_target(num_modes, solves):
     assert solves.runs == [(op.matrix.shape[0] // 2, num_modes)] * 2
 
     vals = full_domain_eigs(op, num_modes, return_eigenvectors=False)
-    oracle = sorted(np.sqrt(vals.astype(complex)) / op.k0, key=lambda n: -n.real)
+    oracle = sorted(np.sqrt(vals.astype(complex)) / op.grid.k0, key=lambda n: -n.real)
     assert len(modes) == len(oracle) == num_modes
     for mode, n_eff in zip(modes, oracle):
         assert abs(mode.n_eff - n_eff) <= 1e-10 * abs(n_eff)
@@ -407,8 +406,8 @@ def two_class_pick(op, kind, config):
     over the joined pairs and then the residual gate, with the shift and the
     ladder's reach computed as ``solve_fundamental`` computes them."""
     n_core = op.index_bracket()[1]
-    sigma = (op.k0 * (config.target_n_eff or 0.98 * n_core)) ** 2
-    reach = max(0.0, (op.k0 * n_core) ** 2 - sigma)
+    sigma = (op.grid.k0 * (config.target_n_eff or 0.98 * n_core)) ** 2
+    reach = max(0.0, (op.grid.k0 * n_core) ** 2 - sigma)
     classes = _mirror_classes(op)
     assert classes is not None
     found = [_nearest(op, mat, lift, sigma, reach, kind, config, None) for mat, lift in classes]
@@ -482,7 +481,7 @@ def test_start_from_neighbour_saves_backsolves(default_config, coarse_solved, so
     start = select_mode(coarse_solved["offset"][1], "TE")
     cs = apply_parameters(cfg.cross_section, {"array_offset_nm": 200})
     op = assemble_operator(rasterize(cs, coarse_case(cfg, "offset")[1]))
-    assert not np.array_equal(op.x_nodes_m, start.x_nodes_m)
+    assert not np.array_equal(op.grid.x_edges_m, start.grid.x_edges_m)
     counts = []
     for kwargs in ({}, {"start": start}):
         solves.backsolves = 0
