@@ -232,7 +232,8 @@ def _parse_materials(entries: list[_Reader], aluminum_fraction) -> dict[str, Mat
             if table is _ABSENT:
                 if not isinstance(builtin, str):
                     raise ConfigError(f"{entry.ctx}: builtin must be a string")
-                frac = entry.number("aluminum_fraction", default=aluminum_fraction)
+                frac = (entry.number("aluminum_fraction", default=aluminum_fraction)
+                        if builtin.lower() == "algaas" else _ABSENT)
                 mats[name] = make_builtin_material(name, builtin, **_given(aluminum_fraction=frac))
             else:
                 try:
@@ -245,15 +246,8 @@ def _parse_materials(entries: list[_Reader], aluminum_fraction) -> dict[str, Mat
 
 
 def _parse_layers(entries: list[_Reader]) -> tuple[Layer, ...]:
-    layers = []
-    for entry in entries:
-        material = entry.string("material", required=True)
-        substrate = entry.value("substrate")
-        if substrate is not _ABSENT and not isinstance(substrate, bool):
-            raise ConfigError(f"{entry.ctx}: substrate must be true or false")
-        thickness = entry.length("thickness", required=substrate is not True)
-        layers.append(Layer(material, **_given(thickness_m=thickness, substrate=substrate)))
-    return tuple(layers)
+    return tuple(Layer(e.string("material", required=True), e.length("thickness", required=True))
+                 for e in entries)
 
 
 def _parse_wires(w: _Reader) -> NanowireArray:
@@ -323,15 +317,11 @@ def _parse_targets(t: _Reader) -> dict:
             merged[key] = t.number(key, default=default)
             continue
         given = t.section(key)
-        band = dict(default)
-        for k in ("value", "rel_tol", "abs_tol"):
-            v = given.value(k)
-            if v is not _ABSENT:
-                # an explicit null abs_tol selects the rel_tol band (see pipeline.band)
-                band[k] = None if k == "abs_tol" and v is None else given.number(k)
-        if band.get("abs_tol") is None and "rel_tol" not in band:
-            raise ConfigError(f"{given.ctx}: needs abs_tol or rel_tol")
-        merged[key] = band
+        value = given.number("value", default=default["value"])
+        tol = _given(rel_tol=given.number("rel_tol"), abs_tol=given.number("abs_tol"))
+        if len(tol) > 1:
+            raise ConfigError(f"{given.ctx}: give rel_tol or abs_tol, not both")
+        merged[key] = {**(tol or default), "value": value}
     return merged
 
 
@@ -354,14 +344,14 @@ def load_project_config(source: str | os.PathLike | dict) -> ProjectConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     root = _Reader(raw, "config", [])
-    root.value("version")   # accepted, not interpreted
-
     aluminum_fraction = root.number("aluminum_fraction")
     wavelength = root.number("wavelength_nm", required=True) / 1e9
     materials = (default_materials(**_given(aluminum_fraction=aluminum_fraction))
                  if root.value("materials") is _ABSENT
                  else _parse_materials(root.objects("materials"), aluminum_fraction))
-    stack = LayerStack(_parse_layers(root.objects("layers")), **_given(ambient=root.string("ambient")))
+    substrate = root.string("substrate", required=True)
+    stack = LayerStack(_parse_layers(root.objects("layers")), substrate,
+                       **_given(ambient=root.string("ambient")))
     ri = root.section("ridge")
     ridge = RidgeSpec(width_m=ri.length("width", required=True),
                       etch_depth_m=ri.length("etch_depth", required=True))

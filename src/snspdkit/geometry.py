@@ -13,11 +13,13 @@ Coordinate conventions
   semi-infinite substrate: a zero-field wall inside a high-index substrate
   would manufacture spurious box resonances, so the window bottom is
   clipped to the substrate top and the excess height moves to the air
-  side. Construction requires >= 1.5 um of cladding/air between the
-  ridge+array bounding box and every window edge.
+  side. The substrate is thus a half-space like the ambient: its material
+  is validated but never painted into a cell. Construction requires
+  >= 1.5 um of cladding/air between the ridge+array bounding box and every
+  window edge.
 
 The section is one ordered table of boxes ``(material, x0, x1, y0, y1)``
-over the ambient: finite layers, etched trenches, then each wire and its
+over the ambient: layers, etched trenches, then each wire and its
 cap. Rasterization makes every box edge inside the window a grid line
 (edges closer than ``SAME_POSITION_M`` are one line) and paints per-cell
 ``eps = (n - 1j*k)**2`` box by box by cell midpoint: no sub-cell averaging.
@@ -41,41 +43,36 @@ SAME_POSITION_M = 1e-15    # positions closer than this differ only by rounding
 @dataclass(frozen=True)
 class Layer:
     material: str
-    thickness_m: float | None = None
-    substrate: bool = False
+    thickness_m: float
 
     def __post_init__(self):
-        if self.substrate:
-            return
-        if self.thickness_m is None or self.thickness_m <= 0:
+        if not self.thickness_m > 0:
             raise ConfigError(f"layer {self.material!r}: thickness must be > 0")
 
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Layers ordered bottom-to-top; the first one is the semi-infinite substrate."""
+    """Finite layers ordered bottom-to-top between two half-spaces: the
+    ``substrate`` below and the ``ambient`` above. The window clips at the
+    substrate top, so its material is validated but never painted."""
 
     layers: tuple[Layer, ...]
+    substrate: str
     ambient: str = "air"
 
     def __post_init__(self):
         if not self.layers:
             raise ConfigError("layer stack is empty")
-        flags = [lay.substrate for lay in self.layers]
-        if not flags[0] or sum(flags) != 1:
-            raise ConfigError("exactly the bottom layer must be flagged as substrate")
-        if len(flags) < 2:
-            raise ConfigError("layer stack needs a layer above the substrate to etch the ridge into")
 
     @property
     def top_layer(self) -> Layer:
         return self.layers[-1]
 
     def finite_spans(self) -> list[tuple[float, float, str]]:
-        """(y_bottom, y_top, material) for the non-substrate layers, y=0 on top."""
+        """(y_bottom, y_top, material) for each layer, top first, y=0 on top."""
         spans = []
         y_top = 0.0
-        for lay in reversed(self.layers[1:]):
+        for lay in reversed(self.layers):
             y_bot = y_top - lay.thickness_m
             spans.append((y_bot, y_top, lay.material))
             y_top = y_bot
@@ -156,8 +153,8 @@ class CrossSection:
     materials: dict[str, Material] = field(repr=False)
 
     def __post_init__(self):
-        # the substrate has no box, so the layers are named as well as the boxes
-        named = [lay.material for lay in self.stack.layers] + [self.stack.ambient]
+        # the half-spaces have no box, so they are named as well as the boxes
+        named = [self.stack.substrate, self.stack.ambient]
         for name in dict.fromkeys(named + [mat for mat, *_ in self._boxes()]):
             if name not in self.materials:
                 raise ConfigError(f"material {name!r} referenced but not defined")
@@ -188,7 +185,7 @@ class CrossSection:
 
     def _boxes(self) -> list[tuple[str, float, float, float, float]]:
         """The section as (material, x0, x1, y0, y1) boxes in paint order over
-        the ambient: finite layers, etched trenches, then each wire and its cap.
+        the ambient: layers, etched trenches, then each wire and its cap.
         The substrate needs no box: the window never reaches below its top."""
         ambient, half, etch = self.stack.ambient, self.ridge.width_m / 2.0, -self.ridge.etch_depth_m
         boxes = [(mat, -math.inf, math.inf, lo, hi) for lo, hi, mat in self.stack.finite_spans()]

@@ -63,10 +63,7 @@ class RunManifest:
 
 def band(target: dict) -> tuple[float, float]:
     value = target["value"]
-    if target.get("abs_tol") is not None:
-        tol = target["abs_tol"]
-    else:
-        tol = abs(value) * target["rel_tol"]
+    tol = target["abs_tol"] if "abs_tol" in target else abs(value) * target["rel_tol"]
     return value - tol, value + tol
 
 

@@ -45,6 +45,8 @@ class SweepParameter:
             raise ConfigError("sweep stop must be >= start")
         if not math.isfinite((self.stop - self.start) / self.step):
             raise ConfigError("sweep range holds too many steps to count")
+        if self.name == "wire_count" and not all(float(v).is_integer() for v in (self.start, self.step)):
+            raise ConfigError("sweep parameter wire_count: start and step must be whole numbers")
 
     def _count(self) -> int:
         return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -105,9 +107,8 @@ def apply_parameters(base: CrossSection, values: dict[str, float]) -> CrossSecti
     cs = base
     for name, val in values.items():
         if name == "core_thickness_nm":
-            layers = list(cs.stack.layers)
-            layers[-1] = Layer(layers[-1].material, val * 1e-9, False)
-            cs = replace(cs, stack=replace(cs.stack, layers=tuple(layers)))
+            *below, top = cs.stack.layers
+            cs = replace(cs, stack=replace(cs.stack, layers=(*below, Layer(top.material, val * 1e-9))))
         elif name == "ridge_width_nm":
             cs = replace(cs, ridge=replace(cs.ridge, width_m=val * 1e-9))
         elif name == "etch_depth_nm":

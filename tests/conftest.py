@@ -43,11 +43,10 @@ def slab_case(default_config):
     """
     mats = default_config.cross_section.materials
     stack = sk.LayerStack((
-        sk.Layer("GaAs", substrate=True),
         sk.Layer("AlGaAs", 1.5e-6),
         sk.Layer("GaAs", 300e-9),
         sk.Layer("AlGaAs", 1.5e-6),
-    ))
+    ), "GaAs")
     ridge = sk.RidgeSpec(width_m=52e-6, etch_depth_m=100e-9)
     cs = sk.CrossSection(stack, ridge, None, window_width_m=56e-6, window_height_m=6.5e-6,
                          wavelength_m=1300e-9, materials=mats)
@@ -86,12 +85,11 @@ def clipped_four_layer_case(default_config):
     """Four finite layers under a 2 um wide, 100 nm deep ridge without wires,
     in a window tall enough to clip at the substrate top, and its policy."""
     stack = sk.LayerStack((
-        sk.Layer("GaAs", substrate=True),
         sk.Layer("GaAs", 200e-9),
         sk.Layer("AlGaAs", 1.5e-6),
         sk.Layer("AlGaAs", 1.1e-6),
         sk.Layer("GaAs", 300e-9),
-    ))
+    ), "GaAs")
     cs = sk.CrossSection(stack, sk.RidgeSpec(width_m=2e-6, etch_depth_m=100e-9), None,
                          window_width_m=6e-6, window_height_m=20e-6, wavelength_m=1300e-9,
                          materials=default_config.cross_section.materials)

@@ -393,7 +393,7 @@ def test_solve_mode_index_out_of_range_exit_code(runner, tmp_path):
 
 def test_solve_mode_invalid_config(runner, tmp_path):
     raw = _coarse_raw()
-    raw["layers"][1]["thickness_um"] = -1.0
+    raw["layers"][0]["thickness_um"] = -1.0
     cfg = _write(tmp_path, raw)
     out = tmp_path / "nothing"
     result = runner.invoke(main, ["solve-mode", "--config", str(cfg), "--out", str(out)])

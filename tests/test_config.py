@@ -1,5 +1,7 @@
+import ast
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from snspdkit.config import (
     stable_seed,
 )
 from snspdkit.errors import ConfigError
+from snspdkit.pipeline import band
 
 
 def _raw_default():
@@ -30,6 +33,23 @@ def test_shipped_config_loads(default_config):
     assert cfg.targets["alpha_per_cm"]["value"] == 451.0
     assert len(cfg.counting.powers_w) == 10
     assert cfg.sweeps and cfg.sweeps[0].parameters[0].name == "array_offset_nm"
+
+
+def test_readme_schema_rows_are_the_top_level_keys():
+    """README's schema table has a row of its own for each top-level key of
+    the shipped config, and every row names a key the loader reads."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| key | content |\n")[1].split("\n\n")[0]
+    rows = [re.match(r"\| `(\w+)(\[\]|\{\})?` \|", line) for line in table.splitlines()[1:]]
+    assert all(rows), "a row names no single key"
+    keys = [m[1] for m in rows]
+    raw = _raw_default()
+    raw["zz_unread"] = 1
+    with pytest.raises(ConfigError) as info:
+        load_project_config(raw)
+    read = ast.literal_eval(str(info.value).split("allowed: ")[1])
+    assert len(keys) == len(set(keys))
+    assert set(_raw_default()) <= set(keys) <= set(read)
 
 
 def test_unknown_keys_rejected():
@@ -53,6 +73,15 @@ def test_unknown_keys_rejected():
     raw["materials"][4] = {"name": "air", "table_nm": [[1260, 1.0, 0.0], [1360, 1.0, 0.0]],
                            "aluminum_fraction": 0.7}
     with pytest.raises(ConfigError, match=re.escape("materials[4]: unknown keys ['aluminum_fraction']")):
+        load_project_config(raw)
+
+
+def test_old_schema_fails_on_the_substrate():
+    """A config of the old schema, whose substrate is a flagged bottom
+    layer, fails first on the top-level substrate key it lacks."""
+    raw = _raw_default()
+    raw["layers"].insert(0, {"material": raw.pop("substrate"), "substrate": True})
+    with pytest.raises(ConfigError, match="^config: missing substrate$"):
         load_project_config(raw)
 
 
@@ -87,11 +116,17 @@ _MISSING = object()
     (("materials", 0, "builtin"), 5, r"materials\[0\]: builtin must be a string"),
     (("materials", 0, "builtin"), "xyz", r"materials\[0\]: unknown builtin material kind 'xyz'"),
     (("materials", 1, "aluminum_fraction"), "x", r"materials\[1\]: aluminum_fraction must be a number"),
+    (("aluminum_fraction",), 1.5, r"materials\[1\]: aluminum fraction must be in \[0, 1\], got 1.5"),
     (("materials", 0, "name"), [1], r"materials\[0\]: name must be a non-empty string"),
-    (("layers", 0, "substrate"), "no", r"layers\[0\]: substrate must be true or false"),
+    (("substrate",), 5, "config: substrate must be a non-empty string"),
+    (("layers", 0, "substrate"), True, r"layers\[0\]: unknown keys \['substrate'\]"),
+    (("version",), 1, r"config: unknown keys \['version'\]"),
+    (("materials", 0, "aluminum_fraction"), 0.7, r"materials\[0\]: unknown keys \['aluminum_fraction'\]"),
+    (("targets", "coupling"), {"value": 0.2, "abs_tol": 0.01, "rel_tol": 0.1},
+     "targets.coupling: give rel_tol or abs_tol, not both"),
     (("targets", "coupling", "value"), "x", "targets.coupling: value must be a number"),
     (("targets", "coupling", "abs_tol"), "x", "targets.coupling: abs_tol must be a number"),
-    (("targets", "coupling", "abs_tol"), None, "targets.coupling: needs abs_tol or rel_tol"),
+    (("targets", "coupling", "abs_tol"), None, "targets.coupling: abs_tol must be a number"),
     (("targets", "tm_alpha_min_per_cm"), "x", "targets: tm_alpha_min_per_cm must be a number"),
     (("materials", 4), {"name": "air", "table_nm": []},
      r"materials\[4\]: material 'air': empty index table"),
@@ -119,13 +154,20 @@ _MISSING = object()
     (("solver", "policy", "far_nm"), 0, "cell sizes must be > 0"),
     (("solver", "policy", "x_base_nm"), -10, "cell sizes must be > 0"),
     (("solver", "policy", "edge_band_nm"), -1, "edge band and far margin must be >= 0"),
-    (("layers",), [{"material": "GaAs", "substrate": True}], "needs a layer above the substrate"),
+    (("layers",), [{"material": "GaAs", "substrate": True}], r"layers\[0\]: missing thickness"),
     (("wires", "thickness_nm"), _MISSING, r"wires: missing thickness_<nm\|um\|mm\|m>$"),
     (("wires", "count"), 10**400, "wires: count must be an integer"),
     (("solver", "max_iterations"), 10**400, "solver: max_iterations must be an integer"),
     (("solver", "max_iterations"), 2**63, r"max_iterations must be <= 2\*\*31 - 1"),
     (("solver", "max_iterations"), 2**31, r"max_iterations must be <= 2\*\*31 - 1"),
     (("sweeps", 0, "parameters", 0, "step"), 1e-307, "sweep range holds too many steps to count"),
+    (("sweeps", 0, "parameters", 0, "stop"), -100, "sweep stop must be >= start"),
+    (("sweeps", 0, "parameters"), [], "sweep needs at least one parameter"),
+    (("sweeps", 0, "min_margin_um"), -0.1, "margin constraint must be >= 0"),
+    (("sweeps", 0, "parameters", 0), {"name": "wire_count", "start": 1, "stop": 3, "step": 0.5},
+     "sweep parameter wire_count: start and step must be whole numbers"),
+    (("sweeps", 0, "parameters", 0), {"name": "wire_count", "start": 1.5, "stop": 3, "step": 1},
+     "sweep parameter wire_count: start and step must be whole numbers"),
     (("counting", "powers_pW"), [0, 0, 0], "powers_pW must be >= 0 with at least two distinct values"),
     (("counting", "powers_pW"), [1.0], "powers_pW must be >= 0 with at least two distinct values"),
     (("counting", "powers_pW"), [1.0, 1.0], "powers_pW must be >= 0 with at least two distinct values"),
@@ -147,7 +189,9 @@ _MISSING = object()
 ], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
         "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
-        "material-name-list", "substrate-string",
+        "aluminum_fraction-1.5",
+        "material-name-list", "substrate-string", "layer-substrate-flag", "version",
+        "gaas-aluminum_fraction", "target-both-tolerances",
         "target-value-x", "target-abs_tol-x", "target-no-tolerance", "target-scalar-x",
         "table-empty", "table-negative-k", "table-decreasing", "builtin-and-table", "table-short-row",
         "table-NaN-n", "table-inf-k", "table-NaN-wavelength",
@@ -155,7 +199,9 @@ _MISSING = object()
         "tolerance-Infinity", "target_n_eff-NaN", "tolerance-huge-int", "powers_pW-NaN",
         "far-0", "x_base-negative", "edge_band-negative", "substrate-only", "wire-thickness-no-hint",
         "count-huge-int", "max_iterations-huge-int", "max_iterations-2**63",
-        "max_iterations-2**31", "step-tiny", "powers_pW-all-zero", "powers_pW-one",
+        "max_iterations-2**31", "step-tiny", "stop-below-start",
+        "no-sweep-parameters", "min_margin-negative", "wire_count-half-step", "wire_count-half-start",
+        "powers_pW-all-zero", "powers_pW-one",
         "powers_pW-repeated", "powers_pW-negative", "duration_s-negative", "duration_s-0",
         "jitter_ps-negative", "wire-material-undefined", "cap-material-undefined",
         "wires-empty-object", "wires-false", "wires-0", "wires-empty-list", "wires-empty-string",
@@ -256,8 +302,8 @@ def test_extra_key_rejected_in_every_section(path):
 
 def test_negative_thickness_rejected():
     raw = _raw_default()
-    raw["layers"][1]["thickness_um"] = -1.5
-    with pytest.raises(ConfigError, match="thickness"):
+    raw["layers"][0]["thickness_um"] = -1.5
+    with pytest.raises(ConfigError, match="layer 'AlGaAs': thickness must be > 0"):
         load_project_config(raw)
 
 
@@ -323,9 +369,8 @@ def test_target_overrides_merge():
     assert cfg.targets["alpha_per_cm"]["value"] == 451.0
     assert cfg.targets["alpha_per_cm"]["rel_tol"] == 0.10
     assert cfg.targets["sqe"] == DEFAULT_TARGETS["sqe"]
-    raw["targets"] = {"alpha_per_cm": {"abs_tol": None}}   # null abs_tol: the rel_tol band
-    assert load_project_config(raw).targets["alpha_per_cm"] == {
-        "value": 451.0, "rel_tol": 0.15, "abs_tol": None}
+    raw["targets"] = {"coupling": {"rel_tol": 0.5}}   # replaces the default abs_tol
+    assert band(load_project_config(raw).targets["coupling"]) == pytest.approx((0.087, 0.261))
     raw["targets"] = {"nonsense": 1}
     with pytest.raises(ConfigError, match="nonsense"):
         load_project_config(raw)

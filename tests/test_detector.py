@@ -354,6 +354,43 @@ def test_model_logistic_width_positive(width):
         det.DetectorModel(bias_width=width)
 
 
+_TIMES = np.array([0.0, 1e-6])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: det.DetectorModel(wire_count=0), "wire count must be >= 1"),
+    (lambda: det.DetectorModel(wire_length_m=0.0), "wire length must be > 0"),
+    (lambda: det.DetectorModel(sheet_inductance_H=0.0), "sheet kinetic inductance must be > 0"),
+    (lambda: det.DetectorModel(load_resistance_ohm=0.0), "load resistance must be > 0"),
+    (lambda: det.DetectorModel(eta_max=0.0), r"eta_max must be in \(0, 1\]"),
+    (lambda: det.DetectorModel(eta_max=1.1), r"eta_max must be in \(0, 1\]"),
+    (lambda: det.invert_internal(1.2, 0.9), r"DQE must be in \[0, 1\]"),
+    (lambda: det.invert_internal(0.197, 0.0), "absorptance must be > 0 for inversion"),
+    (lambda: det.recovery_fraction(-1e-9, 3.6e-9), "time must be >= 0"),
+    (lambda: det.expected_count_rate(-1e-12, 1300e-9, 0.034), "power must be >= 0"),
+    (lambda: det.SourceSpec(-1e-12, 1300e-9), "power must be >= 0"),
+    (lambda: det.SourceSpec(1e-12, 0.0), "wavelength must be > 0"),
+    (lambda: det.SourceSpec(1e-12, 1300e-9, jitter_sigma_s=-1e-12), "jitter sigma must be >= 0"),
+    (lambda: det.CountRecord(_TIMES, ("photon",), _TIMES), "timestamps and flags length mismatch"),
+    (lambda: det.CountRecord(_TIMES[::-1].copy(), ("photon", "dark"), _TIMES),
+     "timestamps must be strictly increasing"),
+    (lambda: det.CountRecord(_TIMES, ("photon", "dark"), _TIMES, dead_time_s=1e-5),
+     "detection gaps below the dead time"),
+    (lambda: det.simulate_counting(REFERENCE, _budget(), det.SourceSpec(1e-12, 1300e-9), 0.0, seed=1),
+     "duration must be > 0"),
+    (lambda: det.jitter_deconvolve(-1e-12, 0.0), "jitter values must be >= 0"),
+    (lambda: det.jitter_deconvolve(73e-12, -1e-12), "jitter values must be >= 0"),
+], ids=["wire_count-0", "length-0", "sheet_inductance-0", "load-0", "eta_max-0", "eta_max-1.1",
+        "dqe-1.2", "absorptance-0", "recovery-negative-time", "rate-negative-power",
+        "source-negative-power", "source-wavelength-0", "source-negative-jitter",
+        "record-length-mismatch", "record-decreasing", "record-dead-time", "duration-0",
+        "jitter-negative-total", "jitter-negative-source"])
+def test_out_of_domain_arguments_rejected(call, message):
+    """Each argument outside its model's domain is a DomainError naming it."""
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_model_dark_prefactor_nonnegative():
     with pytest.raises(DomainError, match="dark-count prefactor must be >= 0"):
         det.DetectorModel(dark_rate_prefactor_hz=-1000.0)

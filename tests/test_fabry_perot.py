@@ -125,6 +125,18 @@ def test_fringe_data_invariants():
         FringeData(0.061, 0.018, single_pass=0.0)
     with pytest.raises(DomainError):
         CouplingResult(0.0, 0.5, 0.5, 1.5)
+    with pytest.raises(DomainError, match="mode-match efficiency"):
+        CouplingResult(0.3, 1.2, 0.5, 1.5)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 0.25), r"facet reflectivity must be in \[0, 1\)"),
+    ((0.3, 0.0), r"mode-match efficiency must be in \(0, 1\]"),
+    ((0.3, 0.25, 1.5), r"single-pass transmission must be in \(0, 1\]"),
+], ids=["reflectivity-1", "mode-match-0", "single-pass-1.5"])
+def test_fp_transmission_domain(args, message):
+    with pytest.raises(DomainError, match=message):
+        fp_transmission(*args)
 
 
 def test_read_fringe_scan_percentile_extrema(tmp_path):

@@ -19,10 +19,9 @@ def mats():
 @pytest.fixture()
 def reference_cs(mats):
     stack = sk.LayerStack((
-        sk.Layer("GaAs", substrate=True),
         sk.Layer("AlGaAs", 1.5e-6),
         sk.Layer("GaAs", 300e-9),
-    ))
+    ), "GaAs")
     ridge = sk.RidgeSpec(width_m=1.85e-6, etch_depth_m=250e-9)
     wires = sk.NanowireArray(count=4, width_m=100e-9, pitch_m=250e-9, thickness_m=4.3e-9,
                              material="NbN", cap_material="SiOx", cap_thickness_m=100e-9)
@@ -118,10 +117,9 @@ def test_rasterize_mirror_symmetric_iff_centred(count, width_nm, gap_nm, offset_
                              offset_m=offset_nm * 1e-9)
     assume(sk.alignment_margin(ridge, wires) >= 0)
     stack = sk.LayerStack((
-        sk.Layer("GaAs", substrate=True),
         sk.Layer("AlGaAs", 1.5e-6),
         sk.Layer("GaAs", 300e-9),
-    ))
+    ), "GaAs")
     cs = sk.CrossSection(stack, ridge, wires, 6e-6, 3.6e-6, 1300e-9, sk.default_materials())
     grid = sk.rasterize(cs, sk.ResolutionPolicy(base_m=50e-9))
     assert _mirror_symmetric(grid) == (offset_nm == 0)
@@ -178,10 +176,9 @@ def test_clipped_window_bottom_is_the_lowest_interface(clipped_four_layer_case):
 
 def test_window_clearance_enforced(mats):
     stack = sk.LayerStack((
-        sk.Layer("GaAs", substrate=True),
         sk.Layer("AlGaAs", 1.5e-6),
         sk.Layer("GaAs", 300e-9),
-    ))
+    ), "GaAs")
     ridge = sk.RidgeSpec(width_m=1.85e-6, etch_depth_m=250e-9)
     with pytest.raises(ConfigError, match="lateral clearance"):
         sk.CrossSection(stack, ridge, None, 4.0e-6, 3.6e-6, 1300e-9, mats)
@@ -200,20 +197,18 @@ def test_window_never_reaches_substrate(reference_cs):
 
 def test_etch_depth_budget(mats):
     stack = sk.LayerStack((
-        sk.Layer("GaAs", substrate=True),
         sk.Layer("AlGaAs", 1.5e-6),
         sk.Layer("GaAs", 300e-9),
-    ))
+    ), "GaAs")
     with pytest.raises(ConfigError, match="etch depth"):
         sk.CrossSection(stack, sk.RidgeSpec(1.85e-6, 400e-9), None, 6e-6, 3.6e-6, 1300e-9, mats)
 
 
 def test_overhanging_array_rejected(mats):
     stack = sk.LayerStack((
-        sk.Layer("GaAs", substrate=True),
         sk.Layer("AlGaAs", 1.5e-6),
         sk.Layer("GaAs", 300e-9),
-    ))
+    ), "GaAs")
     wires = sk.NanowireArray(4, 100e-9, 250e-9, 4.3e-9, offset_m=600e-9)
     with pytest.raises(ConfigError, match="alignment margin"):
         sk.CrossSection(stack, sk.RidgeSpec(1.85e-6, 250e-9), wires, 6e-6, 3.6e-6, 1300e-9, mats)
@@ -225,14 +220,17 @@ def test_wire_pitch_validation():
     sk.NanowireArray(1, 100e-9, 0.0, 4.3e-9)  # single wire: pitch unused
 
 
-def test_stack_substrate_flag():
-    with pytest.raises(ConfigError, match="substrate"):
-        sk.LayerStack((sk.Layer("GaAs", 1e-6),))
-    with pytest.raises(ConfigError, match="substrate"):
-        sk.LayerStack((
-            sk.Layer("GaAs", substrate=True),
-            sk.Layer("AlGaAs", 1e-6, substrate=True),
-        ))
+def test_stack_substrate_is_a_named_half_space(mats):
+    """The substrate is a half-space below the layers, as the ambient is
+    one above: one layer makes a stack, the window clips at the substrate
+    top, and the substrate's material must be defined though no cell holds it."""
+    stack = sk.LayerStack((sk.Layer("GaAs", 2e-6),), "AlGaAs")
+    assert stack.finite_spans() == [(-2e-6, 0.0, "GaAs")]
+    cs = sk.CrossSection(stack, sk.RidgeSpec(1.85e-6, 250e-9), None, 6e-6, 3.6e-6, 1300e-9, mats)
+    grid = sk.rasterize(cs, sk.ResolutionPolicy(base_m=50e-9))
+    assert not np.any(grid.eps == cs.index_of("AlGaAs") ** 2)
+    with pytest.raises(ConfigError, match="material 'InP' referenced but not defined"):
+        replace(cs, stack=replace(stack, substrate="InP"))
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -269,7 +267,7 @@ def test_undefined_cap_material_without_cap_thickness_accepted(reference_cs):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: sk.LayerStack(()), "layer stack is empty"),
+    (lambda: sk.LayerStack((), "GaAs"), "layer stack is empty"),
     (lambda: sk.RidgeSpec(0.0, 250e-9), "ridge width must be > 0"),
     (lambda: sk.RidgeSpec(1.85e-6, -1e-9), "etch depth must be > 0"),
     (lambda: sk.NanowireArray(0, 100e-9, 250e-9, 4.3e-9), "wire count must be >= 1"),
@@ -280,7 +278,7 @@ def test_undefined_cap_material_without_cap_thickness_accepted(reference_cs):
     (lambda: sk.NanowireArray(4, 100e-9, 250e-9, 4.3e-9, cap_material=None, cap_thickness_m=1e-7),
      "cap thickness given without a cap material"),
     (lambda: sk.CrossSection(
-        sk.LayerStack((sk.Layer("GaAs", substrate=True), sk.Layer("GaAs", 300e-9)), ambient="vacuum"),
+        sk.LayerStack((sk.Layer("GaAs", 300e-9),), "GaAs", ambient="vacuum"),
         sk.RidgeSpec(1.85e-6, 250e-9), None, 6e-6, 3.6e-6, 1300e-9, sk.default_materials()),
      "material 'vacuum' referenced but not defined"),
     (lambda: PermittivityGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 5), np.ones((3, 3), complex), 1300e-9),
@@ -308,8 +306,7 @@ def _cross_sections(draw):
     nms = draw(st.lists(st.integers(100, 1600), max_size=3)) + [core_nm]   # bottom to top
     nms[0] += max(0, 1500 + etch_nm - sum(nms))   # room for the clearance below the ridge
     mats = draw(st.lists(st.sampled_from(["GaAs", "AlGaAs"]), min_size=len(nms), max_size=len(nms)))
-    stack = sk.LayerStack((sk.Layer("GaAs", substrate=True),)
-                          + tuple(sk.Layer(mat, nm * 1e-9) for mat, nm in zip(mats, nms)))
+    stack = sk.LayerStack(tuple(sk.Layer(mat, nm * 1e-9) for mat, nm in zip(mats, nms)), "GaAs")
     wires = None
     if draw(st.booleans()):
         width_nm = draw(st.integers(40, 150))
@@ -348,7 +345,7 @@ def test_rasterize_interfaces_on_grid_lines(cs):
     xs = [-cs.ridge.width_m / 2, cs.ridge.width_m / 2]
     ys = [-cs.ridge.etch_depth_m]
     y = 0.0
-    for lay in reversed(cs.stack.layers[1:]):
+    for lay in reversed(cs.stack.layers):
         ys.append(y)
         y -= lay.thickness_m
         ys.append(y)
@@ -379,11 +376,11 @@ def _material_at(cs, x: float, y: float) -> str:
     if y > 0 or (y > -cs.ridge.etch_depth_m and abs(x) > cs.ridge.width_m / 2):
         return cs.stack.ambient
     top = 0.0
-    for lay in reversed(cs.stack.layers[1:]):
+    for lay in reversed(cs.stack.layers):
         if y > top - lay.thickness_m:
             return lay.material
         top -= lay.thickness_m
-    return cs.stack.layers[0].material
+    return cs.stack.substrate
 
 
 @settings(max_examples=30, deadline=None)

@@ -83,10 +83,9 @@ def test_matrix_bytes_match_per_element_formatter(tmp_path):
 def test_export_grid_sidecar(tmp_path):
     mats = sk.default_materials()
     stack = sk.LayerStack((
-        sk.Layer("GaAs", substrate=True),
         sk.Layer("AlGaAs", 1.5e-6),
         sk.Layer("GaAs", 300e-9),
-    ))
+    ), "GaAs")
     cs = sk.CrossSection(stack, sk.RidgeSpec(1.85e-6, 250e-9), None,
                          6e-6, 3.6e-6, 1300e-9, mats)
     grid = sk.rasterize(cs, sk.ResolutionPolicy(base_m=50e-9, far_m=125e-9))

@@ -147,6 +147,8 @@ def test_tables_and_lookup_match_numpy_bit_for_bit(x):
 def test_material_invariants():
     with pytest.raises(DomainError):
         Material("empty", (), ())
+    with pytest.raises(DomainError, match="table length mismatch"):
+        Material("short", (1290e-9, 1300e-9), (1.5 + 0j,))
     with pytest.raises(DomainError):
         Material("bad-order", (1300e-9, 1290e-9), (1.5 + 0j, 1.5 + 0j))
     with pytest.raises(DomainError):

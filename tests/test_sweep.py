@@ -59,6 +59,8 @@ def test_apply_parameters(base_cs):
     assert cs.wires.count == 3
     assert cs.wires.offset_m == pytest.approx(50e-9)
     assert cs.wavelength_m == pytest.approx(1310e-9)
+    with pytest.raises(ConfigError, match="unknown sweep parameter 'bogus_nm'"):
+        apply_parameters(base_cs, {"bogus_nm": 1.0})
 
 
 @pytest.mark.parametrize("values, message", [
