@@ -221,7 +221,7 @@ def _section_errors(ctx: str):
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def _parse_materials(entries: list[_Reader], aluminum_fraction) -> dict[str, Material]:
+def _parse_materials(entries: list[_Reader]) -> dict[str, Material]:
     mats: dict[str, Material] = {}
     for entry in entries:
         name = entry.string("name", required=True)
@@ -232,8 +232,7 @@ def _parse_materials(entries: list[_Reader], aluminum_fraction) -> dict[str, Mat
             if table is _ABSENT:
                 if not isinstance(builtin, str):
                     raise ConfigError(f"{entry.ctx}: builtin must be a string")
-                frac = (entry.number("aluminum_fraction", default=aluminum_fraction)
-                        if builtin.lower() == "algaas" else _ABSENT)
+                frac = entry.number("aluminum_fraction") if builtin.lower() == "algaas" else _ABSENT
                 mats[name] = make_builtin_material(name, builtin, **_given(aluminum_fraction=frac))
             else:
                 try:
@@ -273,7 +272,7 @@ def _parse_solver(s: _Reader) -> tuple[SolverConfig, ResolutionPolicy]:
     ))
     cfg = SolverConfig(**_given(
         num_modes=s.integer("num_modes"), target_n_eff=s.number("target_n_eff"),
-        tolerance=s.number("tolerance"), max_iterations=s.integer("max_iterations"),
+        tolerance=s.number("tolerance"),
     ))
     return cfg, policy
 
@@ -304,9 +303,7 @@ def _parse_sweeps(entries: list[_Reader]) -> tuple[SweepSpec, ...]:
             for p in entry.objects("parameters", nonempty=False)
         )
         specs.append(SweepSpec(params, **_given(
-            mode_kind=entry.value("mode"), min_margin_m=entry.length("min_margin"),
-            point_cap=entry.integer("point_cap"),
-        )))
+            mode_kind=entry.value("mode"), min_margin_m=entry.length("min_margin"))))
     return tuple(specs)
 
 
@@ -321,6 +318,8 @@ def _parse_targets(t: _Reader) -> dict:
         tol = _given(rel_tol=given.number("rel_tol"), abs_tol=given.number("abs_tol"))
         if len(tol) > 1:
             raise ConfigError(f"{given.ctx}: give rel_tol or abs_tol, not both")
+        if any(v < 0 for v in tol.values()):
+            raise ConfigError(f"{given.ctx}: {', '.join(tol)} must be >= 0")
         merged[key] = {**(tol or default), "value": value}
     return merged
 
@@ -344,11 +343,9 @@ def load_project_config(source: str | os.PathLike | dict) -> ProjectConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     root = _Reader(raw, "config", [])
-    aluminum_fraction = root.number("aluminum_fraction")
     wavelength = root.number("wavelength_nm", required=True) / 1e9
-    materials = (default_materials(**_given(aluminum_fraction=aluminum_fraction))
-                 if root.value("materials") is _ABSENT
-                 else _parse_materials(root.objects("materials"), aluminum_fraction))
+    materials = (default_materials() if root.value("materials") is _ABSENT
+                 else _parse_materials(root.objects("materials")))
     substrate = root.string("substrate", required=True)
     stack = LayerStack(_parse_layers(root.objects("layers")), substrate,
                        **_given(ambient=root.string("ambient")))

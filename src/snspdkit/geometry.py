@@ -168,10 +168,8 @@ class CrossSection:
             )
         if self.wires is not None and alignment_margin(self.ridge, self.wires) < 0:
             raise ConfigError("nanowire array extends past the ridge edge (negative alignment margin)")
+        # the margin check above keeps any wire array inside the ridge
         lat = self.window_width_m / 2.0 - self.ridge.width_m / 2.0
-        if self.wires is not None:
-            lat_arr = self.window_width_m / 2.0 - (abs(self.wires.offset_m) + self.wires.extent_m / 2.0)
-            lat = min(lat, lat_arr)
         if lat < MIN_CLEARANCE_M - SAME_POSITION_M:
             raise ConfigError(
                 f"window leaves only {lat * 1e6:.2f} um lateral clearance; "

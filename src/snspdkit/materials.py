@@ -135,18 +135,22 @@ def _sampled_material(name, model) -> Material:
     return Material(name, wl, tuple(complex(model(w), 0.0) for w in wl))
 
 
-def make_builtin_material(name: str, kind: str, aluminum_fraction: float = 0.75) -> Material:
+def make_builtin_material(name: str, kind: str, aluminum_fraction: float | None = None) -> Material:
     """Construct one of the shipped materials.
 
     ``kind`` is one of ``gaas``, ``algaas``, ``nbn``, ``siox``, ``air``.
-    ``aluminum_fraction`` only applies to ``algaas`` (default 0.75; 0.70 is
-    the other value in circulation for this stack).
+    ``aluminum_fraction`` is the Al fraction x of an ``algaas`` material
+    (None takes 0.75, the paper's cladding; 0.70 is the other value in
+    circulation for this stack); any other kind given one is refused.
     """
     kind = kind.lower()
+    if kind == "algaas":
+        x = 0.75 if aluminum_fraction is None else aluminum_fraction
+        return _sampled_material(name, lambda w: algaas_index(w, x))
+    if aluminum_fraction is not None:
+        raise DomainError(f"aluminum fraction applies only to algaas, not {kind!r}")
     if kind == "gaas":
         return _sampled_material(name, gaas_index)
-    if kind == "algaas":
-        return _sampled_material(name, lambda w: algaas_index(w, aluminum_fraction))
     if kind == "siox":
         return _sampled_material(name, silica_index)
     if kind == "air":
@@ -156,11 +160,11 @@ def make_builtin_material(name: str, kind: str, aluminum_fraction: float = 0.75)
     raise DomainError(f"unknown builtin material kind {kind!r}")
 
 
-def default_materials(aluminum_fraction: float = 0.75) -> dict[str, Material]:
+def default_materials() -> dict[str, Material]:
     """The shipped material set keyed by name."""
     return {
         "GaAs": make_builtin_material("GaAs", "gaas"),
-        "AlGaAs": make_builtin_material("AlGaAs", "algaas", aluminum_fraction),
+        "AlGaAs": make_builtin_material("AlGaAs", "algaas"),
         "NbN": make_builtin_material("NbN", "nbn"),
         "SiOx": make_builtin_material("SiOx", "siox"),
         "air": make_builtin_material("air", "air"),

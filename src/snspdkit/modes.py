@@ -42,6 +42,7 @@ _ARNOLDI_SEED = 718281828  # fixed start-vector seed: solves are deterministic
 # full-domain norm: the start is the carried mode, while the seeded part
 # keeps every other eigenvector represented.
 _CARRY_WEIGHT = 1e6
+_ARPACK_MAX_ITERATIONS = 400   # Arnoldi restarts per eigs call before giving up
 _DIELECTRIC_IM_CUT = 0.1   # |Im n| below this counts as a dielectric for bracketing
 # Per kind of fundamental-mode query: the Hx parity of the one mirror class
 # it solves (see _mirror_classes), and the first k of its ladder (see
@@ -66,7 +67,6 @@ class SolverConfig:
     num_modes: int = 8
     target_n_eff: float | None = None   # shift-invert target; default 0.98 * core index
     tolerance: float = 1e-10            # relative eigen-residual bound
-    max_iterations: int = 400
 
     def __post_init__(self):
         if self.num_modes < 1:
@@ -75,10 +75,6 @@ class SolverConfig:
             raise ConfigError("target_n_eff must be > 0")
         if self.tolerance <= 0:
             raise ConfigError("solver tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if self.max_iterations > 2**31 - 1:   # ARPACK's Fortran integer
-            raise ConfigError("max_iterations must be <= 2**31 - 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,11 +365,11 @@ def _nearest(op, mat, lift, sigma, reach, kind, config, carried):
     while True:
         try:
             vals, vecs = spla.eigs(mat, k=k, sigma=sigma, OPinv=opinv, v0=v0, tol=0,
-                                   maxiter=config.max_iterations, return_eigenvectors=True)
+                                   maxiter=_ARPACK_MAX_ITERATIONS, return_eigenvectors=True)
         except spla.ArpackNoConvergence as exc:
             found = 0 if exc.eigenvalues is None else len(exc.eigenvalues)
             raise ConvergenceError(
-                f"eigensolver did not converge within {config.max_iterations} iterations "
+                f"eigensolver did not converge within {_ARPACK_MAX_ITERATIONS} iterations "
                 f"(k = {k} of cap {cap}, {found} eigenvalues found; "
                 f"{nn} unknowns, {backsolves} back-solves)") from exc
         if lift is not None:

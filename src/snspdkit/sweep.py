@@ -19,6 +19,7 @@ from .errors import ConfigError, ConvergenceError, DomainError, InconsistencyErr
 from .geometry import CrossSection, Layer, ResolutionPolicy, alignment_margin
 from .modes import SolverConfig, modal_absorption, solve_cross_section
 
+POINT_CAP = 10_000   # most points one sweep evaluates, checked before any is built
 PARAMETERS = (
     "core_thickness_nm",
     "ridge_width_nm",
@@ -60,15 +61,12 @@ class SweepSpec:
     parameters: tuple[SweepParameter, ...]
     mode_kind: str = "TE"                 # fundamental TE-like | first TM-like
     min_margin_m: float = 0.5e-6          # alignment-margin constraint
-    point_cap: int = 10_000
 
     def __post_init__(self):
         if not self.parameters:
             raise ConfigError("sweep needs at least one parameter")
         if not isinstance(self.mode_kind, str) or self.mode_kind.upper() not in ("TE", "TM"):
             raise ConfigError(f"mode kind must be 'TE' or 'TM', got {self.mode_kind!r}")
-        if self.point_cap < 1:
-            raise ConfigError("point_cap must be >= 1")
         if self.min_margin_m < 0:
             raise ConfigError("margin constraint must be >= 0")
 
@@ -184,10 +182,8 @@ def run_sweep(
     """
     names = [p.name for p in spec.parameters]
     n_points = math.prod(p._count() for p in spec.parameters)
-    if n_points > spec.point_cap:
-        raise ConfigError(
-            f"sweep would evaluate {n_points} points, above the cap {spec.point_cap}"
-        )
+    if n_points > POINT_CAP:
+        raise ConfigError(f"sweep would evaluate {n_points} points, above the cap {POINT_CAP}")
     if evaluate is None:
         evaluate = _default_evaluate(base, spec, policy, solver_config)
 
@@ -215,7 +211,7 @@ def maximize_alpha(
     """Constrained maximization of modal absorption over 1 or 2 parameters.
 
     The coarse pass is ``run_sweep`` over the declared ranges (so it honours
-    ``point_cap``); then interval halving around the best feasible point
+    :data:`POINT_CAP`); then interval halving around the best feasible point
     until the step is below ``tolerance``, never evaluating outside the
     declared ranges or a point already in the trace. Returns an
     infeasibility result (not an exception) if no coarse point satisfies the

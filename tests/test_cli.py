@@ -431,14 +431,17 @@ def test_config_directory_exit_code(runner, tmp_path):
 
 
 def test_solve_mode_invalid_solver_setting_exit_code(runner, tmp_path):
-    """max_iterations below 1 is a config error (exit 2), not an ARPACK
-    ValueError escaping as an unexpected failure."""
-    raw = _coarse_raw()
-    raw["solver"]["max_iterations"] = 0
-    cfg = _write(tmp_path, raw)
-    result = runner.invoke(main, ["solve-mode", "--config", str(cfg), "--json"])
-    assert result.exit_code == 2, result.output
-    assert "max_iterations must be >= 1" in result.stderr
+    """num_modes below 1 is a config error (exit 2), not an ARPACK
+    ValueError escaping as an unexpected failure; so is an iteration cap,
+    which is a fixed constant of the solver, not a setting."""
+    for key, value, message in (("num_modes", 0, "num_modes must be >= 1"),
+                                ("max_iterations", 400, "solver: unknown keys ['max_iterations']")):
+        raw = _coarse_raw()
+        raw["solver"][key] = value
+        cfg = _write(tmp_path, raw)
+        result = runner.invoke(main, ["solve-mode", "--config", str(cfg), "--json"])
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
 
 
 def test_solve_mode_no_guided_mode_exit_code(runner, tmp_path):
@@ -474,15 +477,15 @@ def test_sweep_command_single_point(runner, tmp_path):
 
 
 def test_sweep_malformed_point_cap_exit_code(runner, tmp_path):
-    """A non-integer point cap is a config error (exit 2), not a ValueError
-    escaping as an unexpected failure."""
+    """A point cap is a config error (exit 2): the cap is a fixed constant
+    of the sweep, not a setting."""
     raw = _coarse_raw()
     raw["sweeps"][0]["point_cap"] = "many"
     cfg = _write(tmp_path, raw)
     out = tmp_path / "sweepout"
     result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(out), "--json"])
     assert result.exit_code == 2, result.output
-    assert "point_cap must be an integer" in result.stderr
+    assert "sweeps[0]: unknown keys ['point_cap']" in result.stderr
     assert not out.exists()
 
 

@@ -129,7 +129,7 @@ def test_tables_and_lookup_match_numpy_bit_for_bit(x):
     log and sqrt on numpy's arange grid, and ``lookup_index`` against
     numpy.interp on a dense grid, at every node and at both band edges."""
     nodes = np.arange(BAND_NM[0], BAND_NM[1] + 1, 5) / 1e9
-    mats = default_materials(x)
+    mats = {**default_materials(), "AlGaAs": make_builtin_material("AlGaAs", "algaas", x)}
     probe = Material("probe", (1260e-9, 1283.7e-9, 1300e-9, 1360e-9),
                      (complex(2.0, -0.1), complex(2.3, -0.0), complex(2.1, -0.4), complex(1.9, -0.2)))
     expected = {"GaAs": [_numpy_algaas(w, 0.0) for w in nodes],
@@ -162,6 +162,16 @@ def test_builtin_kinds():
     assert lookup_index(air, 1300e-9) == 1.0 + 0j
     with pytest.raises(DomainError):
         make_builtin_material("x", "unobtainium")
+
+
+def test_builtin_fraction_only_for_algaas():
+    """AlGaAs without a fraction is the paper's x = 0.75 cladding; any other
+    kind given a fraction is refused rather than silently ignored."""
+    assert (default_materials()["AlGaAs"].indices
+            == make_builtin_material("AlGaAs", "algaas", 0.75).indices)
+    for kind in ("gaas", "nbn", "siox", "air"):
+        with pytest.raises(DomainError, match=f"applies only to algaas, not '{kind}'"):
+            make_builtin_material("m", kind, 0.5)
 
 
 def test_algaas_transparency_guard():

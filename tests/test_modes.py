@@ -116,14 +116,6 @@ def test_no_guided_modes_is_empty_result():
     assert modes == []
 
 
-def test_max_iterations_at_arpack_limit_solves():
-    """The largest ``max_iterations`` ARPACK's Fortran integer holds still
-    runs; one more is a config error (see test_config)."""
-    modes = solve_modes(assemble_operator(uniform_grid(1.0, 24, 24, 10e-6)),
-                        sk.SolverConfig(num_modes=3, max_iterations=2**31 - 1))
-    assert modes == []
-
-
 @pytest.fixture()
 def solves(monkeypatch):
     """Records the shift-invert work of the solves that follow through
@@ -241,10 +233,11 @@ def test_mirror_split_keeps_modes_nearest_target(num_modes, solves):
 
 
 @pytest.mark.parametrize("mirrored", [False, True], ids=["full", "split"])
-def test_arpack_no_convergence_is_convergence_error(mirrored, solves):
+def test_arpack_no_convergence_is_convergence_error(mirrored, solves, monkeypatch):
+    monkeypatch.setattr("snspdkit.modes._ARPACK_MAX_ITERATIONS", 1)
     op = assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6, mirrored))
     with pytest.raises(ConvergenceError, match="did not converge within 1 iterations") as info:
-        solve_modes(op, sk.SolverConfig(max_iterations=1))
+        solve_modes(op)
     assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
     # linspace edges are not exactly symmetric: one full-domain solve; the
     # reflected grid is split and its first parity class already fails
@@ -261,6 +254,19 @@ def test_residual_gate_raises_with_residual():
     with pytest.raises(ConvergenceError, match="exceeds tolerance") as info:
         solve_modes(op, sk.SolverConfig(tolerance=1e-30))
     assert info.value.residual is not None and info.value.residual > 1e-30
+
+
+def test_non_finite_fields_are_convergence_error():
+    """A zero-eps cladding cell leaves the operator finite and the eigensolve
+    converged, but E divides by eps there: the mode is refused."""
+    g = step_index_grid(3.4, 1.45, 40, 4e-6)
+    eps = g.eps.copy()
+    eps[5, 5] = 0
+    op = assemble_operator(PermittivityGrid(g.x_edges_m, g.y_edges_m, eps, g.wavelength_m))
+    assert np.isfinite(op.matrix.data).all()
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(ConvergenceError, match="non-finite field values in computed mode"):
+        solve_fundamental(op, "TE")
 
 
 @pytest.mark.parametrize("fine_nm", [2.0, 1.5, 1.0])
@@ -453,12 +459,14 @@ def test_one_class_query_on_drawn_mirrored_sections(n_core, n_clad, k_core, half
     assert_same_pick(solve_fundamental(op, kind, config), two_class_pick(op, kind, config))
 
 
-def test_solve_fundamental_failures_are_convergence_errors(solves):
+def test_solve_fundamental_failures_are_convergence_errors(solves, monkeypatch):
     # the clustered spectrum of an empty window does not converge in one
     # iteration even at k = 1
     empty = assemble_operator(uniform_grid(1.0, 24, 24, 10e-6))
-    with pytest.raises(ConvergenceError, match="did not converge within 1 iterations") as info:
-        solve_fundamental(empty, "TE", sk.SolverConfig(max_iterations=1))
+    with monkeypatch.context() as m:
+        m.setattr("snspdkit.modes._ARPACK_MAX_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError, match="did not converge within 1 iterations") as info:
+            solve_fundamental(empty, "TE")
     assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
     assert "(k = 1 of cap 8, " in str(info.value)
     assert str(info.value).endswith(

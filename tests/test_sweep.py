@@ -90,11 +90,10 @@ def test_sweep_point_cap(base_cs, monkeypatch):
     spec = SweepSpec(
         (SweepParameter("core_thickness_nm", 0.0, 100.0, 1.0),
          SweepParameter("ridge_width_nm", 0.0, 1000.0, 1.0)),
-        point_cap=1000,
     )
     built, values = [], SweepParameter.values
     monkeypatch.setattr(SweepParameter, "values", lambda p: built.append(p.name) or values(p))
-    with pytest.raises(ConfigError, match="101101 points"):
+    with pytest.raises(ConfigError, match="101101 points, above the cap 10000"):
         run_sweep(base_cs, spec, evaluate=synthetic())
     assert built == []
     with pytest.raises(ConfigError, match="101101 points"):
