@@ -306,14 +306,14 @@ def cmd_optimize(config_path, index, tolerance_nm, as_json, out_dir):
     result = maximize_alpha(config.cross_section, _sweep_spec(config, index),
                             config.policy, config.solver, tolerance=tolerance_nm)
     out = _resolve_out(out_dir, config)
-    columns, rows = sweep_to_rows(result.trace)
+    columns, rows = sweep_to_rows(result.points)
     p = out.path(f"optimize_{index}_trace.csv")
     write_csv(p, columns, rows, config.digest)
     best = result.best
     emit({
         "status": result.status,
         "iterations": result.iterations,
-        "evaluations": len(result.trace),
+        "evaluations": len(result.points),
         "best_alpha_per_cm": None if best is None else best.alpha_per_cm,
         "best_params": None if best is None else best.params,
         "best_margin_um": None if best is None or best.margin_m is None else best.margin_m * 1e6,

@@ -381,7 +381,7 @@ def load_project_config(source: str | os.PathLike | dict) -> ProjectConfig:
     fwhm_target = pu.number("fwhm_target_ns", 1e-9)
 
     co = root.section("counting")
-    powers = co.value("powers_pW", [0.05 * 100 ** (k / 9.0) for k in range(10)])
+    powers = co.value("powers_pW", [round(0.05 * 100 ** (k / 9), 6) for k in range(10)])
     if not isinstance(powers, list) or not powers or not all(map(_is_number, powers)):
         raise ConfigError("counting: powers_pW must be a non-empty list of numbers")
     counting = CountingSpec(

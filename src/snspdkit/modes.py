@@ -177,29 +177,31 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
     dyp = np.pad(np.diff(y), 1, mode="edge")[None, :]
     w, e, s, n = dxp[:-1], dxp[1:], dyp[:, :-1], dyp[:, 1:]
 
-    (axxn, axxs, axxe, axxw), (axyn, axys, axye, axyw), xx_k2 = _x_couplings(
-        w, e, s, n, e1, e2, e3, e4, k0)
-    # the Hy couplings are the Hx ones with x and y exchanged: spacings
-    # (w, e, s, n) -> (s, n, w, e), cells NW <-> SE, and the exchanged
-    # stencil's N, S, E, W neighbours are E, W, N, S here
-    (ayye, ayyw, ayyn, ayys), (ayxe, ayxw, ayxn, ayxs), yy_k2 = _x_couplings(
-        s, n, w, e, e3, e2, e1, e4, k0)
+    # a zero-eps wall cell divides by zero; the check below reports it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (axxn, axxs, axxe, axxw), (axyn, axys, axye, axyw), xx_k2 = _x_couplings(
+            w, e, s, n, e1, e2, e3, e4, k0)
+        # the Hy couplings are the Hx ones with x and y exchanged: spacings
+        # (w, e, s, n) -> (s, n, w, e), cells NW <-> SE, and the exchanged
+        # stencil's N, S, E, W neighbours are E, W, N, S here
+        (ayye, ayyw, ayyn, ayys), (ayxe, ayxw, ayxn, ayxs), yy_k2 = _x_couplings(
+            s, n, w, e, e3, e2, e1, e4, k0)
 
-    nn = nnx * nny
-    ii = np.arange(nn).reshape(nnx, nny)
-    whole, head, tail = slice(None), slice(None, -1), slice(1, None)
-    # row-node and column-node slices of the self, N, S, E and W couplings:
-    # a node couples only to the neighbours inside the grid
-    links = [((whole, whole), (whole, whole)), ((whole, head), (whole, tail)),
-             ((whole, tail), (whole, head)), ((head, whole), (tail, whole)),
-             ((tail, whole), (head, whole))]
-    # each self term sums its own block's couplings in N, S, E, W order
-    blocks = [
-        (0, 0, (-axxn - axxs - axxe - axxw + xx_k2, axxn, axxs, axxe, axxw)),
-        (0, nn, (-(axyn + axys + axye + axyw), axyn, axys, axye, axyw)),
-        (nn, 0, (-(ayxn + ayxs + ayxe + ayxw), ayxn, ayxs, ayxe, ayxw)),
-        (nn, nn, (-ayyn - ayys - ayye - ayyw + yy_k2, ayyn, ayys, ayye, ayyw)),
-    ]
+        nn = nnx * nny
+        ii = np.arange(nn).reshape(nnx, nny)
+        whole, head, tail = slice(None), slice(None, -1), slice(1, None)
+        # row-node and column-node slices of the self, N, S, E and W couplings:
+        # a node couples only to the neighbours inside the grid
+        links = [((whole, whole), (whole, whole)), ((whole, head), (whole, tail)),
+                 ((whole, tail), (whole, head)), ((head, whole), (tail, whole)),
+                 ((tail, whole), (head, whole))]
+        # each self term sums its own block's couplings in N, S, E, W order
+        blocks = [
+            (0, 0, (-axxn - axxs - axxe - axxw + xx_k2, axxn, axxs, axxe, axxw)),
+            (0, nn, (-(axyn + axys + axye + axyw), axyn, axys, axye, axyw)),
+            (nn, 0, (-(ayxn + ayxs + ayxe + ayxw), ayxn, ayxs, ayxe, ayxw)),
+            (nn, nn, (-ayyn - ayys - ayye - ayyw + yy_k2, ayyn, ayys, ayye, ayyw)),
+        ]
     rows, cols, vals = [], [], []
     for row_off, col_off, coeffs in blocks:
         for (r, c), a in zip(links, coeffs):
@@ -207,6 +209,10 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
             cols.append(ii[c].ravel() + col_off)
             vals.append(np.broadcast_to(a, ii.shape)[r].ravel())
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    bad = np.count_nonzero(~np.isfinite(vals))
+    if bad:
+        raise DomainError(f"operator has {bad} non-finite couplings of {vals.size} "
+                          "(a zero permittivity on the window wall?)")
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(2 * nn, 2 * nn)).tocsc()
 
     return ModeOperator(mat, eps_cells, grid)

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError, ConvergenceError, DomainError, InconsistencyError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .geometry import CrossSection, Layer, ResolutionPolicy, alignment_margin
 from .modes import SolverConfig, modal_absorption, solve_cross_section
 
@@ -84,20 +84,17 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Every evaluated point, in order; the best point and status follow from them."""
     points: tuple[SweepPoint, ...]
-    best: SweepPoint | None
+    iterations: int = 0                   # halving rounds after the coarse pass
 
-    def __post_init__(self):
-        if self.best is None:
-            return
-        if not (self.best.feasible and self.best.status == "ok"):
-            raise InconsistencyError("sweep best point is not a feasible, solved point")
-        for p in self.points:
-            if p.feasible and p.status == "ok" and p.alpha_per_cm > self.best.alpha_per_cm:
-                raise InconsistencyError(
-                    f"sweep best alpha {self.best.alpha_per_cm} is below the feasible "
-                    f"point {p.params} with alpha {p.alpha_per_cm}"
-                )
+    @property
+    def best(self) -> SweepPoint | None:
+        return functools.reduce(_better, self.points, None)
+
+    @property
+    def status(self) -> str:
+        return "infeasible" if self.best is None else "ok"
 
 
 def apply_parameters(base: CrossSection, values: dict[str, float]) -> CrossSection:
@@ -189,15 +186,7 @@ def run_sweep(
 
     points = [_evaluate_point(dict(zip(names, vals)), spec, evaluate)
               for vals in itertools.product(*(p.values() for p in spec.parameters))]
-    return SweepResult(tuple(points), functools.reduce(_better, points, None))
-
-
-@dataclass(frozen=True)
-class OptimizeResult:
-    best: SweepPoint | None
-    trace: tuple[SweepPoint, ...]        # every evaluation, in order
-    status: str                          # "ok" | "infeasible"
-    iterations: int
+    return SweepResult(tuple(points))
 
 
 def maximize_alpha(
@@ -207,7 +196,7 @@ def maximize_alpha(
     solver_config: SolverConfig | None = None,
     evaluate=None,
     tolerance: float = 5.0,              # parameter resolution, in the sweep unit (nm)
-) -> OptimizeResult:
+) -> SweepResult:
     """Constrained maximization of modal absorption over 1 or 2 parameters.
 
     The coarse pass is ``run_sweep`` over the declared ranges (so it honours
@@ -228,9 +217,10 @@ def maximize_alpha(
         evaluate = _default_evaluate(base, spec, policy, solver_config)
 
     coarse = run_sweep(base, spec, evaluate=evaluate)
-    trace, best = list(coarse.points), coarse.best
+    best = coarse.best
     if best is None:
-        return OptimizeResult(None, tuple(trace), "infeasible", 0)
+        return coarse
+    trace = list(coarse.points)
 
     def key(values: dict[str, float]) -> tuple:
         return tuple(round(values[p.name], 6) for p in free)
@@ -252,4 +242,4 @@ def maximize_alpha(
             best = _better(best, trace[-1])
         steps = {k: v / 2.0 for k, v in steps.items()}
 
-    return OptimizeResult(best, tuple(trace), "ok", iterations)
+    return SweepResult(tuple(trace), iterations)

@@ -188,12 +188,12 @@ def test_criterion_11_optimizer_contracts(default_config):
     margin_ok = result.best.margin_m >= spec.min_margin_m - 1e-15
     dominance_ok = all(
         result.best.alpha_per_cm >= p.alpha_per_cm
-        for p in result.trace if p.feasible and p.status == "ok"
+        for p in result.points if p.feasible and p.status == "ok"
     )
     ok = argmax_ok and margin_ok and dominance_ok
     report(11, ok, f"argmax {result.best.params['core_thickness_nm']:.1f} nm within 5 nm of "
                    f"{peak}; margin {result.best.margin_m * 1e6:.2f} um respected; "
-                   f"dominates all {len(result.trace)} trace points")
+                   f"dominates all {len(result.points)} trace points")
 
 
 def test_criterion_12_reproduce_pipeline(tmp_path):

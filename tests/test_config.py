@@ -13,6 +13,7 @@ from snspdkit.config import (
     stable_seed,
 )
 from snspdkit.errors import ConfigError
+from snspdkit.modes import SolverConfig
 from snspdkit.pipeline import band
 
 
@@ -326,6 +327,20 @@ def test_invalid_solver_settings_rejected(key, value, message):
     raw["solver"][key] = value
     with pytest.raises(ConfigError, match=message):
         load_project_config(raw)
+
+
+def test_omitted_solver_settings_take_the_defaults():
+    raw = _raw_default()
+    del raw["solver"]["num_modes"], raw["solver"]["tolerance"]
+    assert load_project_config(raw).solver == SolverConfig()
+
+
+def test_default_counting_ladder_is_the_shipped_ladder(default_config):
+    """A config without ``counting.powers_pW`` counts at the shipped powers,
+    bit for bit: the default ladder is rounded to 1e-6 pW as shipped."""
+    raw = _raw_default()
+    del raw["counting"]["powers_pW"]
+    assert load_project_config(raw).counting.powers_w == default_config.counting.powers_w
 
 
 def test_duplicate_units_rejected():

@@ -269,6 +269,16 @@ def test_non_finite_fields_are_convergence_error():
         solve_fundamental(op, "TE")
 
 
+def test_zero_eps_wall_cell_is_domain_error():
+    """A zero-eps cell on the window wall makes couplings non-finite: assembly
+    refuses the operator, so no factorization sees it."""
+    g = step_index_grid(3.4, 3.2, 40, 4e-6)
+    eps = g.eps.copy()
+    eps[0, 5] = 0
+    with pytest.raises(DomainError, match="operator has 10 non-finite couplings of 32964"):
+        assemble_operator(PermittivityGrid(g.x_edges_m, g.y_edges_m, eps, g.wavelength_m))
+
+
 @pytest.mark.parametrize("fine_nm", [2.0, 1.5, 1.0])
 def test_residual_gate_headroom_as_wire_cells_shrink(default_config, fine_nm):
     """TE0 passes the residual gate with at least 10x headroom as the

@@ -4,12 +4,11 @@ import pytest
 
 import snspdkit.sweep as sweep_module
 from snspdkit import ResolutionPolicy, SolverConfig
-from snspdkit.errors import ConfigError, InconsistencyError
+from snspdkit.errors import ConfigError
 from snspdkit.geometry import alignment_margin
 from snspdkit.io_utils import sweep_to_rows
 from snspdkit.modes import modal_absorption, solve_cross_section
 from snspdkit.sweep import (
-    OptimizeResult,
     SweepParameter,
     SweepPoint,
     SweepResult,
@@ -128,19 +127,22 @@ def test_sweep_failed_points_survive(base_cs):
     assert result.best is not None
 
 
-def test_sweep_result_rejects_inconsistent_best():
-    """The invariants hold as errors, also under ``python -O``."""
+def test_sweep_result_derives_best():
+    """The best point is the earliest feasible, solved point of highest alpha;
+    an infeasible point of higher alpha and a later tie do not displace it."""
     low = SweepPoint({"core_thickness_nm": 300.0}, complex(3.15, 1e-3), 400.0, 0.9,
                      0.5e-6, True, "ok")
     high = SweepPoint({"core_thickness_nm": 320.0}, complex(3.15, 2e-3), 450.0, 0.9,
                       0.5e-6, True, "ok")
     infeasible = SweepPoint({"core_thickness_nm": 340.0}, complex(3.15, 3e-3), 500.0, 0.9,
                             0.1e-6, False, "ok")
-    assert SweepResult((low, high, infeasible), high).best is high
-    with pytest.raises(InconsistencyError, match="not a feasible"):
-        SweepResult((low, high, infeasible), infeasible)
-    with pytest.raises(InconsistencyError, match="below the feasible point"):
-        SweepResult((low, high, infeasible), low)
+    tie = replace(high, params={"core_thickness_nm": 330.0})
+    result = SweepResult((low, high, infeasible, tie))
+    assert result.best is high
+    assert (result.status, result.iterations) == ("ok", 0)
+    assert SweepResult((tie, high)).best is tie
+    only_infeasible = SweepResult((infeasible,), 3)
+    assert (only_infeasible.best, only_infeasible.status) == (None, "infeasible")
 
 
 def test_sweep_deterministic_and_export(tmp_path, base_cs):
@@ -308,8 +310,8 @@ def test_continued_optimize_matches_cold_optimize(base_cs):
 
     warm = maximize_alpha(base_cs, spec, COARSE, tolerance=20.0)
     ref = maximize_alpha(base_cs, spec, evaluate=cold, tolerance=20.0)
-    assert len(warm.trace) == len(ref.trace) > 3   # the refinement probed
-    for p, q in zip(warm.trace, ref.trace):
+    assert len(warm.points) == len(ref.points) > 3   # the refinement probed
+    for p, q in zip(warm.points, ref.points):
         assert_same_point(p, q)
     assert (warm.status, warm.iterations, warm.best.params) == (ref.status, ref.iterations,
                                                                 ref.best.params)
@@ -324,11 +326,11 @@ def test_optimize_recovers_synthetic_argmax(base_cs):
     assert result.status == "ok"
     assert result.best.params["core_thickness_nm"] == pytest.approx(317.0, abs=5.0)
     # dominance over every feasible evaluated point, straight from the trace
-    for p in result.trace:
+    for p in result.points:
         if p.feasible and p.status == "ok":
             assert result.best.alpha_per_cm >= p.alpha_per_cm
     # refinement never leaves the declared range
-    for p in result.trace:
+    for p in result.points:
         assert 260.0 <= p.params["core_thickness_nm"] <= 380.0
 
 
@@ -356,9 +358,10 @@ def test_optimize_infeasible_is_a_result(base_cs):
         min_margin_m=0.45e-6,
     )
     result = maximize_alpha(base_cs, spec, evaluate=synthetic(), tolerance=5.0)
-    assert isinstance(result, OptimizeResult)
+    assert isinstance(result, SweepResult)
     assert result.status == "infeasible"
     assert result.best is None
+    assert result.iterations == 0 and len(result.points) == 3   # the coarse pass only
 
 
 @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
