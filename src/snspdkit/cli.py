@@ -244,7 +244,8 @@ def cmd_jitter(total_ps, source_ps, as_json):
 @main.command("counts")
 @config_option
 @click.option("--power-pw", type=FINITE_FLOAT, required=True)
-@click.option("--duration-s", type=FINITE_FLOAT, default=0.1)
+@click.option("--duration-s", type=FINITE_FLOAT, default=None,
+              help="Simulated duration [s] (defaults to the config's counting.duration_s).")
 @click.option("--seed", type=int, default=None, help="Override the derived stage seed.")
 @json_option
 @out_option
@@ -255,6 +256,7 @@ def cmd_counts(config_path, power_pw, duration_s, seed, as_json, out_dir):
     src = det.SourceSpec(power_pw * 1e-12, config.cross_section.wavelength_m,
                          config.counting.jitter_sigma_s)
     used_seed = config.stage_seed("counts") if seed is None else seed
+    duration_s = config.counting.duration_s if duration_s is None else duration_s
     record = det.simulate_counting(config.detector, budget, src, duration_s, used_seed)
     out = _resolve_out(out_dir, config)
     files = export_count_record(record, out, "counts", config.digest)

@@ -270,11 +270,8 @@ def _parse_solver(s: _Reader) -> tuple[SolverConfig, ResolutionPolicy]:
         edge_band_m=p.length("edge_band"), far_m=p.length("far"),
         far_margin_m=p.length("far_margin"), x_base_m=p.length("x_base"),
     ))
-    cfg = SolverConfig(**_given(
-        num_modes=s.integer("num_modes"), target_n_eff=s.number("target_n_eff"),
-        tolerance=s.number("tolerance"),
-    ))
-    return cfg, policy
+    return SolverConfig(**_given(num_modes=s.integer("num_modes"),
+                                 target_n_eff=s.number("target_n_eff"))), policy
 
 
 def _parse_detector(d: _Reader, meander: dict) -> DetectorModel:

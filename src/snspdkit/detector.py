@@ -191,7 +191,7 @@ def pulse_fall_time(model: DetectorModel, tau_rise_s: float) -> float:
     return tau_fall
 
 
-def pulse_shape(model: DetectorModel, tau_rise_s: float = 200e-12) -> PulseTrace:
+def pulse_shape(model: DetectorModel, tau_rise_s: float) -> PulseTrace:
     """Peak-normalized V(t) = exp(-t/tau_fall) - exp(-t/tau_rise).
 
     ``tau_fall`` is the kinetic-inductance recovery constant of the model;

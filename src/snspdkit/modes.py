@@ -29,6 +29,7 @@ exactly mirror-symmetric operator is split into its two parity classes (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 # scipy.sparse is imported inside the functions that build or solve an
 # operator, so that ``import snspdkit`` and the CLI commands that never solve
@@ -46,13 +47,14 @@ _ARPACK_MAX_ITERATIONS = 400   # Arnoldi restarts per eigs call before giving up
 _DIELECTRIC_IM_CUT = 0.1   # |Im n| below this counts as a dielectric for bracketing
 # Per kind of fundamental-mode query: the Hx parity of the one mirror class
 # it solves (see _mirror_classes), and the first k of its ladder (see
-# _nearest). The class is the one in which the kind's dominant E component
-# is even, Ex (paired with Hy) for TE and Ey (paired with Hx) for TM, so it
-# holds the kind's fundamental mode; the other class holds the kind's modes
-# odd in x. The pair nearest the default shift has been TE-like on every
-# section solved so far, also in the class a TM query solves (on the shipped
-# section, a TE mode odd in Ex at n_eff 3.1006), so a TM ladder skips k = 1.
-_QUERY = {"TE": (-1, 1), "TM": (1, 2)}
+# _nearest) in that class and on the full domain. The class is the one in
+# which the kind's dominant E component is even, Ex (paired with Hy) for TE
+# and Ey (paired with Hx) for TM, so it holds the kind's fundamental mode;
+# the other class holds the kind's modes odd in x. TE0 and the TE mode odd
+# in Ex (n_eff 3.1006 on the shipped section) have lain nearer the default
+# shift than TM0 on every section solved so far, so a TM ladder cannot stop
+# at k = 1 in its class, which holds the latter, or at k = 2 on the full domain.
+_QUERY = {"TE": (-1, 1, 1), "TM": (1, 2, 4)}
 # Shift-invert LU of A - sigma*I. The sparsity pattern is nearly symmetric
 # (five-point blocks plus corner couplings), so minimum degree on A^T + A with
 # diagonal pivots gives about half the fill of SciPy's default COLAMD column
@@ -66,15 +68,13 @@ _SHIFT_INVERT_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
 class SolverConfig:
     num_modes: int = 8
     target_n_eff: float | None = None   # shift-invert target; default 0.98 * core index
-    tolerance: float = 1e-10            # relative eigen-residual bound
+    tolerance: ClassVar[float] = 1e-10  # relative eigen-residual gate: a constant, not a setting
 
     def __post_init__(self):
         if self.num_modes < 1:
             raise ConfigError("num_modes must be >= 1")
         if self.target_n_eff is not None and self.target_n_eff <= 0:
             raise ConfigError("target_n_eff must be > 0")
-        if self.tolerance <= 0:
-            raise ConfigError("solver tolerance must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +130,7 @@ class ModeSolution:
     # The proxy is impedance-paired with (Ex, Ey) and insensitive to the
     # corner-singular E cells at the metal wire edges, which otherwise
     # dominate the raw E-energy integral on refined grids.
-    te_fraction: float = 0.0
+    te_fraction: float
 
     @property
     def beta(self) -> complex:
@@ -275,7 +275,7 @@ def solve_modes(op: ModeOperator, config: SolverConfig | None = None) -> list[Mo
     :meth:`ModeOperator.index_bracket`) sorted by descending Re(n_eff);
     an empty list signals that no guided mode was found. Fields are
     normalized to unit power. Raises :class:`ConvergenceError` if the
-    Arnoldi iteration fails or residuals exceed the configured tolerance.
+    Arnoldi iteration fails or a residual exceeds the fixed 1e-10 gate.
     """
     config = config or SolverConfig()
     sigma, vals, vecs = _search(op, config, None)
@@ -283,7 +283,7 @@ def solve_modes(op: ModeOperator, config: SolverConfig | None = None) -> list[Mo
     # sigma are the ones a full-domain solve returns
     nearest = np.argsort(np.abs(vals - sigma), kind="stable")[: config.num_modes]
     vals, vecs = vals[nearest], vecs[:, nearest]
-    return [_gated_mode(op, n_eff, vals[idx], vecs[:, idx], config)
+    return [_gated_mode(op, n_eff, vals[idx], vecs[:, idx])
             for idx, n_eff in _guided(op, vals)]
 
 
@@ -305,8 +305,8 @@ def solve_fundamental(
     the full operator and is the only one finalized. Returns None if no such
     mode is found within the cap.
 
-    Skipping k = 1 for TM changes the pick only where a k = 1 rung would have
-    stopped the ladder and the second pair is a guided TM mode of higher
+    Starting a TM ladder above k = 1 changes the pick only where a skipped
+    rung would have stopped and a later pair is a guided TM mode of higher
     Re(n_eff). Solving one class changes the pick only where the other
     class holds a guided ``kind`` mode of higher Re(n_eff). Its modes are
     odd in the kind's dominant E component, so they are higher-order modes;
@@ -323,7 +323,7 @@ def solve_fundamental(
     config = config or SolverConfig()
     _sigma, vals, vecs = _search(op, config, kind, start)
     found = _first_of_kind(op, vals, vecs, kind)
-    return None if found is None else _gated_mode(op, *found, config)
+    return None if found is None else _gated_mode(op, *found)
 
 
 def _search(op: ModeOperator, config: SolverConfig, kind: str | None,
@@ -367,7 +367,7 @@ def _nearest(op, mat, lift, sigma, reach, kind, config, carried):
     opinv = spla.LinearOperator((nn, nn), matvec=backsolve, dtype=complex)
     v0 = _start_vector(nn, carried if carried is None or lift is None else lift.T @ carried)
     cap = min(config.num_modes, nn - 2)
-    k = cap if kind is None else min(_QUERY[kind][1], cap)
+    k = cap if kind is None else min(_QUERY[kind][1 if lift is not None else 2], cap)
     while True:
         try:
             vals, vecs = spla.eigs(mat, k=k, sigma=sigma, OPinv=opinv, v0=v0, tol=0,
@@ -436,13 +436,13 @@ def _components(op: ModeOperator, vec: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return vec[: nxn * nyn].reshape(nxn, nyn), vec[nxn * nyn:].reshape(nxn, nyn)
 
 
-def _gated_mode(op: ModeOperator, n_eff: complex, val, vec, config: SolverConfig) -> ModeSolution:
+def _gated_mode(op: ModeOperator, n_eff: complex, val, vec) -> ModeSolution:
     """Finalized mode of an eigenpair whose residual against the full
-    operator is within the configured tolerance."""
+    operator is within :attr:`SolverConfig.tolerance`."""
     resid = _relative_residual(op.matrix, val, vec)
-    if resid > config.tolerance:
+    if resid > SolverConfig.tolerance:
         raise ConvergenceError(
-            f"eigenpair residual {resid:.2e} exceeds tolerance {config.tolerance:.1e}",
+            f"eigenpair residual {resid:.2e} exceeds tolerance {SolverConfig.tolerance:.1e}",
             residual=resid,
         )
     return _finalize_mode(op, n_eff, *_components(op, vec))

@@ -351,6 +351,21 @@ def test_counts_deterministic(runner, tmp_path):
     assert (tmp_path / "a" / "counts.csv").read_bytes() == (tmp_path / "b" / "counts.csv").read_bytes()
 
 
+def test_counts_duration_defaults_to_the_config(runner, tmp_path):
+    """Without --duration-s, ``counts`` simulates the config's
+    counting.duration_s (0.2 s shipped), the duration the pipeline's
+    counting stage simulates."""
+    args = ["counts", "--power-pw", "0.5", "--seed", "3", "--json"]
+    default = runner.invoke(main, args + ["--out", str(tmp_path / "a")])
+    explicit = runner.invoke(main, args + ["--duration-s", "0.2", "--out", str(tmp_path / "b")])
+    assert default.exit_code == explicit.exit_code == 0
+    payloads = [json.loads(r.output) for r in (default, explicit)]
+    for payload in payloads:
+        del payload["output_dir"]
+    assert payloads[0] == payloads[1]
+    assert (tmp_path / "a" / "counts.csv").read_bytes() == (tmp_path / "b" / "counts.csv").read_bytes()
+
+
 def test_env_var_output_dir(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("SNSPDKIT_OUT", str(tmp_path / "envout"))
     result = runner.invoke(main, ["counts", "--power-pw", "0.5", "--duration-s", "0.005",

@@ -1,6 +1,7 @@
 import ast
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -151,9 +152,9 @@ _MISSING = object()
     (("output_dir",), None, "config: output_dir must be a non-empty string"),
     (("output_dir",), 5, "config: output_dir must be a non-empty string"),
     (("output_dir",), "", "config: output_dir must be a non-empty string"),
-    (("solver", "tolerance"), float("inf"), "solver: tolerance must be a number"),
+    (("solver", "tolerance"), float("inf"), r"solver: unknown keys \['tolerance'\]"),
     (("solver", "target_n_eff"), float("nan"), "solver: target_n_eff must be a number"),
-    (("solver", "tolerance"), 10**400, "solver: tolerance must be a number"),
+    (("solver", "tolerance"), 10**400, r"solver: unknown keys \['tolerance'\]"),
     (("counting", "powers_pW"), [0.05, float("nan")], "powers_pW must be a non-empty list of numbers"),
     (("solver", "policy", "far_nm"), 0, "cell sizes must be > 0"),
     (("solver", "policy", "x_base_nm"), -10, "cell sizes must be > 0"),
@@ -317,12 +318,13 @@ def test_negative_thickness_rejected():
     ("max_iterations", 2.5, r"solver: unknown keys \['max_iterations'\]"),
     ("target_n_eff", -3.3, "target_n_eff must be > 0"),
     ("num_modes", 0, "num_modes must be >= 1"),
-    ("tolerance", 0, "solver tolerance must be > 0"),
+    ("tolerance", 0, r"solver: unknown keys \['tolerance'\]"),
 ], ids=["max_iterations-0", "max_iterations-2.5", "target_n_eff--3.3", "num_modes-0", "tolerance-0"])
 def test_invalid_solver_settings_rejected(key, value, message):
     """Settings ARPACK cannot run with, or that the shift would silently
     square into another value, fail at load time, not inside the solve; so
-    does an iteration cap, which is a fixed constant of the solver."""
+    do an iteration cap and a residual tolerance, which are fixed constants
+    of the solver."""
     raw = _raw_default()
     raw["solver"][key] = value
     with pytest.raises(ConfigError, match=message):
@@ -331,8 +333,15 @@ def test_invalid_solver_settings_rejected(key, value, message):
 
 def test_omitted_solver_settings_take_the_defaults():
     raw = _raw_default()
-    del raw["solver"]["num_modes"], raw["solver"]["tolerance"]
+    del raw["solver"]["num_modes"]
     assert load_project_config(raw).solver == SolverConfig()
+
+
+def test_residual_gate_is_a_constant_not_a_setting(default_config):
+    """The eigen-residual gate is a class constant, not a dataclass field
+    (so no constructor argument), read the same through a loaded config."""
+    assert [f.name for f in fields(SolverConfig)] == ["num_modes", "target_n_eff"]
+    assert SolverConfig.tolerance == default_config.solver.tolerance == 1e-10
 
 
 def test_default_counting_ladder_is_the_shipped_ladder(default_config):

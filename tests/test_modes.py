@@ -18,6 +18,7 @@ from snspdkit.errors import ConfigError, ConvergenceError, DomainError
 from snspdkit.geometry import PermittivityGrid, rasterize
 from snspdkit.modes import (
     _ARNOLDI_SEED,
+    _QUERY,
     _cell_area,
     _centered,
     _finalize_mode,
@@ -248,11 +249,12 @@ def test_arpack_no_convergence_is_convergence_error(mirrored, solves, monkeypatc
     assert str(info.value).endswith(f"; {unknowns} unknowns, {solves.backsolves} back-solves)")
 
 
-def test_residual_gate_raises_with_residual():
+def test_residual_gate_raises_with_residual(monkeypatch):
     op = assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6))
     assert solve_modes(op)   # guided modes exist, so the gate is reached
-    with pytest.raises(ConvergenceError, match="exceeds tolerance") as info:
-        solve_modes(op, sk.SolverConfig(tolerance=1e-30))
+    monkeypatch.setattr(sk.SolverConfig, "tolerance", 1e-30)
+    with pytest.raises(ConvergenceError, match="exceeds tolerance 1.0e-30") as info:
+        solve_modes(op)
     assert info.value.residual is not None and info.value.residual > 1e-30
 
 
@@ -368,6 +370,17 @@ def test_solve_fundamental_grows_k_only_as_needed(default_config, coarse_solved,
     assert ks[0] == 2 and all(b in (2, 2 * a) for a, b in zip(ks, ks[1:]))
 
 
+def test_full_domain_tm_query_starts_at_k4(default_config, coarse_solved, solves, monkeypatch):
+    """On the full domain, TE0 and the TE mode odd in Ex both lie nearer the
+    default shift than TM0, so the TM query of the asymmetric section starts
+    at k = 4 and stops there, with the pick of a ladder started at k = 2."""
+    op, _modes = coarse_solved["offset"]
+    mode = solve_fundamental(op, "TM", default_config.solver)
+    assert solves.runs == [(op.matrix.shape[0], 4)]
+    monkeypatch.setitem(_QUERY, "TM", (1, 2, 2))
+    assert_same_pick(mode, solve_fundamental(op, "TM", default_config.solver))
+
+
 def test_solve_fundamental_sees_modes_above_a_low_shift(default_config, coarse_solved, solves):
     """With the shift between TE0 and a lower TE mode, nearer the lower one,
     the first TE mode found is not TE0; k grows until every dielectric-guided
@@ -429,7 +442,7 @@ def two_class_pick(op, kind, config):
     found = [_nearest(op, mat, lift, sigma, reach, kind, config, None) for mat, lift in classes]
     pick = _first_of_kind(op, np.concatenate([v for v, _ in found]),
                           np.hstack([u for _, u in found]), kind)
-    return None if pick is None else _gated_mode(op, *pick, config)
+    return None if pick is None else _gated_mode(op, *pick)
 
 
 def assert_same_pick(mode, ref):
@@ -484,8 +497,9 @@ def test_solve_fundamental_failures_are_convergence_errors(solves, monkeypatch):
     del info   # its traceback holds the failed operator's LU
     op = assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6))
     assert solve_fundamental(op, "TE") is not None   # the gate is reached
-    with pytest.raises(ConvergenceError, match="exceeds tolerance") as info:
-        solve_fundamental(op, "TE", sk.SolverConfig(tolerance=1e-30))
+    monkeypatch.setattr(sk.SolverConfig, "tolerance", 1e-30)
+    with pytest.raises(ConvergenceError, match="exceeds tolerance 1.0e-30") as info:
+        solve_fundamental(op, "TE")
     assert info.value.residual is not None and info.value.residual > 1e-30
 
 
