@@ -252,7 +252,7 @@ def cmd_jitter(total_ps, source_ps, as_json):
 def cmd_counts(config_path, power_pw, duration_s, seed, as_json, out_dir):
     """Simulate a counting run and persist the event record."""
     config = _load(config_path)
-    budget = _reference_budget(config.targets, config.targets["coupling"]["value"])
+    budget = _reference_budget(config.targets["coupling"]["value"])
     src = det.SourceSpec(power_pw * 1e-12, config.cross_section.wavelength_m,
                          config.counting.jitter_sigma_s)
     used_seed = config.stage_seed("counts") if seed is None else seed

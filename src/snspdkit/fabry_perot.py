@@ -8,6 +8,7 @@ observables T_max and T_min.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,24 +118,29 @@ def read_fringe_scan(path: str | Path, single_pass: float = 1.0) -> FringeData:
     before the first data row (headers). A later non-numeric row, a row
     with one column, a non-finite wavelength or a transmission that is not
     a number in [0, 1] is a DomainError naming its line: the percentiles
-    would silently drop an outlier, and a NaN would spoil both extrema."""
+    would silently drop an outlier, and a NaN would spoil both extrema. So
+    is a file that cannot be read as UTF-8 text (missing, a directory)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"fringe scan {path} cannot be read: {exc}") from exc
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                wavelength, transmission = float(row[0]), float(row[1])
-            except (ValueError, IndexError) as exc:
-                if isinstance(exc, ValueError) and not rows:
-                    continue  # header row
-                raise DomainError(f"fringe scan {path} line {reader.line_num}: "
-                                  "expected wavelength_nm, transmission") from None
-            if not (math.isfinite(wavelength) and 0.0 <= transmission <= 1.0):
-                raise DomainError(f"fringe scan {path} line {reader.line_num}: needs a finite "
-                                  f"wavelength and a transmission in [0, 1], got {row[0]}, {row[1]}")
-            rows.append((wavelength, transmission))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in reader:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        try:
+            wavelength, transmission = float(row[0]), float(row[1])
+        except (ValueError, IndexError) as exc:
+            if isinstance(exc, ValueError) and not rows:
+                continue  # header row
+            raise DomainError(f"fringe scan {path} line {reader.line_num}: "
+                              "expected wavelength_nm, transmission") from None
+        if not (math.isfinite(wavelength) and 0.0 <= transmission <= 1.0):
+            raise DomainError(f"fringe scan {path} line {reader.line_num}: needs a finite "
+                              f"wavelength and a transmission in [0, 1], got {row[0]}, {row[1]}")
+        rows.append((wavelength, transmission))
     if len(rows) < 10:
         raise DomainError(f"fringe scan {path} has fewer than 10 samples")
     t = np.array([r[1] for r in rows])

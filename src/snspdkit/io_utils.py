@@ -32,7 +32,10 @@ class OutputDir:
 
     def __init__(self, base: str | Path):
         self.base = Path(base)
-        self.base.mkdir(parents=True, exist_ok=True)
+        try:
+            self.base.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:   # a file in the way, or no permission
+            raise ConfigError(f"output directory {base} cannot be created: {exc}") from exc
 
     def path(self, name: str) -> Path:
         p = (self.base / name).resolve()

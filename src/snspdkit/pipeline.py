@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 from . import __version__, detector as det
 from ._numpy import np
-from .config import ProjectConfig
+from .config import TARGETS, ProjectConfig
 from .detector import EfficiencyBudget, SourceSpec, dark_count_rate, internal_efficiency
 from .errors import ConfigError, SnspdKitError
 from .fabry_perot import extract_coupling, fp_transmission, fresnel_reflectivity
@@ -110,11 +110,11 @@ def run_reproduce(config: ProjectConfig, out: OutputDir, skip: tuple[str, ...] =
     return manifest
 
 
-def _reference_budget(targets: dict, coupling: float) -> EfficiencyBudget:
+def _reference_budget(coupling: float) -> EfficiencyBudget:
     """Efficiency chain at the reference absorptance, with the internal
     efficiency inverted from the reference DQE."""
-    a_ref = targets["absorptance_51um"]["value"]
-    return EfficiencyBudget(coupling, a_ref, det.invert_internal(targets["dqe"]["value"], a_ref))
+    a_ref = TARGETS["absorptance_51um"]["value"]
+    return EfficiencyBudget(coupling, a_ref, det.invert_internal(TARGETS["dqe"]["value"], a_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def _stage_fp_extract(config: ProjectConfig, out, rec, results):
 
 def _stage_efficiency(config: ProjectConfig, out, rec, results):
     coupling = results["coupling"]
-    budget = _reference_budget(config.targets, coupling)
+    budget = _reference_budget(coupling)
     a_ref, eta_int = budget.absorptance, budget.internal
     _check(rec, config, "sqe", budget.sqe)
     rec.notes.update({"coupling": coupling, "absorptance": a_ref,
@@ -231,7 +231,7 @@ def _stage_jitter(config: ProjectConfig, out, rec, results):
 
 def _stage_counting(config: ProjectConfig, out, rec, results):
     model = config.detector
-    budget = _reference_budget(config.targets, config.targets["coupling"]["value"])
+    budget = _reference_budget(config.targets["coupling"]["value"])
     seed0 = config.stage_seed("counting")
     rec.seed = seed0
     wavelength = config.cross_section.wavelength_m

@@ -200,6 +200,15 @@ def test_fp_extract_out_of_range_scan_sample_exit_code(runner, tmp_path):
     assert "line 102" in result.output
 
 
+def test_fp_extract_missing_scan_exit_code(runner, tmp_path):
+    """A scan file that cannot be read is a domain error naming the file,
+    not a traceback."""
+    scan = tmp_path / "missing.csv"
+    result = runner.invoke(main, ["fp-extract", "--scan-csv", str(scan)])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith(f"error (DomainError): fringe scan {scan} cannot be read: ")
+
+
 def test_fp_extract_without_inputs_exit_code(runner):
     result = runner.invoke(main, ["fp-extract", "--tmax", "0.061"])
     assert result.exit_code == 3, result.output
@@ -372,6 +381,24 @@ def test_env_var_output_dir(runner, tmp_path, monkeypatch):
                                   "--seed", "3", "--json"])
     assert result.exit_code == 0
     assert (tmp_path / "envout" / "counts.csv").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_output_dir_that_is_a_file_exit_code(runner, tmp_path, monkeypatch, via):
+    """An output directory that names an existing file is a config error
+    naming it, whether it comes from ``--out`` or SNSPDKIT_OUT."""
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    monkeypatch.delenv("SNSPDKIT_OUT", raising=False)
+    if via == "env":
+        monkeypatch.setenv("SNSPDKIT_OUT", str(taken))
+        args = ["pulse", "--dump-trace"]
+    else:
+        args = ["counts", "--power-pw", "1", "--duration-s", "0.005", "--out", str(taken)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error (ConfigError): output directory {taken} cannot be created: ")
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_solve_mode_coarse_config(runner, tmp_path):
@@ -580,9 +607,10 @@ def test_reproduce_stage_error_blocks_dependents(runner, tmp_path):
 
 
 def test_reproduce_human_readable_checks(runner, tmp_path):
-    """Without ``--json`` each check prints a PASS or FAIL line."""
+    """Without ``--json`` each check prints a PASS or FAIL line; a total
+    jitter of 80 ps puts the intrinsic jitter outside its fixed band."""
     raw = _coarse_raw()
-    raw["targets"] = {"jitter_intrinsic_ps": {"value": 50.0, "abs_tol": 0.1}}
+    raw["jitter"]["total_ps"] = 80
     cfg = _write(tmp_path, raw)
     result = runner.invoke(main, [
         "reproduce-paper", "--config", str(cfg), "--out", str(tmp_path / "repro"),
@@ -592,7 +620,7 @@ def test_reproduce_human_readable_checks(runner, tmp_path):
     lines = result.output.splitlines()
     assert lines[0] == "all_pass    False"
     assert "  [PASS] pulse/tau_ns: 3.6 in [3.6, 3.6]" in lines
-    assert "  [FAIL] jitter/jitter_intrinsic_ps: 61.0655 in [49.9, 50.1]" in lines
+    assert "  [FAIL] jitter/jitter_intrinsic_ps: 69.282 in [61, 61.2]" in lines
 
 
 def test_reproduce_skip_marks_not_run(runner, tmp_path):

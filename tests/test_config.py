@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from snspdkit.config import (
-    DEFAULT_TARGETS,
+    TARGETS,
+    ProjectConfig,
     config_digest,
     default_config_path,
     load_project_config,
@@ -101,6 +102,8 @@ def test_misspelled_required_key_named(section, key, misspelt, message):
 
 
 _MISSING = object()
+# The reference bands are constants of the code, so every ``targets`` value is refused.
+_NO_TARGETS = r"config: unknown keys \['targets'\]"
 
 
 @pytest.mark.parametrize("path, value, message", [
@@ -126,13 +129,12 @@ _MISSING = object()
     (("layers", 0, "substrate"), True, r"layers\[0\]: unknown keys \['substrate'\]"),
     (("version",), 1, r"config: unknown keys \['version'\]"),
     (("materials", 0, "aluminum_fraction"), 0.7, r"materials\[0\]: unknown keys \['aluminum_fraction'\]"),
-    (("targets", "coupling"), {"value": 0.2, "abs_tol": 0.01, "rel_tol": 0.1},
-     "targets.coupling: give rel_tol or abs_tol, not both"),
-    (("targets", "coupling", "value"), "x", "targets.coupling: value must be a number"),
-    (("targets", "coupling", "abs_tol"), "x", "targets.coupling: abs_tol must be a number"),
-    (("targets", "coupling", "abs_tol"), None, "targets.coupling: abs_tol must be a number"),
-    (("targets", "coupling"), {"rel_tol": -0.5}, "targets.coupling: rel_tol must be >= 0"),
-    (("targets", "tm_alpha_min_per_cm"), "x", "targets: tm_alpha_min_per_cm must be a number"),
+    (("targets", "coupling"), {"value": 0.2, "abs_tol": 0.01, "rel_tol": 0.1}, _NO_TARGETS),
+    (("targets", "coupling", "value"), "x", _NO_TARGETS),
+    (("targets", "coupling", "abs_tol"), "x", _NO_TARGETS),
+    (("targets", "coupling", "abs_tol"), None, _NO_TARGETS),
+    (("targets", "coupling"), {"rel_tol": -0.5}, _NO_TARGETS),
+    (("targets", "tm_alpha_min_per_cm"), "x", _NO_TARGETS),
     (("materials", 4), {"name": "air", "table_nm": []},
      r"materials\[4\]: material 'air': empty index table"),
     (("materials", 4), {"name": "air", "table_nm": [[1260, 1.0, -0.1], [1360, 1.0, 0.0]]},
@@ -291,14 +293,13 @@ _SECTIONS = {
     ("detector", "dark_counts"): "detector.dark_counts", ("fringes",): "fringes",
     ("pulse",): "pulse", ("counting",): "counting", ("jitter",): "jitter",
     ("materials", 0): "materials[0]", ("layers", 0): "layers[0]", ("sweeps", 0): "sweeps[0]",
-    ("sweeps", 0, "parameters", 0): "sweeps[0].parameters[0]", ("targets",): "targets",
-    ("targets", "coupling"): "targets.coupling",
+    ("sweeps", 0, "parameters", 0): "sweeps[0].parameters[0]",
 }
 
 
 @pytest.mark.parametrize("path", list(_SECTIONS), ids=list(_SECTIONS.values()))
 def test_extra_key_rejected_in_every_section(path):
-    """A key nothing reads is rejected in each of the 19 JSON objects of the
+    """A key nothing reads is rejected in each of the 17 JSON objects of the
     schema, with a message naming the object and the key."""
     raw = _raw_default()
     _walk(raw, path)["zz_surprise"] = 1
@@ -392,17 +393,53 @@ def test_stage_seeds_derived_and_distinct(default_config):
 
 
 def test_target_overrides_merge():
-    raw = _raw_default()
-    raw["targets"] = {"alpha_per_cm": {"rel_tol": 0.10}}
-    cfg = load_project_config(raw)
-    assert cfg.targets["alpha_per_cm"]["value"] == 451.0
-    assert cfg.targets["alpha_per_cm"]["rel_tol"] == 0.10
-    assert cfg.targets["sqe"] == DEFAULT_TARGETS["sqe"]
-    raw["targets"] = {"coupling": {"rel_tol": 0.5}}   # replaces the default abs_tol
-    assert band(load_project_config(raw).targets["coupling"]) == pytest.approx((0.087, 0.261))
-    raw["targets"] = {"nonsense": 1}
-    with pytest.raises(ConfigError, match="nonsense"):
-        load_project_config(raw)
+    """A ``targets`` override no longer merges into the bands: they are
+    constants of the code, and a config that sets them, even to nothing,
+    fails at load."""
+    for targets in ({}, {"alpha_per_cm": {"rel_tol": 10}}):
+        raw = _raw_default()
+        raw["targets"] = targets
+        with pytest.raises(ConfigError, match=re.escape("config: unknown keys ['targets']")):
+            load_project_config(raw)
+
+
+def _rel(value, tol):
+    return value - value * tol, value + value * tol
+
+
+def _abs(value, tol):
+    return value - tol, value + tol
+
+
+# The acceptance criteria's numbers for each checked band, written out here
+# rather than read from TARGETS, so that moving a tolerance fails a test.
+_PAPER_BANDS = {
+    "alpha_per_cm": _rel(451.0, 0.15),
+    "absorptance_51um": _abs(0.90, 0.005),
+    "absorptance_102um": _abs(0.99, 0.002),
+    "kinetic_inductance_nH": _rel(180.0, 1e-12),
+    "tau_ns": _rel(3.6, 1e-12),
+    "recovery_3tau": _abs(0.950, 0.001),
+    "max_rate_MHz": _rel(1e3 / (3.0 * 3.6), 1e-9),
+    "coupling": _abs(0.174, 0.001),
+    "sqe": _abs(0.034, 0.001),
+    "jitter_intrinsic_ps": _abs(61.1, 0.1),
+}
+
+
+def test_reference_bands_are_the_acceptance_tolerances(default_config):
+    """Every band a ``reproduce-paper`` check scores against is the paper's
+    value with the acceptance tolerance, as are the TM design floor and the
+    counting round-trip tolerance. ``dqe`` is an input only: the efficiency
+    and counting chain inverts the internal efficiency from it, and no stage
+    checks it."""
+    for name, expected in _PAPER_BANDS.items():
+        assert band(default_config.targets[name]) == expected, name
+    assert default_config.targets["tm_alpha_min_per_cm"] == 500.0
+    assert default_config.targets["sqe_slope_rel_tol"] == 0.03
+    assert default_config.targets["dqe"]["value"] == 0.197
+    assert set(TARGETS) == {*_PAPER_BANDS, "tm_alpha_min_per_cm", "sqe_slope_rel_tol", "dqe"}
+    assert "targets" not in {f.name for f in fields(ProjectConfig)}
 
 
 def test_null_cap_material_is_no_cap():

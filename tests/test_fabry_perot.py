@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,19 @@ def test_read_fringe_scan_needs_data(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("wavelength_nm,transmission\n1300,0.05\n")
     with pytest.raises(DomainError):
+        read_fringe_scan(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])
+def test_read_fringe_scan_unreadable_file_named(tmp_path, kind):
+    """A file that is missing, a directory or not UTF-8 text is a DomainError
+    naming the file, not a raw OSError or UnicodeDecodeError."""
+    path = tmp_path / "scan.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes("# Me\xdfung\nwavelength_nm,transmission\n1300,0.05\n".encode("latin-1"))
+    with pytest.raises(DomainError, match=f"^fringe scan {re.escape(str(path))} cannot be read: "):
         read_fringe_scan(path)
 
 

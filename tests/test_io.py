@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,16 @@ def test_output_dir_rejects_escapes(tmp_path):
         out.path("../evil.csv")
     p = out.path("sub/dir/file.csv")
     assert p.parent.is_dir()
+
+
+def test_output_dir_on_a_file_is_a_config_error(tmp_path):
+    """A path naming an existing file cannot be the output directory; the
+    error names it instead of escaping as a raw FileExistsError."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for base in (taken, taken / "runs"):
+        with pytest.raises(ConfigError, match=f"^output directory {re.escape(str(base))} cannot be created: "):
+            OutputDir(base)
 
 
 def test_csv_header_and_rows(tmp_path):
