@@ -180,17 +180,6 @@ def _crossing(t: np.ndarray, v: np.ndarray, level: float, rising: bool) -> float
     return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
 
 
-def pulse_fall_time(model: DetectorModel, tau_rise_s: float) -> float:
-    """The model's recovery constant tau_fall, once 0 < tau_rise < tau_fall is checked."""
-    tau_fall = recovery_time_constant(model)
-    if not 0 < tau_rise_s < tau_fall:
-        raise DomainError(
-            f"rise constant must satisfy 0 < tau_rise < tau_fall "
-            f"({tau_rise_s:.3g} s vs {tau_fall:.3g} s)"
-        )
-    return tau_fall
-
-
 def pulse_shape(model: DetectorModel, tau_rise_s: float) -> PulseTrace:
     """Peak-normalized V(t) = exp(-t/tau_fall) - exp(-t/tau_rise).
 
@@ -198,7 +187,12 @@ def pulse_shape(model: DetectorModel, tau_rise_s: float) -> PulseTrace:
     the rise constant bundles hot-spot and amplifier dynamics. The tail 1/e
     decay time is measured by a log-linear fit beyond the peak.
     """
-    tau_fall = pulse_fall_time(model, tau_rise_s)
+    tau_fall = recovery_time_constant(model)
+    if not 0 < tau_rise_s < tau_fall:
+        raise DomainError(
+            f"rise constant must satisfy 0 < tau_rise < tau_fall "
+            f"({tau_rise_s:.3g} s vs {tau_fall:.3g} s)"
+        )
     t = np.linspace(0.0, 10.0 * tau_fall, 6000)
     v = np.exp(-t / tau_fall) - np.exp(-t / tau_rise_s)
     ratio = tau_fall / tau_rise_s

@@ -9,6 +9,7 @@ form (sorted keys) so parse -> re-serialize round-trips exactly.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -45,8 +46,19 @@ class OutputDir:
         return p
 
 
+@contextmanager
+def _writing(path: Path):
+    """``path`` open for writing text; an OSError (a directory in the way, no
+    permission, a full disk) is a ConfigError naming the file."""
+    try:
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"output file {path} cannot be written: {exc}") from exc
+
+
 def write_csv(path: Path, columns: list[str], rows, config_digest: str = "none") -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         fh.write(header_line(config_digest) + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -66,7 +78,7 @@ def _format_cell(v) -> str:
 def write_json(path: Path, payload: dict, config_digest: str = "none") -> None:
     header = {"tool": TOOL, "version": __version__, "config_digest": config_digest}
     body = {"_header": header, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         fh.write(canonical_json(body) + "\n")
 
 
@@ -84,7 +96,7 @@ def write_matrix(path: Path, array: np.ndarray, config_digest: str = "none") -> 
         cell = "%.9e"
         rows = array.tolist()
     line = "\t".join([cell] * array.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         fh.write(header_line(config_digest) + "\n")
         fh.writelines(line % tuple(row) for row in rows)
 

@@ -14,10 +14,11 @@ from datetime import datetime, timezone
 
 from . import __version__, detector as det
 from ._numpy import np
-from .config import TARGETS, ProjectConfig
+from .config import (FRINGE_T_MAX, FRINGE_T_MIN, JITTER_SOURCE_PS, JITTER_TOTAL_PS,
+                     PULSE_FWHM_NS, PULSE_RISE_PS, TARGETS, ProjectConfig)
 from .detector import EfficiencyBudget, SourceSpec, dark_count_rate, internal_efficiency
 from .errors import ConfigError, SnspdKitError
-from .fabry_perot import extract_coupling, fp_transmission, fresnel_reflectivity
+from .fabry_perot import FringeData, extract_coupling, fp_transmission, fresnel_reflectivity
 from .io_utils import OutputDir, export_grid, export_mode_fields, header_line, write_csv, write_json
 from .modes import modal_absorption, solve_cross_section
 from .sweep import apply_parameters
@@ -167,7 +168,8 @@ def _stage_absorptance(config: ProjectConfig, out, rec, results):
 
 
 def _stage_fp_extract(config: ProjectConfig, out, rec, results):
-    res = extract_coupling(config.fringes)
+    fringes = FringeData(FRINGE_T_MAX, FRINGE_T_MIN)
+    res = extract_coupling(fringes)
     _check(rec, config, "coupling", res.coupling)
     rec.notes.update({
         "facet_reflectivity": res.facet_reflectivity,
@@ -176,7 +178,7 @@ def _stage_fp_extract(config: ProjectConfig, out, rec, results):
     })
     phases = np.linspace(0.0, 4.0 * np.pi, 401)
     rows = [(p, fp_transmission(res.facet_reflectivity, res.mode_match,
-                                config.fringes.single_pass, p)) for p in phases]
+                                fringes.single_pass, p)) for p in phases]
     f = out.path("fp_fringe_model.csv")
     write_csv(f, ["phase_rad", "transmission"], rows, config.digest)
     rec.outputs.append(f.name)
@@ -210,12 +212,10 @@ def _stage_pulse(config: ProjectConfig, out, rec, results):
     _check(rec, config, "tau_ns", tau * 1e9)
     _check(rec, config, "recovery_3tau", det.recovery_fraction(det.dead_time(model), tau))
     _check(rec, config, "max_rate_MHz", det.max_count_rate(model) / 1e6)
-    trace = det.pulse_shape(model, config.pulse_rise_s)
+    trace = det.pulse_shape(model, PULSE_RISE_PS * 1e-12)
     rec.notes["fwhm_ns"] = trace.fwhm_s * 1e9
     rec.notes["decay_time_1e_ns"] = trace.decay_time_1e_s * 1e9
-    if config.pulse_fwhm_target_s is not None:
-        fitted = det.fit_rise_for_fwhm(model, config.pulse_fwhm_target_s)
-        rec.notes["rise_fit_for_fwhm_ns"] = fitted * 1e9
+    rec.notes["rise_fit_for_fwhm_ns"] = det.fit_rise_for_fwhm(model, PULSE_FWHM_NS * 1e-9) * 1e9
     f = out.path("pulse_trace.csv")
     write_csv(f, ["t_ns", "v_norm"],
               zip(trace.time_s * 1e9, trace.voltage), config.digest)
@@ -223,10 +223,11 @@ def _stage_pulse(config: ProjectConfig, out, rec, results):
 
 
 def _stage_jitter(config: ProjectConfig, out, rec, results):
-    intrinsic = det.jitter_deconvolve(config.jitter_total_s, config.jitter_source_s)
+    total_s, source_s = JITTER_TOTAL_PS * 1e-12, JITTER_SOURCE_PS * 1e-12
+    intrinsic = det.jitter_deconvolve(total_s, source_s)
     _check(rec, config, "jitter_intrinsic_ps", intrinsic * 1e12)
-    rec.notes["total_ps"] = config.jitter_total_s * 1e12
-    rec.notes["source_ps"] = config.jitter_source_s * 1e12
+    rec.notes["total_ps"] = total_s * 1e12
+    rec.notes["source_ps"] = source_s * 1e12
 
 
 def _stage_counting(config: ProjectConfig, out, rec, results):

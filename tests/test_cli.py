@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -401,6 +402,17 @@ def test_output_dir_that_is_a_file_exit_code(runner, tmp_path, monkeypatch, via)
     assert taken.read_text() == "not a directory\n"
 
 
+def test_output_file_that_is_a_directory_exit_code(runner, tmp_path):
+    """An output file that cannot be written, here a directory of its name,
+    is a config error (exit 2) naming it, not a raw IsADirectoryError."""
+    (tmp_path / "counts.csv").mkdir()
+    result = runner.invoke(main, ["counts", "--power-pw", "1", "--duration-s", "0.005",
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(
+        f"error (ConfigError): output file {tmp_path / 'counts.csv'} cannot be written: ")
+
+
 def test_solve_mode_coarse_config(runner, tmp_path):
     cfg = _write(tmp_path, _coarse_raw())
     out = tmp_path / "fields"
@@ -587,12 +599,15 @@ def test_reproduce_unknown_skip_exit_code(runner, tmp_path):
     assert result.stderr.startswith("error (ConfigError): unknown stage 'bogus'; stages: ")
 
 
-def test_reproduce_stage_error_blocks_dependents(runner, tmp_path):
+def test_reproduce_stage_error_blocks_dependents(runner, tmp_path, monkeypatch):
     """A stage that raises is recorded as ``error: <message>`` and its
     dependents are blocked; the run goes on and exits 1."""
-    raw = _coarse_raw()
-    raw["fringes"]["single_pass"] = 0.1     # contradicts the fringe contrast
-    cfg = _write(tmp_path, raw)
+    from snspdkit import pipeline
+    from snspdkit.fabry_perot import FringeData
+
+    # a single-pass transmission of 0.1 contradicts the paper's fringe contrast
+    monkeypatch.setattr(pipeline, "FringeData", functools.partial(FringeData, single_pass=0.1))
+    cfg = _write(tmp_path, _coarse_raw())
     out = tmp_path / "repro"
     result = runner.invoke(main, ["reproduce-paper", "--config", str(cfg), "--out", str(out),
                                   "--skip", "tm-design", "--skip", "counting", "--json"])
@@ -606,12 +621,13 @@ def test_reproduce_stage_error_blocks_dependents(runner, tmp_path):
     assert {s["name"]: s["status"] for s in manifest["stages"]} == stages
 
 
-def test_reproduce_human_readable_checks(runner, tmp_path):
+def test_reproduce_human_readable_checks(runner, tmp_path, monkeypatch):
     """Without ``--json`` each check prints a PASS or FAIL line; a total
     jitter of 80 ps puts the intrinsic jitter outside its fixed band."""
-    raw = _coarse_raw()
-    raw["jitter"]["total_ps"] = 80
-    cfg = _write(tmp_path, raw)
+    from snspdkit import pipeline
+
+    monkeypatch.setattr(pipeline, "JITTER_TOTAL_PS", 80.0)
+    cfg = _write(tmp_path, _coarse_raw())
     result = runner.invoke(main, [
         "reproduce-paper", "--config", str(cfg), "--out", str(tmp_path / "repro"),
         "--skip", "mode-solver", "--skip", "tm-design", "--skip", "counting",
@@ -621,6 +637,27 @@ def test_reproduce_human_readable_checks(runner, tmp_path):
     assert lines[0] == "all_pass    False"
     assert "  [PASS] pulse/tau_ns: 3.6 in [3.6, 3.6]" in lines
     assert "  [FAIL] jitter/jitter_intrinsic_ps: 69.282 in [61, 61.2]" in lines
+
+
+def test_pulse_rise_above_fall_fails_only_the_pulse_stage(runner, tmp_path):
+    """A detector whose recovery constant is below the paper's 200 ps pulse
+    rise (1 MOhm load: tau = 0.18 ps) loads, and commands that draw no pulse
+    run; ``reproduce-paper`` records the pulse stage's error and exits 1."""
+    raw = _coarse_raw()
+    raw["detector"]["load_resistance_ohm"] = 1e6
+    cfg = _write(tmp_path, raw)
+    load_project_config(cfg)
+    counts = runner.invoke(main, ["counts", "--config", str(cfg), "--power-pw", "1",
+                                  "--duration-s", "0.005", "--out", str(tmp_path / "counts")])
+    assert counts.exit_code == 0, counts.output
+    result = runner.invoke(main, [
+        "reproduce-paper", "--config", str(cfg), "--out", str(tmp_path / "repro"),
+        "--skip", "mode-solver", "--skip", "tm-design", "--skip", "counting", "--json",
+    ])
+    assert result.exit_code == 1, result.output
+    stages = json.loads(result.output)["stages"]
+    assert stages["pulse"].startswith("error: rise constant must satisfy 0 < tau_rise < tau_fall ")
+    assert stages["fp-extract"] == stages["jitter"] == "pass"
 
 
 def test_reproduce_skip_marks_not_run(runner, tmp_path):

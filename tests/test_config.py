@@ -31,7 +31,6 @@ def test_shipped_config_loads(default_config):
     assert cfg.detector.wire_count == cfg.cross_section.wires.count
     assert cfg.detector.wire_width_m == cfg.cross_section.wires.width_m
     assert cfg.detector.critical_current_A == pytest.approx(16.9e-6)
-    assert cfg.fringes.t_max == pytest.approx(0.061)
     assert cfg.policy.base_m == pytest.approx(25e-9)
     assert cfg.targets["alpha_per_cm"]["value"] == 451.0
     assert len(cfg.counting.powers_w) == 10
@@ -190,9 +189,13 @@ _NO_TARGETS = r"config: unknown keys \['targets'\]"
     (("wires",), [], "wires: must be a JSON object"),
     (("wires",), "", "wires: must be a JSON object"),
     (("detector", "bias_current_uA"), 20, "detector: operating point requires 0 < I_b < I_c"),
-    (("fringes", "t_max"), 2, r"fringes: extrema must satisfy 0 < T_min < T_max <= 1"),
-    (("fringes", "single_pass"), 0, r"fringes: single-pass transmission must be in \(0, 1\]"),
-    (("pulse", "rise_ps"), 5000, "pulse: rise constant must satisfy 0 < tau_rise < tau_fall"),
+    # the paper's measurements are constants of the code: their sections are refused
+    (("fringes", "t_max"), 2, r"config: unknown keys \['fringes'\]"),
+    (("fringes", "single_pass"), 0, r"config: unknown keys \['fringes'\]"),
+    (("pulse", "rise_ps"), 5000, r"config: unknown keys \['pulse'\]"),
+    (("fringes",), {}, r"config: unknown keys \['fringes'\]"),
+    (("pulse",), {}, r"config: unknown keys \['pulse'\]"),
+    (("jitter",), {}, r"config: unknown keys \['jitter'\]"),
 ], ids=["point_cap-2.9", "point_cap-true", "point_cap-many", "point_cap-0", "mode-5",
         "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
@@ -214,12 +217,13 @@ _NO_TARGETS = r"config: unknown keys \['targets'\]"
         "jitter_ps-negative", "wire-material-undefined", "cap-material-undefined",
         "wires-empty-object", "wires-false", "wires-0", "wires-empty-list", "wires-empty-string",
         "bias_current-above-critical", "fringes-t_max-2", "fringes-single_pass-0",
-        "rise_ps-above-fall"])
+        "rise_ps-above-fall", "fringes-empty", "pulse-empty", "jitter-empty"])
 def test_malformed_inputs_rejected(path, value, message):
     """Malformed values fail at load time as a ConfigError naming the key,
     not as a raw Python error that the CLI would report as an unexpected
     failure, a DomainError, or a failure later inside a pipeline stage.
-    Sections the shipped config omits (``targets``) are created on the way."""
+    Sections the shipped config omits (``targets``, ``fringes``, ``pulse``)
+    are created on the way."""
     raw = _raw_default()
     *parents, key = path
     node = _walk(raw, parents)
@@ -290,8 +294,7 @@ _SECTIONS = {
     (): "config", ("ridge",): "ridge", ("wires",): "wires", ("window",): "window",
     ("solver",): "solver", ("solver", "policy"): "solver.policy", ("detector",): "detector",
     ("detector", "internal_efficiency"): "detector.internal_efficiency",
-    ("detector", "dark_counts"): "detector.dark_counts", ("fringes",): "fringes",
-    ("pulse",): "pulse", ("counting",): "counting", ("jitter",): "jitter",
+    ("detector", "dark_counts"): "detector.dark_counts", ("counting",): "counting",
     ("materials", 0): "materials[0]", ("layers", 0): "layers[0]", ("sweeps", 0): "sweeps[0]",
     ("sweeps", 0, "parameters", 0): "sweeps[0].parameters[0]",
 }
@@ -299,7 +302,7 @@ _SECTIONS = {
 
 @pytest.mark.parametrize("path", list(_SECTIONS), ids=list(_SECTIONS.values()))
 def test_extra_key_rejected_in_every_section(path):
-    """A key nothing reads is rejected in each of the 17 JSON objects of the
+    """A key nothing reads is rejected in each of the 14 JSON objects of the
     schema, with a message naming the object and the key."""
     raw = _raw_default()
     _walk(raw, path)["zz_surprise"] = 1
@@ -403,6 +406,21 @@ def test_target_overrides_merge():
             load_project_config(raw)
 
 
+def test_paper_measurements_are_constants():
+    """The paper's fringe extrema, pulse rise and FWHM and jitter figures
+    that ``reproduce-paper`` starts from are constants in the paper's units,
+    not config fields (a config that sets them fails: see
+    test_malformed_inputs_rejected)."""
+    from snspdkit import config, detector
+
+    assert (config.FRINGE_T_MAX, config.FRINGE_T_MIN) == (0.061, 0.018)
+    assert (config.PULSE_RISE_PS, config.PULSE_FWHM_NS) == (200.0, 3.2)
+    assert (config.JITTER_TOTAL_PS, config.JITTER_SOURCE_PS) == (73.0, 40.0)
+    assert not {"fringes", "pulse_rise_s", "pulse_fwhm_target_s", "jitter_total_s",
+                "jitter_source_s"} & {f.name for f in fields(ProjectConfig)}
+    assert not hasattr(detector, "pulse_fall_time")
+
+
 def _rel(value, tol):
     return value - value * tol, value + value * tol
 
@@ -437,7 +455,7 @@ def test_reference_bands_are_the_acceptance_tolerances(default_config):
         assert band(default_config.targets[name]) == expected, name
     assert default_config.targets["tm_alpha_min_per_cm"] == 500.0
     assert default_config.targets["sqe_slope_rel_tol"] == 0.03
-    assert default_config.targets["dqe"]["value"] == 0.197
+    assert default_config.targets["dqe"] == {"value": 0.197}
     assert set(TARGETS) == {*_PAPER_BANDS, "tm_alpha_min_per_cm", "sqe_slope_rel_tol", "dqe"}
     assert "targets" not in {f.name for f in fields(ProjectConfig)}
 
