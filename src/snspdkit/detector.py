@@ -16,6 +16,7 @@ from .constants import photon_flux
 from .errors import DomainError, InconsistencyError
 
 _FLAG_NAMES = ("dark", "photon")   # CountRecord.flags, indexed by the photon mask
+ARRIVAL_CAP = 10_000_000   # most expected arrivals one counting run draws, checked before any draw
 
 
 @dataclass(frozen=True)
@@ -324,6 +325,9 @@ def simulate_counting(
     an independent Poisson process at the model's dark rate. The merged
     stream passes a non-paralyzable dead time (3 tau), then Gaussian
     timing jitter is added to the recorded timestamps and order restored.
+    A run expecting more than :data:`ARRIVAL_CAP` arrivals is refused before
+    any is drawn, since every arrival is held in memory until the dead time
+    thins them.
     """
     if duration_s <= 0:
         raise DomainError("duration must be > 0")
@@ -334,6 +338,10 @@ def simulate_counting(
 
     photon_rate = budget.sqe * photon_flux(source.power_w, source.wavelength_m)
     dark_rate = dark_count_rate(model)
+    arrivals = (photon_rate + dark_rate) * duration_s
+    if arrivals > ARRIVAL_CAP:
+        raise DomainError(
+            f"counting run would draw {arrivals:.3g} arrivals, above the cap {ARRIVAL_CAP}")
 
     def poisson_times(rate):
         n = rng.poisson(rate * duration_s) if rate > 0 else 0

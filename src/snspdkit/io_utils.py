@@ -83,19 +83,15 @@ def write_json(path: Path, payload: dict, config_digest: str = "none") -> None:
 
 
 def write_matrix(path: Path, array: np.ndarray, config_digest: str = "none") -> None:
-    """Delimited-text matrix; complex entries as re+imj tokens.
+    """Delimited-text matrix of complex entries as re+imj tokens.
 
-    Each row is formatted by one ``%`` operation over Python floats; complex
-    rows are passed as interleaved (re, im) pairs.
+    Each row is formatted by one ``%`` operation over Python floats, passed
+    as interleaved (re, im) pairs.
     """
     array = np.asarray(array)
-    if np.iscomplexobj(array):
-        cell = "%.9e%+.9ej"
-        rows = np.stack([array.real, array.imag], axis=-1).reshape(array.shape[0], -1).tolist()
-    else:
-        cell = "%.9e"
-        rows = array.tolist()
-    line = "\t".join([cell] * array.shape[1]) + "\n"
+    n_rows, n_cols = array.shape
+    rows = np.stack([array.real, array.imag], axis=-1).reshape(n_rows, 2 * n_cols).tolist()
+    line = "\t".join(["%.9e%+.9ej"] * n_cols) + "\n"
     with _writing(path) as fh:
         fh.write(header_line(config_digest) + "\n")
         fh.writelines(line % tuple(row) for row in rows)

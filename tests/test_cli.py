@@ -45,24 +45,6 @@ def test_version(runner):
     assert "0.1.0" in result.output
 
 
-def test_cli_import_skips_stats_and_optimize():
-    """Importing the CLI and loading the shipped config does not load
-    scipy.stats or scipy.optimize: every subcommand would pay for them at
-    start-up. scipy.optimize loads on the first pulse-rise fit."""
-    code = (
-        "import sys\n"
-        "from snspdkit.cli import main\n"
-        "from snspdkit.config import default_config_path, load_project_config\n"
-        "load_project_config(default_config_path())\n"
-        "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
-    )
-    src = Path(snspdkit.__file__).resolve().parents[1]   # import the snspdkit under test
-    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.split() == []
-
-
 def _fresh_python(*args) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a new interpreter that imports the snspdkit
     under test; fails the test on a non-zero exit."""
@@ -72,11 +54,9 @@ def _fresh_python(*args) -> subprocess.CompletedProcess:
 
 
 def _loaded(*modules) -> str:
-    """Python code printing which of ``modules`` the interpreter has loaded."""
-    return f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
-
-
-_SPARSE_LOADED = _loaded("scipy.sparse", "scipy.sparse.linalg")
+    """Python code printing ``loaded`` and which of ``modules`` the
+    interpreter has loaded."""
+    return f"print('loaded', sorted(m for m in {modules!r} if m in sys.modules))\n"
 
 
 def test_cli_import_skips_sparse():
@@ -90,51 +70,32 @@ def test_cli_import_skips_sparse():
         "from snspdkit.config import default_config_path, load_project_config\n"
         "load_project_config(default_config_path())\n"
     ) + _loaded("numpy", "scipy.sparse", "scipy.sparse.linalg"))
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "loaded []"
 
 
 def test_non_solver_commands_skip_sparse(tmp_path):
     """The six subcommands that never solve run to completion without
-    loading scipy.sparse."""
-    commands = [
-        ["jitter", "--total-ps", "73", "--source-ps", "40"],
-        ["absorptance", "--alpha-per-cm", "451", "--length-um", "51"],
-        ["efficiency", "--coupling", "0.174", "--absorptance", "0.90", "--dqe", "0.197"],
-        ["fp-extract", "--tmax", "0.061", "--tmin", "0.018"],
-        ["pulse"],
-        ["counts", "--power-pw", "0.5", "--duration-s", "0.005", "--seed", "3",
-         "--out", str(tmp_path / "counts")],
-    ]
-    done = _fresh_python("-c", (
-        "import sys\n"
-        "from snspdkit.cli import main\n"
-        f"for args in {commands!r}:\n"
-        "    main(args, standalone_mode=False)\n"
-    ) + _SPARSE_LOADED)
-    lines = done.stdout.splitlines()
-    assert any(line.startswith("intrinsic_ps") for line in lines)   # jitter ran
-    assert (tmp_path / "counts" / "counts.csv").exists()
-    assert lines[-1] == "[]"
-
-
-def test_scalar_commands_skip_numpy():
-    """The four subcommands that do scalar arithmetic only run to completion
-    without loading numpy."""
-    commands = [
+    loading scipy.sparse, and the four of them that do scalar arithmetic
+    only run without loading numpy."""
+    scalar = [
         ["jitter", "--total-ps", "73", "--source-ps", "40", "--json"],
         ["absorptance", "--alpha-per-cm", "451", "--length-um", "51"],
         ["efficiency", "--coupling", "0.174", "--absorptance", "0.90", "--dqe", "0.197"],
         ["fp-extract", "--tmax", "0.061", "--tmin", "0.018"],
     ]
-    done = _fresh_python("-c", (
-        "import sys\n"
-        "from snspdkit.cli import main\n"
-        f"for args in {commands!r}:\n"
-        "    main(args, standalone_mode=False)\n"
-    ) + _loaded("numpy"))
+    arrays = [
+        ["pulse"],
+        ["counts", "--power-pw", "0.5", "--duration-s", "0.005", "--seed", "3",
+         "--out", str(tmp_path / "counts")],
+    ]
+    run = "for args in {!r}:\n    main(args, standalone_mode=False)\n"
+    done = _fresh_python("-c", "import sys\nfrom snspdkit.cli import main\n"
+                         + run.format(scalar) + _loaded("numpy")
+                         + run.format(arrays) + _loaded("scipy.sparse", "scipy.sparse.linalg"))
     lines = done.stdout.splitlines()
     assert any(line.startswith("coupling") for line in lines)   # fp-extract ran
-    assert lines[-1] == "[]"
+    assert (tmp_path / "counts" / "counts.csv").exists()
+    assert [line for line in lines if line.startswith("loaded")] == ["loaded []", "loaded []"]
 
 
 def test_solve_mode_fresh_interpreter_matches_in_process(tmp_path):
@@ -351,6 +312,16 @@ def test_counts_negative_seed_exit_code(runner, tmp_path):
                                   "--seed", "-1", "--out", str(tmp_path)])
     assert result.exit_code == 3, result.output
     assert "seed must be >= 0" in result.output
+
+
+def test_counts_above_arrival_cap_exit_code(runner, tmp_path):
+    """A counting run expecting more arrivals than the cap (100 nW draws
+    ~4.5e9) is refused before any draw: exit 3, and no output directory."""
+    out = tmp_path / "counts"
+    result = runner.invoke(main, ["counts", "--power-pw", "1e5", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "arrivals, above the cap 10000000" in result.stderr
+    assert not out.exists()
 
 
 def test_counts_deterministic(runner, tmp_path):

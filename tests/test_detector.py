@@ -378,13 +378,15 @@ _TIMES = np.array([0.0, 1e-6])
      "detection gaps below the dead time"),
     (lambda: det.simulate_counting(REFERENCE, _budget(), det.SourceSpec(1e-12, 1300e-9), 0.0, seed=1),
      "duration must be > 0"),
+    (lambda: det.simulate_counting(REFERENCE, _budget(), det.SourceSpec(1e-7, 1300e-9), 0.2, seed=1),
+     r"^counting run would draw 4\.49e\+09 arrivals, above the cap 10000000$"),
     (lambda: det.jitter_deconvolve(-1e-12, 0.0), "jitter values must be >= 0"),
     (lambda: det.jitter_deconvolve(73e-12, -1e-12), "jitter values must be >= 0"),
 ], ids=["wire_count-0", "length-0", "sheet_inductance-0", "load-0", "eta_max-0", "eta_max-1.1",
         "dqe-1.2", "absorptance-0", "recovery-negative-time", "rate-negative-power",
         "source-negative-power", "source-wavelength-0", "source-negative-jitter",
         "record-length-mismatch", "record-decreasing", "record-dead-time", "duration-0",
-        "jitter-negative-total", "jitter-negative-source"])
+        "arrivals-above-cap", "jitter-negative-total", "jitter-negative-source"])
 def test_out_of_domain_arguments_rejected(call, message):
     """Each argument outside its model's domain is a DomainError naming it."""
     with pytest.raises(DomainError, match=message):
