@@ -22,7 +22,7 @@ from .fabry_perot import FringeData, extract_coupling, read_fringe_scan
 from .io_utils import (OutputDir, canonical_json, export_count_record, export_grid,
                        export_mode_fields, sweep_to_rows, write_csv)
 from .modes import modal_absorption, solve_cross_section
-from .pipeline import _reference_budget, run_reproduce, write_manifest
+from .pipeline import STAGES, _reference_budget, run_reproduce, write_manifest
 from .sweep import maximize_alpha, run_sweep
 
 ENV_OUTPUT_DIR = "SNSPDKIT_OUT"
@@ -326,7 +326,7 @@ def cmd_optimize(config_path, index, tolerance_nm, as_json, out_dir):
 
 @main.command("reproduce-paper")
 @config_option
-@click.option("--skip", "skips", multiple=True,
+@click.option("--skip", "skips", type=click.Choice(STAGES), multiple=True,
               help="Stage to skip (repeatable); dependents are marked not-run.")
 @json_option
 @out_option

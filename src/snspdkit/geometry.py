@@ -311,14 +311,6 @@ class PermittivityGrid:
         """Vacuum wavenumber 2*pi/lambda [1/m]."""
         return 2.0 * math.pi / self.wavelength_m
 
-    @property
-    def x_centers_m(self) -> np.ndarray:
-        return 0.5 * (self.x_edges_m[1:] + self.x_edges_m[:-1])
-
-    @property
-    def y_centers_m(self) -> np.ndarray:
-        return 0.5 * (self.y_edges_m[1:] + self.y_edges_m[:-1])
-
 
 # ---------------------------------------------------------------------------
 # grid-line construction

@@ -119,62 +119,11 @@ def test_jitter_command(runner):
     assert "61.06" in result.output
 
 
-def test_jitter_domain_error_exit_code(runner):
-    result = runner.invoke(main, ["jitter", "--total-ps", "40", "--source-ps", "73"])
-    assert result.exit_code == 3
-
-
 def test_fp_extract_command(runner):
     result = runner.invoke(main, ["fp-extract", "--tmax", "0.061", "--tmin", "0.018", "--json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["coupling"] == pytest.approx(0.174, abs=0.001)
-
-
-def test_fp_extract_one_column_scan_exit_code(runner, tmp_path):
-    scan = tmp_path / "scan.csv"
-    scan.write_text("wavelength_nm,transmission\n1320\n")
-    result = runner.invoke(main, ["fp-extract", "--scan-csv", str(scan)])
-    assert result.exit_code == 3, result.output
-    assert "line 2" in result.output
-
-
-def test_fp_extract_garbled_scan_row_exit_code(runner, tmp_path):
-    scan = tmp_path / "scan.csv"
-    rows = [f"{1300 + k},{0.02 + 0.004 * k}" for k in range(12)]
-    scan.write_text("wavelength_nm,transmission\n" + "\n".join(rows[:5]) + "\n1320,0.0x5\n"
-                    + "\n".join(rows[5:]) + "\n")
-    result = runner.invoke(main, ["fp-extract", "--scan-csv", str(scan)])
-    assert result.exit_code == 3, result.output
-    assert "line 7" in result.output
-
-
-def test_fp_extract_out_of_range_scan_sample_exit_code(runner, tmp_path):
-    """One infinite transmission in a long scan lies above the 95th
-    percentile, so it used to be dropped without a word; it is now a domain
-    error naming its line."""
-    scan = tmp_path / "scan.csv"
-    rows = [f"{1300 + 0.01 * k:.2f},{0.04 + 0.02 * math.sin(0.3 * k):.6f}" for k in range(200)]
-    scan.write_text("wavelength_nm,transmission\n" + "\n".join(rows[:100]) + "\n1301.005,inf\n"
-                    + "\n".join(rows[100:]) + "\n")
-    result = runner.invoke(main, ["fp-extract", "--scan-csv", str(scan)])
-    assert result.exit_code == 3, result.output
-    assert "line 102" in result.output
-
-
-def test_fp_extract_missing_scan_exit_code(runner, tmp_path):
-    """A scan file that cannot be read is a domain error naming the file,
-    not a traceback."""
-    scan = tmp_path / "missing.csv"
-    result = runner.invoke(main, ["fp-extract", "--scan-csv", str(scan)])
-    assert result.exit_code == 3, result.output
-    assert result.stderr.startswith(f"error (DomainError): fringe scan {scan} cannot be read: ")
-
-
-def test_fp_extract_without_inputs_exit_code(runner):
-    result = runner.invoke(main, ["fp-extract", "--tmax", "0.061"])
-    assert result.exit_code == 3, result.output
-    assert result.stderr == "error (DomainError): give either --tmax and --tmin, or --scan-csv\n"
 
 
 def test_fp_extract_json_round_trip(runner):
@@ -216,15 +165,6 @@ def test_pulse_dump_trace_and_rise_fit(runner, tmp_path):
     assert json.loads(refit.output)["pulse_fwhm_ns"] == pytest.approx(3.2, rel=1e-3)
 
 
-@pytest.mark.parametrize("args", [["--rise-ps", "5000"], ["--fwhm-target-ns", "0.1"]],
-                         ids=["rise-above-fall", "fwhm-unreachable"])
-def test_pulse_out_of_range_exit_code(runner, args):
-    """A rise constant at or above the 3.6 ns recovery constant is a domain
-    error, as an unreachable FWHM target is."""
-    result = runner.invoke(main, ["pulse", *args])
-    assert result.exit_code == 3, result.output
-
-
 def test_pulse_dump_trace_defaults_to_runs(runner, tmp_path, monkeypatch):
     """Without ``--out`` or SNSPDKIT_OUT, ``--dump-trace`` writes under
     ``runs/`` in the working directory."""
@@ -243,8 +183,6 @@ def test_absorptance_command(runner):
                                   "--length-um", "51", "--json"])
     payload = json.loads(result.output)
     assert payload["absorptance"] == pytest.approx(0.90, abs=0.005)
-    result = runner.invoke(main, ["absorptance", "--alpha-per-cm", "-1", "--length-um", "51"])
-    assert result.exit_code == 3
 
 
 def test_efficiency_command_modes(runner):
@@ -253,41 +191,6 @@ def test_efficiency_command_modes(runner):
     payload = json.loads(result.output)
     assert payload["sqe"] == pytest.approx(0.0343, abs=2e-4)
     assert payload["internal"] == pytest.approx(0.219, abs=5e-4)
-    result = runner.invoke(main, ["efficiency", "--absorptance", "0.9"])
-    assert result.exit_code == 3
-    result = runner.invoke(main, ["efficiency", "--absorptance", "0.9",
-                                  "--dqe", "0.95"])
-    assert result.exit_code == 5  # inconsistency: DQE above absorptance
-
-
-@pytest.mark.parametrize("args", [
-    ["--absorptance", "1.5", "--internal", "0.5"],
-    ["--absorptance", "0.9", "--internal", "-0.2"],
-], ids=["absorptance-1.5", "internal-negative"])
-def test_efficiency_without_coupling_checks_ranges(runner, args):
-    """Without ``--coupling`` the chain is still an EfficiencyBudget, so its
-    inputs are range-checked as with it."""
-    result = runner.invoke(main, ["efficiency", *args])
-    assert result.exit_code == 3, result.output
-    assert "must be in [0, 1]" in result.output
-
-
-@pytest.mark.parametrize("command, flag, value", [
-    (["jitter", "--source-ps", "40"], "--total-ps", "nan"),
-    (["absorptance", "--length-um", "51"], "--alpha-per-cm", "nan"),
-    (["absorptance", "--length-um", "51"], "--alpha-per-cm", "inf"),
-    (["counts", "--duration-s", "0.01"], "--power-pw", "nan"),
-    (["efficiency", "--absorptance", "0.9", "--internal", "0.2"], "--coupling", "-inf"),
-], ids=["jitter-nan", "absorptance-nan", "absorptance-inf", "counts-nan", "efficiency-minus-inf"])
-def test_non_finite_float_flag_is_usage_error(runner, tmp_path, monkeypatch, command, flag, value):
-    """nan and inf are usage errors naming the flag (JSON cannot carry them),
-    and nothing is written."""
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SNSPDKIT_OUT", raising=False)
-    result = runner.invoke(main, [*command, flag, value, "--json"])
-    assert result.exit_code == 2, result.output
-    assert f"Invalid value for '{flag}': '{value}' is not a finite number" in result.output
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_counts_command_writes_under_out_dir(runner, tmp_path):
@@ -305,23 +208,6 @@ def test_counts_command_writes_under_out_dir(runner, tmp_path):
     assert hashlib.sha256(cfg_path.read_bytes()).hexdigest() == before  # config untouched
     # nothing written outside the output directory
     assert {p.name for p in tmp_path.iterdir()} == {"out"}
-
-
-def test_counts_negative_seed_exit_code(runner, tmp_path):
-    result = runner.invoke(main, ["counts", "--power-pw", "0.5", "--duration-s", "0.01",
-                                  "--seed", "-1", "--out", str(tmp_path)])
-    assert result.exit_code == 3, result.output
-    assert "seed must be >= 0" in result.output
-
-
-def test_counts_above_arrival_cap_exit_code(runner, tmp_path):
-    """A counting run expecting more arrivals than the cap (100 nW draws
-    ~4.5e9) is refused before any draw: exit 3, and no output directory."""
-    out = tmp_path / "counts"
-    result = runner.invoke(main, ["counts", "--power-pw", "1e5", "--out", str(out)])
-    assert result.exit_code == 3, result.output
-    assert "arrivals, above the cap 10000000" in result.stderr
-    assert not out.exists()
 
 
 def test_counts_deterministic(runner, tmp_path):
@@ -355,35 +241,6 @@ def test_env_var_output_dir(runner, tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "counts.csv").exists()
 
 
-@pytest.mark.parametrize("via", ["flag", "env"])
-def test_output_dir_that_is_a_file_exit_code(runner, tmp_path, monkeypatch, via):
-    """An output directory that names an existing file is a config error
-    naming it, whether it comes from ``--out`` or SNSPDKIT_OUT."""
-    taken = tmp_path / "taken"
-    taken.write_text("not a directory\n")
-    monkeypatch.delenv("SNSPDKIT_OUT", raising=False)
-    if via == "env":
-        monkeypatch.setenv("SNSPDKIT_OUT", str(taken))
-        args = ["pulse", "--dump-trace"]
-    else:
-        args = ["counts", "--power-pw", "1", "--duration-s", "0.005", "--out", str(taken)]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 2, result.output
-    assert result.stderr.startswith(f"error (ConfigError): output directory {taken} cannot be created: ")
-    assert taken.read_text() == "not a directory\n"
-
-
-def test_output_file_that_is_a_directory_exit_code(runner, tmp_path):
-    """An output file that cannot be written, here a directory of its name,
-    is a config error (exit 2) naming it, not a raw IsADirectoryError."""
-    (tmp_path / "counts.csv").mkdir()
-    result = runner.invoke(main, ["counts", "--power-pw", "1", "--duration-s", "0.005",
-                                  "--out", str(tmp_path)])
-    assert result.exit_code == 2, result.output
-    assert result.stderr.startswith(
-        f"error (ConfigError): output file {tmp_path / 'counts.csv'} cannot be written: ")
-
-
 def test_solve_mode_coarse_config(runner, tmp_path):
     cfg = _write(tmp_path, _coarse_raw())
     out = tmp_path / "fields"
@@ -409,80 +266,6 @@ def test_solve_mode_without_wires_is_lossless(runner, tmp_path):
     assert abs(payload["alpha_per_cm"]) < 1e-3
 
 
-def test_solve_mode_index_out_of_range_exit_code(runner, tmp_path):
-    cfg = _write(tmp_path, _coarse_raw())
-    result = runner.invoke(main, ["solve-mode", "--config", str(cfg), "--mode-index", "99"])
-    assert result.exit_code == 3, result.output
-    assert result.stderr.startswith("error (DomainError): mode index 99 out of range: ")
-
-
-def test_solve_mode_invalid_config(runner, tmp_path):
-    raw = _coarse_raw()
-    raw["layers"][0]["thickness_um"] = -1.0
-    cfg = _write(tmp_path, raw)
-    out = tmp_path / "nothing"
-    result = runner.invoke(main, ["solve-mode", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 2
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda raw: raw["layers"][1].update(material=[1]), "layers[1]: material must be a non-empty string"),
-    (lambda raw: raw.update(ambient=[1]), "config: ambient must be a non-empty string"),
-    (lambda raw: raw["wires"].update(cap_material={"a": 1}),
-     "wires: cap_material must be a non-empty string"),
-], ids=["layer-material-list", "ambient-list", "cap_material-object"])
-def test_unhashable_material_name_exit_code(runner, tmp_path, edit, message):
-    """A material name that is not a string, even one that cannot be a dict
-    key, is a config error (exit 2) naming the key, not a traceback."""
-    raw = _coarse_raw()
-    edit(raw)
-    out = tmp_path / "nothing"
-    result = runner.invoke(main, ["solve-mode", "--config", str(_write(tmp_path, raw)),
-                                  "--out", str(out)])
-    assert result.exit_code == 2, result.output
-    assert message in result.output
-    assert not out.exists()
-
-
-def test_config_directory_exit_code(runner, tmp_path):
-    """A directory given as ``--config`` is a config error (exit 2) that
-    names it, not a traceback with exit 1."""
-    out = tmp_path / "nothing"
-    result = runner.invoke(main, ["solve-mode", "--config", str(tmp_path), "--out", str(out)])
-    assert result.exit_code == 2, result.output
-    assert f"config file {tmp_path} cannot be read" in result.output
-    assert not out.exists()
-
-
-def test_solve_mode_invalid_solver_setting_exit_code(runner, tmp_path):
-    """num_modes below 1 is a config error (exit 2), not an ARPACK
-    ValueError escaping as an unexpected failure; so is an iteration cap,
-    which is a fixed constant of the solver, not a setting."""
-    for key, value, message in (("num_modes", 0, "num_modes must be >= 1"),
-                                ("max_iterations", 400, "solver: unknown keys ['max_iterations']")):
-        raw = _coarse_raw()
-        raw["solver"][key] = value
-        cfg = _write(tmp_path, raw)
-        result = runner.invoke(main, ["solve-mode", "--config", str(cfg), "--json"])
-        assert result.exit_code == 2, result.output
-        assert message in result.stderr
-
-
-def test_solve_mode_no_guided_mode_exit_code(runner, tmp_path):
-    """A search window below the cladding index holds no guided mode: exit 4
-    (convergence) with the reason on stderr, and no output directory."""
-    raw = _coarse_raw()
-    raw["solver"].update(target_n_eff=2.0, num_modes=1)
-    cfg = _write(tmp_path, raw)
-    out = tmp_path / "fields"
-    result = runner.invoke(main, ["solve-mode", "--config", str(cfg), "--json",
-                                  "--dump-fields", "--out", str(out)])
-    assert result.exit_code == 4, result.output
-    assert "no guided modes found in the search window" in result.stderr
-    assert not out.exists()
-
-
 def test_sweep_command_single_point(runner, tmp_path):
     raw = _coarse_raw()
     raw["sweeps"] = [{
@@ -501,39 +284,6 @@ def test_sweep_command_single_point(runner, tmp_path):
     assert len(lines) == 3
 
 
-def test_sweep_malformed_point_cap_exit_code(runner, tmp_path):
-    """A point cap is a config error (exit 2): the cap is a fixed constant
-    of the sweep, not a setting."""
-    raw = _coarse_raw()
-    raw["sweeps"][0]["point_cap"] = "many"
-    cfg = _write(tmp_path, raw)
-    out = tmp_path / "sweepout"
-    result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(out), "--json"])
-    assert result.exit_code == 2, result.output
-    assert "sweeps[0]: unknown keys ['point_cap']" in result.stderr
-    assert not out.exists()
-
-
-def test_sweep_index_out_of_range_exit_code(runner, tmp_path, monkeypatch):
-    """An index past the configured sweeps is a config error (exit 2), and
-    nothing is written."""
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SNSPDKIT_OUT", raising=False)
-    result = runner.invoke(main, ["sweep", "--index", "5", "--json"])
-    assert result.exit_code == 2, result.output
-    assert "sweep index 5 out of range: config has 1 sweeps" in result.stderr
-    assert os.listdir(tmp_path) == []
-
-
-def test_sweeps_not_a_list_exit_code(runner, tmp_path):
-    """``sweeps: 5`` is a config error (exit 2), not a TypeError escaping as
-    an unexpected failure."""
-    cfg = _write(tmp_path, _coarse_raw(sweeps=5))
-    result = runner.invoke(main, ["sweep", "--config", str(cfg), "--json"])
-    assert result.exit_code == 2, result.output
-    assert "sweeps: must be a list" in result.stderr
-
-
 def test_optimize_command_coarse(runner, tmp_path):
     raw = _coarse_raw()
     raw["sweeps"] = [{
@@ -550,24 +300,6 @@ def test_optimize_command_coarse(runner, tmp_path):
     assert payload["best_alpha_per_cm"] > 0
     assert payload["best_margin_um"] >= 0.3
     assert (out / "optimize_0_trace.csv").exists()
-
-
-def test_optimize_zero_tolerance_exit_code(runner, tmp_path):
-    """Interval halving to a tolerance of 0 would never end: config error."""
-    cfg = _write(tmp_path, _coarse_raw())
-    out = tmp_path / "optout"
-    result = runner.invoke(main, ["optimize", "--config", str(cfg), "--out", str(out),
-                                  "--tolerance-nm", "0"])
-    assert result.exit_code == 2, result.output
-    assert "tolerance must be a finite number > 0" in result.stderr
-    assert not out.exists()
-
-
-def test_reproduce_unknown_skip_exit_code(runner, tmp_path):
-    out = tmp_path / "repro"
-    result = runner.invoke(main, ["reproduce-paper", "--out", str(out), "--skip", "bogus"])
-    assert result.exit_code == 2, result.output
-    assert result.stderr.startswith("error (ConfigError): unknown stage 'bogus'; stages: ")
 
 
 def test_reproduce_stage_error_blocks_dependents(runner, tmp_path, monkeypatch):
@@ -717,3 +449,174 @@ def test_help_lists_subcommands(runner):
     for cmd in ("solve-mode", "absorptance", "pulse", "fp-extract", "efficiency",
                 "jitter", "counts", "sweep", "optimize", "reproduce-paper"):
         assert cmd in result.output
+
+
+# -- every error exit: its code, its stderr line, and nothing written ------------
+
+def _error(id, args, code, message, env=None):
+    """One row of the error table: the command's arguments split at spaces,
+    its exit code and the start of stderr's last line. ``{tmp}`` in the
+    arguments, the message and the environment stands for the test
+    directory."""
+    return pytest.param(args, code, message, env or {}, id=id)
+
+
+_INVALID = "error (ConfigError): layer 'AlGaAs': thickness must be > 0"
+_TAKEN = "error (ConfigError): output directory {tmp}/taken cannot be created: "
+_NOT_FINITE = "Error: Invalid value for '{}': '{}' is not a finite number."
+
+_ERRORS = [
+    _error("jitter-source-above-total", "jitter --total-ps 40 --source-ps 73",
+           3, "error (DomainError): source jitter 7.3e-11 s exceeds total 4e-11 s"),
+    _error("jitter-nan", "jitter --source-ps 40 --total-ps nan", 2, _NOT_FINITE.format("--total-ps", "nan")),
+    _error("absorptance-negative-alpha", "absorptance --alpha-per-cm -1 --length-um 51",
+           3, "error (DomainError): absorptance requires alpha >= 0"),
+    _error("absorptance-nan", "absorptance --length-um 51 --alpha-per-cm nan",
+           2, _NOT_FINITE.format("--alpha-per-cm", "nan")),
+    _error("absorptance-inf", "absorptance --length-um 51 --alpha-per-cm inf",
+           2, _NOT_FINITE.format("--alpha-per-cm", "inf")),
+    _error("efficiency-neither-internal-nor-dqe", "efficiency --absorptance 0.9",
+           3, "error (DomainError): give exactly one of --internal or --dqe"),
+    _error("efficiency-dqe-above-absorptance", "efficiency --absorptance 0.9 --dqe 0.95",
+           5, "error (InconsistencyError): measured DQE 0.95 exceeds the absorptance 0.9"),
+    _error("efficiency-absorptance-1.5", "efficiency --absorptance 1.5 --internal 0.5",
+           3, "error (DomainError): absorptance must be in [0, 1], got 1.5"),
+    _error("efficiency-internal-negative", "efficiency --absorptance 0.9 --internal -0.2",
+           3, "error (DomainError): internal must be in [0, 1], got -0.2"),
+    _error("efficiency-minus-inf", "efficiency --absorptance 0.9 --internal 0.2 --coupling -inf",
+           2, _NOT_FINITE.format("--coupling", "-inf")),
+    _error("fp-extract-without-inputs", "fp-extract --tmax 0.061",
+           3, "error (DomainError): give either --tmax and --tmin, or --scan-csv"),
+    _error("fp-extract-missing-scan", "fp-extract --scan-csv {tmp}/missing.csv",
+           3, "error (DomainError): fringe scan {tmp}/missing.csv cannot be read: "),
+    _error("fp-extract-garbled-row", "fp-extract --scan-csv {tmp}/garbled.csv",
+           3, "error (DomainError): fringe scan {tmp}/garbled.csv line 7: "),
+    _error("pulse-rise-above-fall", "pulse --rise-ps 5000 --dump-trace",
+           3, "error (DomainError): rise constant must satisfy 0 < tau_rise < tau_fall"),
+    _error("pulse-fwhm-unreachable", "pulse --fwhm-target-ns 0.1 --dump-trace",
+           3, "error (DomainError): FWHM target 1e-10 s not reachable"),
+    _error("pulse-env-out-is-a-file", "pulse --dump-trace", 2, _TAKEN, env={"SNSPDKIT_OUT": "{tmp}/taken"}),
+    _error("counts-nan", "counts --duration-s 0.01 --power-pw nan", 2, _NOT_FINITE.format("--power-pw", "nan")),
+    _error("counts-negative-seed", "counts --power-pw 0.5 --duration-s 0.01 --seed -1",
+           3, "error (DomainError): seed must be >= 0, got -1"),
+    _error("counts-above-arrival-cap", "counts --power-pw 1e5",
+           3, "error (DomainError): counting run would draw 4.49e+09 arrivals, above the cap 10000000"),
+    _error("counts-out-is-a-file", "counts --power-pw 1 --duration-s 0.005 --out {tmp}/taken", 2, _TAKEN),
+    _error("counts-output-file-is-a-directory", "counts --power-pw 1 --duration-s 0.005 --out {tmp}",
+           2, "error (ConfigError): output file {tmp}/counts.csv cannot be written: "),
+    _error("counts-invalid-config", "counts --config {tmp}/invalid.json --power-pw 1", 2, _INVALID),
+    _error("solve-mode-invalid-config", "solve-mode --config {tmp}/invalid.json --dump-fields", 2, _INVALID),
+    _error("solve-mode-config-is-a-directory", "solve-mode --config {tmp} --dump-fields",
+           2, "error (ConfigError): config file {tmp} cannot be read: "),
+    _error("solve-mode-index-out-of-range", "solve-mode --config {tmp}/coarse.json --mode-index 99 --dump-fields",
+           3, "error (DomainError): mode index 99 out of range: "),
+    _error("solve-mode-no-guided-mode", "solve-mode --config {tmp}/unguided.json --dump-fields",
+           4, "error (ConvergenceError): no guided modes found in the search window"),
+    _error("sweep-invalid-config", "sweep --config {tmp}/invalid.json", 2, _INVALID),
+    _error("sweep-index-out-of-range", "sweep --index 5",
+           2, "error (ConfigError): sweep index 5 out of range: config has 1 sweeps"),
+    _error("optimize-invalid-config", "optimize --config {tmp}/invalid.json", 2, _INVALID),
+    _error("optimize-zero-tolerance", "optimize --tolerance-nm 0",
+           2, "error (ConfigError): optimizer tolerance must be a finite number > 0, got 0.0"),
+    _error("reproduce-invalid-config", "reproduce-paper --config {tmp}/invalid.json", 2, _INVALID),
+    _error("reproduce-unknown-skip", "reproduce-paper --skip bogus",
+           2, "Error: Invalid value for '--skip': 'bogus' is not one of 'mode-solver', "),
+]
+
+
+def _write_error_inputs(tmp_path):
+    """The files the error rows name: a file and a directory in the way of
+    an output, a fringe scan with a garbled row, and coarse configs that are
+    invalid, valid, and without a guided mode."""
+    (tmp_path / "taken").write_text("not a directory\n")
+    (tmp_path / "counts.csv").mkdir(exist_ok=True)
+    rows = [f"{1300 + k},{0.02 + 0.004 * k}" for k in range(12)]
+    (tmp_path / "garbled.csv").write_text("wavelength_nm,transmission\n" + "\n".join(rows[:5])
+                                          + "\n1320,0.0x5\n" + "\n".join(rows[5:]) + "\n")
+    _write(tmp_path, _coarse_raw(), "coarse.json")
+    invalid = _coarse_raw()
+    invalid["layers"][0]["thickness_um"] = -1.0
+    _write(tmp_path, invalid, "invalid.json")
+    unguided = _coarse_raw()
+    unguided["solver"].update(target_n_eff=2.0, num_modes=1)
+    _write(tmp_path, unguided, "unguided.json")
+
+
+def _tree(root):
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+def _assert_error_exit(runner, tmp_path, monkeypatch, args, code, message, env=None):
+    """Run one error row: the command exits with ``code``, stderr's last line
+    starts with ``message`` and nothing under the working directory changes,
+    which holds the default ``runs/`` output, every ``--out`` target and
+    every input."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SNSPDKIT_OUT", raising=False)
+    _write_error_inputs(tmp_path)
+    before = _tree(tmp_path)
+    tmp = str(tmp_path)
+    result = runner.invoke(main, [arg.format(tmp=tmp) for arg in args.split()],
+                           env={key: value.format(tmp=tmp) for key, value in (env or {}).items()})
+    assert result.exit_code == code, result.output
+    assert result.stderr.splitlines()[-1].startswith(message.format(tmp=tmp)), result.stderr
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("args, code, message, env", _ERRORS)
+def test_errors_exit_with_their_code_and_write_nothing(runner, tmp_path, monkeypatch,
+                                                       args, code, message, env):
+    """Each error exits with its code, and stderr's last line names it:
+    ``error (<Class>): <message>`` for a toolkit error, click's ``Error: ...``
+    for a usage error."""
+    _assert_error_exit(runner, tmp_path, monkeypatch, args, code, message, env)
+
+
+def test_fp_extract_one_column_scan_exit_code(runner, tmp_path, monkeypatch):
+    (tmp_path / "scan.csv").write_text("wavelength_nm,transmission\n1320\n")
+    _assert_error_exit(runner, tmp_path, monkeypatch, "fp-extract --scan-csv {tmp}/scan.csv",
+                       3, "error (DomainError): fringe scan {tmp}/scan.csv line 2: ")
+
+
+def test_fp_extract_out_of_range_scan_sample_exit_code(runner, tmp_path, monkeypatch):
+    """One infinite transmission in a long scan lies above the 95th
+    percentile, so it used to be dropped without a word; it is now a domain
+    error naming its line."""
+    rows = [f"{1300 + 0.01 * k:.2f},{0.04 + 0.02 * math.sin(0.3 * k):.6f}" for k in range(200)]
+    (tmp_path / "scan.csv").write_text("wavelength_nm,transmission\n" + "\n".join(rows[:100])
+                                       + "\n1301.005,inf\n" + "\n".join(rows[100:]) + "\n")
+    _assert_error_exit(runner, tmp_path, monkeypatch, "fp-extract --scan-csv {tmp}/scan.csv",
+                       3, "error (DomainError): fringe scan {tmp}/scan.csv line 102: ")
+
+
+def test_solve_mode_invalid_solver_setting_exit_code(runner, tmp_path, monkeypatch):
+    """num_modes below 1 is a config error (exit 2), not an ARPACK
+    ValueError escaping as an unexpected failure; so is an iteration cap,
+    which is a fixed constant of the solver, not a setting."""
+    for key, value, message in (("num_modes", 0, "error (ConfigError): num_modes must be >= 1"),
+                                ("max_iterations", 400, "error (ConfigError): solver: unknown keys ['max_iterations']")):
+        raw = _coarse_raw()
+        raw["solver"][key] = value
+        _write(tmp_path, raw, f"{key}.json")
+        _assert_error_exit(runner, tmp_path, monkeypatch, f"solve-mode --config {{tmp}}/{key}.json --json",
+                           2, message)
+
+
+def test_sweep_malformed_point_cap_exit_code(runner, tmp_path, monkeypatch):
+    """A point cap is a config error (exit 2): the cap is a fixed constant
+    of the sweep, not a setting."""
+    raw = _coarse_raw()
+    raw["sweeps"][0]["point_cap"] = "many"
+    _write(tmp_path, raw)
+    _assert_error_exit(runner, tmp_path, monkeypatch,
+                       "sweep --config {tmp}/config.json --out {tmp}/sweepout --json",
+                       2, "error (ConfigError): sweeps[0]: unknown keys ['point_cap']")
+
+
+def test_sweeps_not_a_list_exit_code(runner, tmp_path, monkeypatch):
+    """``sweeps: 5`` is a config error (exit 2), not a TypeError escaping as
+    an unexpected failure."""
+    _write(tmp_path, _coarse_raw(sweeps=5))
+    _assert_error_exit(runner, tmp_path, monkeypatch, "sweep --config {tmp}/config.json --json",
+                       2, "error (ConfigError): sweeps: must be a list")

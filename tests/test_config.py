@@ -108,6 +108,9 @@ _MISSING = object()
     (("materials", 1, "aluminum_fraction"), 1.5,
      r"materials\[1\]: aluminum fraction must be in \[0, 1\], got 1.5"),
     (("materials", 0, "name"), [1], r"materials\[0\]: name must be a non-empty string"),
+    (("layers", 1, "material"), [1], r"layers\[1\]: material must be a non-empty string"),
+    (("ambient",), [1], "config: ambient must be a non-empty string"),
+    (("wires", "cap_material"), {"a": 1}, "wires: cap_material must be a non-empty string"),
     (("substrate",), 5, "config: substrate must be a non-empty string"),
     (("materials", 4), {"name": "air", "table_nm": []},
      r"materials\[4\]: material 'air': empty index table"),
@@ -162,7 +165,8 @@ _MISSING = object()
 ], ids=["mode-5",
         "no-layers", "layer-without-material", "powers_pW-string", "layer-not-object",
         "sweeps-5", "parameters-5", "builtin-5", "builtin-xyz", "aluminum_fraction-x",
-        "aluminum_fraction-1.5", "material-name-list", "substrate-string",
+        "aluminum_fraction-1.5", "material-name-list", "layer-material-list", "ambient-list",
+        "cap_material-object", "substrate-string",
         "table-empty", "table-negative-k", "table-decreasing", "builtin-and-table", "table-short-row",
         "table-NaN-n", "table-inf-k", "table-NaN-wavelength",
         "output_dir-null", "output_dir-5", "output_dir-empty",
@@ -460,6 +464,11 @@ def test_band_edge_wavelengths_in_range():
             cs.index_of(name)   # no WavelengthRangeError
 
 
+# a coarse grid for the two real solves below
+_COARSE_POLICY = {"base_nm": 50, "fine_nm": 2, "band_nm": 30, "edge_band_nm": 12, "far_nm": 125,
+                  "far_margin_nm": 400}
+
+
 def test_alternate_stack_options_solve():
     """The 0.70 aluminum fraction and 4.0 nm wire thickness options stay
     usable end to end (coarse grid; loose absorption sanity band)."""
@@ -468,8 +477,7 @@ def test_alternate_stack_options_solve():
     raw = _raw_default()
     raw["materials"][1]["aluminum_fraction"] = 0.70
     raw["wires"]["thickness_nm"] = 4.0
-    raw["solver"]["policy"] = {"base_nm": 50, "fine_nm": 2, "band_nm": 30,
-                               "edge_band_nm": 12, "far_nm": 125, "far_margin_nm": 400}
+    raw["solver"]["policy"] = _COARSE_POLICY
     cfg = load_project_config(raw)
     assert cfg.cross_section.index_of("AlGaAs").real == pytest.approx(3.0519, abs=2e-4)
     _grid, te = solve_cross_section(cfg.cross_section, cfg.policy, cfg.solver, kind="TE")
@@ -486,8 +494,7 @@ def test_solve_at_other_wavelength_in_band(tmp_path):
     from snspdkit.sweep import apply_parameters
 
     raw = _raw_default()
-    raw["solver"]["policy"] = {"base_nm": 50, "fine_nm": 2, "band_nm": 30,
-                               "edge_band_nm": 12, "far_nm": 125, "far_margin_nm": 400}
+    raw["solver"]["policy"] = _COARSE_POLICY
     cfg = load_project_config(raw)
     shifted = apply_parameters(cfg.cross_section, {"wavelength_nm": 1340.0})
     grid, te = solve_cross_section(shifted, cfg.policy, cfg.solver, kind="TE")

@@ -161,17 +161,18 @@ def test_sweep_deterministic_and_export(tmp_path, base_cs):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+# the coarse grid of every real-path test below
+COARSE = ResolutionPolicy(base_m=50e-9, band_m=30e-9, edge_band_m=12e-9,
+                          far_m=125e-9, far_margin_m=400e-9)
+
+
 def test_sweep_real_path_offset_moves_alpha(default_config):
     """Through the real solver at coarse resolution: the margin falls
     linearly with |offset| while the absorption actually moves."""
-    from snspdkit import ResolutionPolicy, SolverConfig
-
     cfg = default_config
-    coarse = ResolutionPolicy(base_m=50e-9, band_m=30e-9, edge_band_m=12e-9,
-                              far_m=125e-9, far_margin_m=400e-9)
     spec = SweepSpec((SweepParameter("array_offset_nm", 0.0, 200.0, 200.0),),
                      min_margin_m=0.5e-6)
-    result = run_sweep(cfg.cross_section, spec, coarse, SolverConfig(num_modes=6))
+    result = run_sweep(cfg.cross_section, spec, COARSE, SolverConfig(num_modes=6))
     p0, p200 = result.points
     assert p0.status == p200.status == "ok"
     assert p0.margin_m == pytest.approx(0.5e-6, rel=1e-9)
@@ -185,13 +186,9 @@ def test_sweep_real_path_no_mode_points_kept(default_config):
     nearest mode is TE-like, so a TM sweep finds no mode at any point. Each
     point stays a ``no-mode`` row with its margin and feasibility, and none is
     chosen as best although one is feasible."""
-    from snspdkit import ResolutionPolicy, SolverConfig
-
-    coarse = ResolutionPolicy(base_m=50e-9, band_m=30e-9, edge_band_m=12e-9,
-                              far_m=125e-9, far_margin_m=400e-9)
     spec = SweepSpec((SweepParameter("array_offset_nm", 0.0, 200.0, 200.0),),
                      min_margin_m=0.5e-6, mode_kind="TM")
-    result = run_sweep(default_config.cross_section, spec, coarse, SolverConfig(num_modes=1))
+    result = run_sweep(default_config.cross_section, spec, COARSE, SolverConfig(num_modes=1))
     p0, p200 = result.points
     assert p0.status == p200.status == "no-mode"
     assert p0.n_eff is p0.alpha_per_cm is p0.te_fraction is None
@@ -209,18 +206,16 @@ def test_sweep_wavelength_across_band_edge(default_config):
     """Real path at coarse resolution: 1360 nm, the upper edge of the shipped
     tables, solves; 1380 nm fails with the material named, and the sweep
     keeps going and picks its best among the solved points."""
-    from snspdkit import ResolutionPolicy, SolverConfig, WavelengthRangeError, rasterize
+    from snspdkit import WavelengthRangeError, rasterize
 
     cfg = default_config
-    coarse = ResolutionPolicy(base_m=50e-9, band_m=30e-9, edge_band_m=12e-9,
-                              far_m=125e-9, far_margin_m=400e-9)
     spec = SweepSpec((SweepParameter("wavelength_nm", 1340.0, 1380.0, 20.0),))
-    result = run_sweep(cfg.cross_section, spec, coarse, SolverConfig())
+    result = run_sweep(cfg.cross_section, spec, COARSE, SolverConfig())
     assert [p.params["wavelength_nm"] for p in result.points] == [1340.0, 1360.0, 1380.0]
     ok_1340, ok_1360, out = result.points
     assert ok_1340.status == ok_1360.status == "ok"
     with pytest.raises(WavelengthRangeError) as info:
-        rasterize(apply_parameters(cfg.cross_section, {"wavelength_nm": 1380.0}), coarse)
+        rasterize(apply_parameters(cfg.cross_section, {"wavelength_nm": 1380.0}), COARSE)
     assert out.status == f"failed: {info.value}"
     assert f"material {info.value.material!r}" in out.status
     assert out.n_eff is None and not out.feasible
@@ -228,10 +223,6 @@ def test_sweep_wavelength_across_band_edge(default_config):
 
 
 # -- continuation: each solve starts from the last solved mode ------------------
-
-COARSE = ResolutionPolicy(base_m=50e-9, band_m=30e-9, edge_band_m=12e-9,
-                          far_m=125e-9, far_margin_m=400e-9)
-
 
 @pytest.fixture()
 def starts(monkeypatch):
