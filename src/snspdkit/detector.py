@@ -219,10 +219,10 @@ def fit_rise_for_fwhm(model: DetectorModel, fwhm_target_s: float) -> float:
     """Rise constant that reproduces a measured pulse FWHM (1-D root find).
 
     The FWHM of the two-exponential pulse grows monotonically with the rise
-    constant from tau_fall*ln(2); a target below that is unattainable.
+    constant from tau_fall*ln(2); a target below that is unattainable. The
+    checked bracket is bisected until it is tau_fall*1e-9 wide (30 halvings),
+    and its midpoint returned.
     """
-    from scipy.optimize import brentq
-
     tau_fall = recovery_time_constant(model)
     lo, hi = tau_fall * 1e-5, tau_fall * 0.999
 
@@ -233,7 +233,13 @@ def fit_rise_for_fwhm(model: DetectorModel, fwhm_target_s: float) -> float:
         raise DomainError(
             f"FWHM target {fwhm_target_s:.3g} s not reachable for tau_fall {tau_fall:.3g} s"
         )
-    return float(brentq(gap, lo, hi, xtol=tau_fall * 1e-9))
+    while hi - lo > tau_fall * 1e-9:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -82,19 +82,79 @@ def write_json(path: Path, payload: dict, config_digest: str = "none") -> None:
         fh.write(canonical_json(body) + "\n")
 
 
+_TOKEN = 17              # bytes of the longest token, "-d.ddddddddde-ddd"
+_TIE_MARGIN = 2.0 ** -14
+
+
 def write_matrix(path: Path, array: np.ndarray, config_digest: str = "none") -> None:
     """Delimited-text matrix of complex entries as re+imj tokens.
 
-    Each row is formatted by one ``%`` operation over Python floats, passed
-    as interleaved (re, im) pairs.
+    Row i holds ``array[i]``: tab-separated ``%.9e%+.9ej`` tokens, LF line
+    ends, the bytes of Python's ``%`` formatting. Each part is formatted in
+    one array pass: with e the decade of |x|, y = |x|*10**(9-e) lies in
+    [1e9, 1e10) and rounds to the token's 10 digits (a carry to 1e10 moves to
+    the next decade). The power of ten is the correctly rounded double, exact
+    up to 10**22, so y carries one rounding when |9-e| <= 22 and is within
+    about 2**-18 of the exact product otherwise. An element goes to ``%``
+    itself when its rounding or decade is not certain: the fractional part
+    of y is within 2**-14 of 1/2 (every exact tie among them), y lies
+    outside [1e9, 1e10) (log10 gave a decade one off), or |x| is neither zero
+    nor in [1e-299, 1e300) (subnormal, huge, inf or nan).
     """
     array = np.asarray(array)
     n_rows, n_cols = array.shape
-    rows = np.stack([array.real, array.imag], axis=-1).reshape(n_rows, 2 * n_cols).tolist()
-    line = "\t".join(["%.9e%+.9ej"] * n_cols) + "\n"
+    cells = np.zeros((n_rows, n_cols, 2 * _TOKEN + 2), np.uint8)
+    cells[..., :_TOKEN] = _e_tokens(array.real, "%.9e")
+    cells[..., _TOKEN:2 * _TOKEN] = _e_tokens(array.imag, "%+.9e")
+    cells[..., -2] = ord("j")
+    cells[..., -1] = ord("\t")
+    # each row's last tab becomes its LF; a row of no columns is a bare LF
+    lines = np.concatenate([cells.reshape(n_rows, n_cols * cells.shape[-1])[:, :-1],
+                            np.full((n_rows, 1), ord("\n"), np.uint8)], axis=1)
     with _writing(path) as fh:
         fh.write(header_line(config_digest) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        fh.write(lines[lines != 0].tobytes().decode("ascii"))
+
+
+def _e_tokens(part, fmt: str) -> np.ndarray:
+    """``fmt % x`` (``"%.9e"`` or ``"%+.9e"``) of every element of ``part``,
+    as a row of ``_TOKEN`` bytes with zero bytes where the sign or a third
+    exponent digit is absent; ``write_matrix`` gives the rounding."""
+    x = np.asarray(part, np.float64)
+    a = np.abs(x)
+    zero = a == 0
+    in_range = (a >= 1e-299) & (a < 1e300)
+    a = np.where(in_range, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    pow10 = np.array([float(10 ** n) for n in range(309)])[np.minimum(np.abs(9 - e), 308)]
+    with np.errstate(over="ignore", under="ignore"):   # the branch np.where discards
+        y = np.where(e <= 9, a * pow10, a / pow10)
+    fast = (in_range | zero) & (y >= 1e9) & (y < 1e10) & (np.abs(y - np.floor(y) - 0.5) > _TIE_MARGIN)
+    m = np.where(zero, 0, np.rint(y)).astype(np.int64)   # e is 0 there, as a is 1
+    carry = m == 10 ** 10
+    m[carry] = 10 ** 9
+    e += carry
+
+    tokens = np.zeros(x.shape + (_TOKEN,), np.uint8)
+    tokens[..., 0] = np.where(np.signbit(x), ord("-"), ord("+") if fmt == "%+.9e" else 0)
+    tokens[..., 2] = ord(".")
+    tokens[..., 12] = ord("e")
+    tokens[..., 13] = np.where(e < 0, ord("-"), ord("+"))
+    e = np.abs(e)
+    # decimal digits, last first: the mantissa's ten, the exponent's three
+    for n, cols in ((m, (11, 10, 9, 8, 7, 6, 5, 4, 3, 1)), (e, (16, 15, 14))):
+        for col in cols:
+            tens = n // 10
+            tokens[..., col] = ord("0") + n - 10 * tens
+            n = tens
+    tokens[..., 14] = np.where(e >= 100, tokens[..., 14], 0)
+
+    flat = tokens.reshape(-1, _TOKEN)
+    for i in np.flatnonzero(~fast):
+        text = (fmt % float(x.flat[i])).encode("ascii")
+        flat[i] = 0
+        flat[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return tokens
 
 
 def export_grid(grid, out: OutputDir, prefix: str = "grid", config_digest: str = "none") -> list[str]:

@@ -60,10 +60,11 @@ def _loaded(*modules) -> str:
 
 
 def test_cli_import_skips_sparse():
-    """Importing the CLI and loading the shipped config loads neither
-    scipy.sparse nor numpy: scipy.sparse loads at the first operator assembly
-    and numpy at the first array computation, so commands that never solve
-    do not pay for them at start-up."""
+    """Importing the CLI (and with it the matrix writer in io_utils) and
+    loading the shipped config loads neither scipy.sparse nor numpy:
+    scipy.sparse loads at the first operator assembly and numpy at the first
+    array computation, so commands that never solve do not pay for them at
+    start-up."""
     done = _fresh_python("-c", (
         "import sys\n"
         "from snspdkit.cli import main\n"
@@ -75,8 +76,8 @@ def test_cli_import_skips_sparse():
 
 def test_non_solver_commands_skip_sparse(tmp_path):
     """The six subcommands that never solve run to completion without
-    loading scipy.sparse, and the four of them that do scalar arithmetic
-    only run without loading numpy."""
+    loading SciPy (the pulse-rise fit included), and the four of them that
+    do scalar arithmetic only run without loading numpy."""
     scalar = [
         ["jitter", "--total-ps", "73", "--source-ps", "40", "--json"],
         ["absorptance", "--alpha-per-cm", "451", "--length-um", "51"],
@@ -85,13 +86,14 @@ def test_non_solver_commands_skip_sparse(tmp_path):
     ]
     arrays = [
         ["pulse"],
+        ["pulse", "--fwhm-target-ns", "3.2", "--json"],
         ["counts", "--power-pw", "0.5", "--duration-s", "0.005", "--seed", "3",
          "--out", str(tmp_path / "counts")],
     ]
     run = "for args in {!r}:\n    main(args, standalone_mode=False)\n"
     done = _fresh_python("-c", "import sys\nfrom snspdkit.cli import main\n"
                          + run.format(scalar) + _loaded("numpy")
-                         + run.format(arrays) + _loaded("scipy.sparse", "scipy.sparse.linalg"))
+                         + run.format(arrays) + _loaded("scipy", "scipy.sparse", "scipy.sparse.linalg"))
     lines = done.stdout.splitlines()
     assert any(line.startswith("coupling") for line in lines)   # fp-extract ran
     assert (tmp_path / "counts" / "counts.csv").exists()

@@ -128,6 +128,22 @@ def test_fit_rise_for_measured_fwhm():
         det.fit_rise_for_fwhm(REFERENCE, 1e-9)  # below tau_fall * ln 2
 
 
+def test_fit_rise_matches_brentq():
+    """The bisected rise constant is within the fit's xtol of the root
+    scipy's brentq finds on the same bracket and gap function."""
+    from scipy.optimize import brentq
+
+    from snspdkit.config import PULSE_FWHM_NS, default_config_path, load_project_config
+
+    model = load_project_config(default_config_path()).detector
+    tau_fall = det.recovery_time_constant(model)
+    xtol = tau_fall * 1e-9
+    target = PULSE_FWHM_NS * 1e-9
+    root = brentq(lambda tau: det.pulse_shape(model, tau).fwhm_s - target,
+                  tau_fall * 1e-5, tau_fall * 0.999, xtol=xtol)
+    assert abs(det.fit_rise_for_fwhm(model, target) - root) <= xtol
+
+
 @pytest.mark.parametrize("ratio", [5.5, 10.0, 100.0])
 def test_pulse_tail_fit_robust_to_rise(ratio):
     tau_fall = det.recovery_time_constant(REFERENCE)

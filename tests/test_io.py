@@ -62,6 +62,25 @@ def _reference_matrix_text(array, config_digest):
     return "".join(line + "\n" for line in lines)
 
 
+def _hard_doubles(rng):
+    """Doubles, with random signs, on which a vectorized ``%.9e`` goes wrong
+    first: random finite bit patterns; every power of ten from 1e-300 to
+    1e300 and both its float neighbours; (k + 1/2)*10**j for k in
+    [1e9, 1e10), exact ties for j in 0..8 and the nearest doubles to ties
+    elsewhere; and the carries 9.9999999995*10**j with both float
+    neighbours."""
+    bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64)
+    powers = np.array([float(f"1e{j}") for j in range(-300, 301)])
+    ties = np.array([float(f"{k}5e{j - 1}")
+                     for j in [*range(-305, 291, 3), *[0, 1, 2, 3, 4, 5, 6, 7, 8] * 40]
+                     for k in rng.integers(10 ** 9, 10 ** 10, 2)])
+    carries = np.array([float(f"99999999995e{j - 10}") for j in range(-300, 301)])
+    near = np.concatenate([powers, carries])
+    values = np.concatenate([bits[np.isfinite(bits)], ties, near,
+                             np.nextafter(near, 0.0), np.nextafter(near, np.inf)])
+    return values * rng.choice([-1.0, 1.0], values.size)
+
+
 def test_matrix_bytes_match_per_element_formatter(tmp_path):
     rng = np.random.default_rng(11)
     special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-310,
@@ -72,7 +91,11 @@ def test_matrix_bytes_match_per_element_formatter(tmp_path):
     cplx.real, cplx.imag = real, real[::-1, ::-1]   # specials in both parts
     with np.errstate(over="ignore"):
         single = cplx.astype(np.complex64)
+    hard = _hard_doubles(rng)
+    hard = hard[: hard.size // 16 * 16].reshape(-1, 16) * (1 + 0j)
+    hard.imag = rng.permutation(hard.real.ravel()).reshape(hard.shape)   # each in both parts
     cases = {
+        "hard": hard,
         "complex": cplx,
         "complex64": single,
         "fortran": np.asfortranarray(cplx),
