@@ -291,8 +291,7 @@ def _parse_detector(d: _Reader, meander: dict) -> DetectorModel:
         bias_current_A=d.number("bias_current_uA", 1e-6, required=True),
         **meander,
         **_given(
-            eta_max=ie.number("eta_max"), bias_midpoint=ie.number("midpoint"),
-            bias_width=ie.number("width"),
+            bias_midpoint=ie.number("midpoint"), bias_width=ie.number("width"),
             dark_rate_prefactor_hz=dc.number("prefactor_hz"), dark_rate_slope=dc.number("slope"),
         ),
     )

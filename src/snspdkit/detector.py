@@ -15,7 +15,6 @@ from ._numpy import np
 from .constants import photon_flux
 from .errors import DomainError, InconsistencyError
 
-_FLAG_NAMES = ("dark", "photon")   # CountRecord.flags, indexed by the photon mask
 ARRIVAL_CAP = 10_000_000   # most expected arrivals one counting run draws, checked before any draw
 
 
@@ -33,7 +32,6 @@ class DetectorModel:
     load_resistance_ohm: float = 50.0
     critical_current_A: float = 16.9e-6
     bias_current_A: float = 9.9e-6
-    eta_max: float = 0.22                    # internal-efficiency logistic ceiling
     bias_midpoint: float = 0.65              # logistic midpoint in i = I_b/I_c
     bias_width: float = 0.07                 # logistic width in i
     dark_rate_prefactor_hz: float = 1e-2     # R_dc = R0 * exp(s * i)
@@ -50,8 +48,6 @@ class DetectorModel:
             raise DomainError("sheet kinetic inductance must be > 0")
         if self.load_resistance_ohm <= 0:
             raise DomainError("load resistance must be > 0")
-        if not 0 < self.eta_max <= 1:
-            raise DomainError("eta_max must be in (0, 1]")
         if self.bias_width <= 0:
             raise DomainError("internal-efficiency logistic width must be > 0")
         if self.dark_rate_prefactor_hz < 0:
@@ -115,13 +111,13 @@ def invert_internal(dqe: float, absorptance_: float) -> float:
 
 
 def internal_efficiency(model: DetectorModel, bias_fraction: float | None = None) -> float:
-    """Logistic internal-efficiency model vs normalized bias i = I_b/I_c.
-
-    A modeling choice, not a measured curve: the ceiling, midpoint and width
-    are free parameters of :class:`DetectorModel`.
+    """Logistic shape 1 / (1 + exp(-(i - midpoint) / width)) of the internal
+    efficiency vs normalized bias i = I_b/I_c, with ceiling 1. A modeling
+    choice, not a measured curve; the efficiency stage scales it to the
+    internal efficiency inverted from the measured DQE at i = 0.95.
     """
     i = model.bias_fraction if bias_fraction is None else bias_fraction
-    return model.eta_max / (1.0 + math.exp(-(i - model.bias_midpoint) / model.bias_width))
+    return 1.0 / (1.0 + math.exp(-(i - model.bias_midpoint) / model.bias_width))
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +177,9 @@ def _crossing(t: np.ndarray, v: np.ndarray, level: float, rising: bool) -> float
     return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
 
 
-def pulse_shape(model: DetectorModel, tau_rise_s: float) -> PulseTrace:
-    """Peak-normalized V(t) = exp(-t/tau_fall) - exp(-t/tau_rise).
-
-    ``tau_fall`` is the kinetic-inductance recovery constant of the model;
-    the rise constant bundles hot-spot and amplifier dynamics. The tail 1/e
-    decay time is measured by a log-linear fit beyond the peak.
-    """
-    tau_fall = recovery_time_constant(model)
+def _sampled_pulse(tau_fall: float, tau_rise_s: float):
+    """Sample times, peak-normalized voltage, peak time and FWHM of the
+    two-exponential pulse."""
     if not 0 < tau_rise_s < tau_fall:
         raise DomainError(
             f"rise constant must satisfy 0 < tau_rise < tau_fall "
@@ -196,23 +187,29 @@ def pulse_shape(model: DetectorModel, tau_rise_s: float) -> PulseTrace:
         )
     t = np.linspace(0.0, 10.0 * tau_fall, 6000)
     v = np.exp(-t / tau_fall) - np.exp(-t / tau_rise_s)
-    ratio = tau_fall / tau_rise_s
-    t_peak = math.log(ratio) * tau_fall * tau_rise_s / (tau_fall - tau_rise_s)
+    t_peak = math.log(tau_fall / tau_rise_s) * tau_fall * tau_rise_s / (tau_fall - tau_rise_s)
     v_peak = math.exp(-t_peak / tau_fall) - math.exp(-t_peak / tau_rise_s)
     v = v / v_peak
-
     fwhm = _crossing(t, v, 0.5, rising=False) - _crossing(t, v, 0.5, rising=True)
+    return t, v, t_peak, float(fwhm)
+
+
+def pulse_shape(model: DetectorModel, tau_rise_s: float) -> PulseTrace:
+    """Peak-normalized V(t) = exp(-t/tau_fall) - exp(-t/tau_rise).
+
+    ``tau_fall`` is the kinetic-inductance recovery constant of the model;
+    the rise constant bundles hot-spot and amplifier dynamics. The tail 1/e
+    decay time is measured by a log-linear fit beyond the peak.
+    """
+    t, v, t_peak, fwhm = _sampled_pulse(recovery_time_constant(model), tau_rise_s)
     tail = (t > t_peak + 5.0 * tau_rise_s) & (v > 1e-12)
     # Least-squares slope exactly as scipy.stats.linregress evaluates it,
     # without importing scipy.stats (~0.6 s) on every ``import snspdkit``.
     ssxm, ssxym, _, _ = np.cov(t[tail], np.log(v[tail]), bias=True).flat
     slope = ssxym / ssxm
     decay_1e = -1.0 / slope
-
-    return PulseTrace(
-        time_s=t, voltage=v,
-        peak_time_s=t_peak, fwhm_s=float(fwhm), decay_time_1e_s=float(decay_1e),
-    )
+    return PulseTrace(time_s=t, voltage=v, peak_time_s=t_peak, fwhm_s=fwhm,
+                      decay_time_1e_s=float(decay_1e))
 
 
 def fit_rise_for_fwhm(model: DetectorModel, fwhm_target_s: float) -> float:
@@ -227,7 +224,7 @@ def fit_rise_for_fwhm(model: DetectorModel, fwhm_target_s: float) -> float:
     lo, hi = tau_fall * 1e-5, tau_fall * 0.999
 
     def gap(tau_rise):
-        return pulse_shape(model, tau_rise).fwhm_s - fwhm_target_s
+        return _sampled_pulse(tau_fall, tau_rise)[3] - fwhm_target_s
 
     if gap(lo) > 0 or gap(hi) < 0:
         raise DomainError(
@@ -294,20 +291,21 @@ class CountRecord:
 
     ``detection_times_s`` are the dead-time-filtered event times (sorted,
     gaps >= dead time); ``timestamps_s`` are the same events with recording
-    jitter applied and re-sorted, aligned with ``flags`` ('photon'|'dark').
+    jitter applied and re-sorted, aligned with the bool mask ``photon`` (false: dark count).
     """
 
     timestamps_s: np.ndarray
-    flags: tuple[str, ...]
+    photon: np.ndarray
     detection_times_s: np.ndarray = field(repr=False)
     dead_time_s: float = 0.0
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.timestamps_s.setflags(write=False)
+        self.photon.setflags(write=False)
         self.detection_times_s.setflags(write=False)
-        if len(self.timestamps_s) != len(self.flags):
-            raise DomainError("timestamps and flags length mismatch")
+        if len(self.timestamps_s) != len(self.photon):
+            raise DomainError("timestamps and photon mask length mismatch")
         if len(self.timestamps_s) > 1 and not np.all(np.diff(self.timestamps_s) > 0):
             raise DomainError("timestamps must be strictly increasing")
         gaps = np.diff(self.detection_times_s)
@@ -372,7 +370,7 @@ def simulate_counting(
 
     return CountRecord(
         timestamps_s=recorded[order],
-        flags=tuple(map(_FLAG_NAMES.__getitem__, photon[order].tolist())),
+        photon=photon[order],
         detection_times_s=detected,
         dead_time_s=t_dead,
         metadata={

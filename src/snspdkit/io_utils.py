@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .modes import modal_absorption
 
 TOOL = "snspdkit"
+_FLAG_NAMES = ("dark", "photon")   # the count-record flag column, indexed by the photon mask
 
 
 def header_line(config_digest: str = "none") -> str:
@@ -223,7 +224,8 @@ def export_count_record(record, out: OutputDir, prefix: str = "counts", config_d
     csv_file = out.path(f"{prefix}.csv")
     write_csv(
         csv_file, ["timestamp_s", "flag"],
-        zip(map(float, record.timestamps_s), record.flags),
+        zip(map(float, record.timestamps_s),
+            map(_FLAG_NAMES.__getitem__, record.photon.tolist())),
         config_digest,
     )
     meta = out.path(f"{prefix}_meta.json")

@@ -261,7 +261,7 @@ _STAGE_GRAPH = (
     ("tm-design", _stage_tm_design, ()),
     ("absorptance", _stage_absorptance, ("mode-solver",)),
     ("fp-extract", _stage_fp_extract, ()),
-    ("efficiency", _stage_efficiency, ("absorptance", "fp-extract")),
+    ("efficiency", _stage_efficiency, ("fp-extract",)),
     ("pulse", _stage_pulse, ()),
     ("jitter", _stage_jitter, ()),
     ("counting", _stage_counting, ()),

@@ -5,7 +5,10 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from snspdkit import pipeline
+from snspdkit.cli import main
 from snspdkit.config import (
     TARGETS,
     ProjectConfig,
@@ -15,6 +18,7 @@ from snspdkit.config import (
     stable_seed,
 )
 from snspdkit.errors import ConfigError
+from snspdkit.io_utils import OutputDir
 from snspdkit.modes import SolverConfig
 from snspdkit.pipeline import band
 
@@ -213,10 +217,13 @@ def test_malformed_inputs_rejected(path, value, message):
     (("fringes",), {}, "config: unknown keys ['fringes']"),
     (("pulse",), {}, "config: unknown keys ['pulse']"),
     (("jitter",), {}, "config: unknown keys ['jitter']"),
+    (("detector", "internal_efficiency", "eta_max"), 0.22,
+     "detector.internal_efficiency: unknown keys ['eta_max']"),
 ], ids=["version", "top-level-aluminum_fraction", "layer-substrate-flag", "gaas-aluminum_fraction",
         "table-aluminum_fraction", "ridge-center_nm", "solver-tolerance", "solver-max_iterations",
         "sweep-point_cap", "detector-wire_count", "detector-width_nm", "detector-tc_K",
-        "detector-delta_tc_mK", "targets-empty", "fringes-empty", "pulse-empty", "jitter-empty"])
+        "detector-delta_tc_mK", "targets-empty", "fringes-empty", "pulse-empty", "jitter-empty",
+        "internal_efficiency-eta_max"])
 def test_retired_keys_are_refused(path, value, message):
     """A key the loader once read is refused by its name alone, like a key it
     never read: one row per retired key. The sections whose values are now
@@ -227,6 +234,109 @@ def test_retired_keys_are_refused(path, value, message):
     _walk(raw, parents)[key] = value
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}; allowed: "):
         load_project_config(raw)
+
+
+# -- every settable value the solver does not read takes effect ---------------
+
+_EFFECT_REL = 1e-12   # a relative move below this is round-off, not an effect
+_SOLVER_FREE_STAGES = ("fp-extract", "efficiency", "pulse", "jitter", "counting")
+
+
+def _numeric_leaves(node, path):
+    """(path, value) of every number under ``node``, list entries included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _numeric_leaves(value, path + (k,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+
+
+_SOLVER_FREE_VALUES = [("seed",)] + [
+    path for section in ("detector", "counting")
+    for path, _value in _numeric_leaves(_raw_default()[section], (section,))]
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)[1:]
+
+
+def _cells(text: str) -> list:
+    """The data cells of a CSV file's text after its column line: a float
+    where the cell reads as one, else the text."""
+    return [_number_or_text(cell) for row in text.splitlines()[1:] for cell in row.split(",")]
+
+
+def _number_or_text(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _outputs(raw: dict, tmp: Path) -> dict[str, list]:
+    """Everything the solver-free stages of ``reproduce-paper`` and one
+    ``counts`` run produce from the config ``raw``, by name: each stage's
+    check values and notes, the text of every CSV data file after its header
+    line (which carries the config digest), and the values of the count
+    record's metadata."""
+    config = load_project_config(raw)
+    runners = {name: run for name, run, _deps in pipeline._STAGE_GRAPH}
+    out = OutputDir(tmp / "repro")
+    found, results = {}, {}
+    for name in _SOLVER_FREE_STAGES:
+        rec = pipeline.StageRecord(name)
+        runners[name](config, out, rec, results)
+        found[name] = [c.value for c in rec.checks] + list(rec.notes.values())
+    path = tmp / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    result = CliRunner().invoke(main, ["counts", "--config", str(path), "--power-pw", "0.05",
+                                       "--out", str(tmp / "counts")])
+    assert result.exit_code == 0, result.output
+    for file in sorted((tmp / "repro").iterdir()) + sorted((tmp / "counts").iterdir()):
+        text = file.read_text(encoding="utf-8")
+        found[file.name] = (text.split("\n", 1)[1] if file.suffix == ".csv" else
+                            [v for k, v in sorted(json.loads(text).items()) if k != "_header"])
+    return found
+
+
+def _moved(before, after) -> bool:
+    """Some value or data cell moved by more than ``_EFFECT_REL`` relative,
+    changed its text, or the values differ in number."""
+    if isinstance(before, str):
+        if before == after:
+            return False
+        before, after = _cells(before), _cells(after)
+    return len(before) != len(after) or any(
+        x != y if isinstance(x, str) or isinstance(y, str)
+        else abs(x - y) > _EFFECT_REL * max(abs(x), abs(y))
+        for x, y in zip(before, after))
+
+
+@pytest.fixture(scope="module")
+def shipped_outputs(tmp_path_factory):
+    return _outputs(_raw_default(), tmp_path_factory.mktemp("shipped"))
+
+
+@pytest.mark.parametrize("path", _SOLVER_FREE_VALUES, ids=map(_dotted, _SOLVER_FREE_VALUES))
+def test_every_solver_free_value_takes_effect(path, shipped_outputs, tmp_path):
+    """Raising one settable value that no eigensolve reads by 5% (an integer
+    by 1) moves some output by more than 1e-12 relative: a check value, note
+    or data cell of the solver-free ``reproduce-paper`` stages, or a cell or
+    metadata value of one ``counts`` run (the one command that reads
+    ``counting.jitter_ps``). The values are the seed and every number of
+    ``detector`` and ``counting``, each power of the ladder included; one
+    that moves nothing is a dead knob."""
+    raw = _raw_default()
+    *parents, key = path
+    node = _walk(raw, parents)
+    node[key] = node[key] + 1 if isinstance(node[key], int) else node[key] * 1.05
+    changed = _outputs(raw, tmp_path)
+    assert changed.keys() == shipped_outputs.keys()
+    assert any(_moved(shipped_outputs[name], changed[name]) for name in changed), (
+        f"{_dotted(path)} moved no output")
 
 
 @pytest.mark.parametrize("with_detector", [True, False], ids=["detector", "no-detector"])
@@ -489,7 +599,7 @@ def test_solve_at_other_wavelength_in_band(tmp_path):
     """A mode carries the wavelength its grid was painted at, bit for bit:
     1340 nm does not survive a round trip through k0 = 2*pi/lambda, so the
     mode's field header and the grid's sidecar would otherwise disagree."""
-    from snspdkit.io_utils import OutputDir, export_grid, export_mode_fields
+    from snspdkit.io_utils import export_grid, export_mode_fields
     from snspdkit.modes import modal_absorption, solve_cross_section
     from snspdkit.sweep import apply_parameters
 

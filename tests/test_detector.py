@@ -195,11 +195,12 @@ def test_efficiency_ordering(coupling, absorptance_, internal):
 
 
 def test_internal_efficiency_logistic():
+    """The logistic shape rises towards a ceiling of 1 and is 1/2 at its midpoint."""
     model = REFERENCE
     low = det.internal_efficiency(model, 0.3)
     high = det.internal_efficiency(model, 0.99)
-    assert 0 < low < high <= model.eta_max
-    assert det.internal_efficiency(model, model.bias_midpoint) == pytest.approx(model.eta_max / 2)
+    assert 0 < low < high < 1
+    assert det.internal_efficiency(model, model.bias_midpoint) == 0.5
 
 
 # -- dark counts ---------------------------------------------------------------
@@ -252,7 +253,7 @@ def test_simulate_deterministic_per_seed():
     r2 = det.simulate_counting(REFERENCE, _budget(), src, 0.01, seed=42)
     r3 = det.simulate_counting(REFERENCE, _budget(), src, 0.01, seed=43)
     assert np.array_equal(r1.timestamps_s, r2.timestamps_s)
-    assert r1.flags == r2.flags
+    assert np.array_equal(r1.photon, r2.photon)
     assert not np.array_equal(r1.timestamps_s, r3.timestamps_s)
 
 
@@ -284,7 +285,7 @@ def test_simulate_dead_time_enforced():
     gaps = np.diff(rec.detection_times_s)
     assert gaps.min() >= rec.dead_time_s * (1 - 1e-12)
     assert np.all(np.diff(rec.timestamps_s) > 0)
-    assert set(rec.flags) <= {"photon", "dark"}
+    assert rec.photon.dtype == bool and not rec.photon.flags.writeable
 
 
 def reference_dead_time_filter(times, dead_time):
@@ -378,8 +379,6 @@ _TIMES = np.array([0.0, 1e-6])
     (lambda: det.DetectorModel(wire_length_m=0.0), "wire length must be > 0"),
     (lambda: det.DetectorModel(sheet_inductance_H=0.0), "sheet kinetic inductance must be > 0"),
     (lambda: det.DetectorModel(load_resistance_ohm=0.0), "load resistance must be > 0"),
-    (lambda: det.DetectorModel(eta_max=0.0), r"eta_max must be in \(0, 1\]"),
-    (lambda: det.DetectorModel(eta_max=1.1), r"eta_max must be in \(0, 1\]"),
     (lambda: det.invert_internal(1.2, 0.9), r"DQE must be in \[0, 1\]"),
     (lambda: det.invert_internal(0.197, 0.0), "absorptance must be > 0 for inversion"),
     (lambda: det.recovery_fraction(-1e-9, 3.6e-9), "time must be >= 0"),
@@ -387,10 +386,10 @@ _TIMES = np.array([0.0, 1e-6])
     (lambda: det.SourceSpec(-1e-12, 1300e-9), "power must be >= 0"),
     (lambda: det.SourceSpec(1e-12, 0.0), "wavelength must be > 0"),
     (lambda: det.SourceSpec(1e-12, 1300e-9, jitter_sigma_s=-1e-12), "jitter sigma must be >= 0"),
-    (lambda: det.CountRecord(_TIMES, ("photon",), _TIMES), "timestamps and flags length mismatch"),
-    (lambda: det.CountRecord(_TIMES[::-1].copy(), ("photon", "dark"), _TIMES),
+    (lambda: det.CountRecord(_TIMES, np.array([True]), _TIMES), "timestamps and photon mask length mismatch"),
+    (lambda: det.CountRecord(_TIMES[::-1].copy(), np.array([True, False]), _TIMES),
      "timestamps must be strictly increasing"),
-    (lambda: det.CountRecord(_TIMES, ("photon", "dark"), _TIMES, dead_time_s=1e-5),
+    (lambda: det.CountRecord(_TIMES, np.array([True, False]), _TIMES, dead_time_s=1e-5),
      "detection gaps below the dead time"),
     (lambda: det.simulate_counting(REFERENCE, _budget(), det.SourceSpec(1e-12, 1300e-9), 0.0, seed=1),
      "duration must be > 0"),
@@ -398,8 +397,7 @@ _TIMES = np.array([0.0, 1e-6])
      r"^counting run would draw 4\.49e\+09 arrivals, above the cap 10000000$"),
     (lambda: det.jitter_deconvolve(-1e-12, 0.0), "jitter values must be >= 0"),
     (lambda: det.jitter_deconvolve(73e-12, -1e-12), "jitter values must be >= 0"),
-], ids=["wire_count-0", "length-0", "sheet_inductance-0", "load-0", "eta_max-0", "eta_max-1.1",
-        "dqe-1.2", "absorptance-0", "recovery-negative-time", "rate-negative-power",
+], ids=["wire_count-0", "length-0", "sheet_inductance-0", "load-0", "dqe-1.2", "absorptance-0", "recovery-negative-time", "rate-negative-power",
         "source-negative-power", "source-wavelength-0", "source-negative-jitter",
         "record-length-mismatch", "record-decreasing", "record-dead-time", "duration-0",
         "arrivals-above-cap", "jitter-negative-total", "jitter-negative-source"])
