@@ -123,8 +123,8 @@ def apply_parameters(base: CrossSection, values: dict[str, float]) -> CrossSecti
     return cs
 
 
-def _default_evaluate(base, spec, policy, solver_config):
-    """Real evaluation path: build, solve, select, measure.
+def _default_evaluate(kind, policy, solver_config):
+    """Real evaluation path: solve the built section, select, measure.
 
     Each solve starts its Arnoldi runs from the last mode this evaluator
     solved (continuation: neighbouring points have nearly the same mode);
@@ -133,28 +133,28 @@ def _default_evaluate(base, spec, policy, solver_config):
     """
     last = None
 
-    def evaluate(values: dict[str, float]):
+    def evaluate(cs: CrossSection):
         nonlocal last
-        cs = apply_parameters(base, values)
-        margin = alignment_margin(cs.ridge, cs.wires) if cs.wires is not None else None
-        _grid, mode = solve_cross_section(cs, policy, solver_config, spec.mode_kind, last)
+        _grid, mode = solve_cross_section(cs, policy, solver_config, kind, last)
         if mode is None:
-            return None, None, None, margin
+            return None
         last = mode
-        return mode.n_eff, modal_absorption(mode), mode.te_fraction, margin
+        return mode.n_eff, modal_absorption(mode), mode.te_fraction
 
     return evaluate
 
 
-def _evaluate_point(values, spec, evaluate):
+def _evaluate_point(base, values, spec, evaluate):
     try:
-        n_eff, alpha, te, margin = evaluate(values)
+        cs = apply_parameters(base, values)
+        solved = evaluate(cs)
     except (ConfigError, DomainError, ConvergenceError) as exc:
         return SweepPoint(values, None, None, None, None, False, f"failed: {exc}")
+    margin = alignment_margin(cs.ridge, cs.wires) if cs.wires is not None else None
     feasible = margin is None or margin >= spec.min_margin_m
-    if alpha is None:
+    if solved is None:
         return SweepPoint(values, None, None, None, margin, feasible, "no-mode")
-    return SweepPoint(values, n_eff, alpha, te, margin, feasible, "ok")
+    return SweepPoint(values, *solved, margin, feasible, "ok")
 
 
 def _better(best: SweepPoint | None, p: SweepPoint) -> SweepPoint | None:
@@ -174,17 +174,17 @@ def run_sweep(
     """Evaluate the Cartesian product of the parameter ranges, serially.
 
     Output rows follow the deterministic product order. ``evaluate`` may be
-    injected for testing; it receives the parameter dict and returns
-    (n_eff, alpha_per_cm, te_fraction, margin_m).
+    injected for testing; it receives each point's ``CrossSection`` and
+    returns (n_eff, alpha_per_cm, te_fraction), or None for no mode.
     """
     names = [p.name for p in spec.parameters]
     n_points = math.prod(p._count() for p in spec.parameters)
     if n_points > POINT_CAP:
         raise ConfigError(f"sweep would evaluate {n_points} points, above the cap {POINT_CAP}")
     if evaluate is None:
-        evaluate = _default_evaluate(base, spec, policy, solver_config)
+        evaluate = _default_evaluate(spec.mode_kind, policy, solver_config)
 
-    points = [_evaluate_point(dict(zip(names, vals)), spec, evaluate)
+    points = [_evaluate_point(base, dict(zip(names, vals)), spec, evaluate)
               for vals in itertools.product(*(p.values() for p in spec.parameters))]
     return SweepResult(tuple(points))
 
@@ -214,7 +214,7 @@ def maximize_alpha(
     if any(p.name == "wire_count" for p in free):
         raise ConfigError("wire_count is discrete; interval halving does not apply")
     if evaluate is None:
-        evaluate = _default_evaluate(base, spec, policy, solver_config)
+        evaluate = _default_evaluate(spec.mode_kind, policy, solver_config)
 
     coarse = run_sweep(base, spec, evaluate=evaluate)
     best = coarse.best
@@ -238,7 +238,7 @@ def maximize_alpha(
             if key(values) in seen:   # an evaluated point cannot beat best; a tie keeps best
                 continue
             seen.add(key(values))
-            trace.append(_evaluate_point(values, spec, evaluate))
+            trace.append(_evaluate_point(base, values, spec, evaluate))
             best = _better(best, trace[-1])
         steps = {k: v / 2.0 for k, v in steps.items()}
 

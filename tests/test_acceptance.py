@@ -172,12 +172,9 @@ def test_criterion_11_optimizer_contracts(default_config):
     base = default_config.cross_section
     peak = 317.0
 
-    def synthetic(values):
-        t = values.get("core_thickness_nm", 300.0)
-        off = abs(values.get("array_offset_nm", 0.0))
-        alpha = 480.0 - 0.015 * (t - peak) ** 2
-        margin = 0.5e-6 - off * 1e-9
-        return complex(3.15, 1e-3), alpha, 0.95, margin
+    def synthetic(cs):
+        alpha = 480.0 - 0.015 * (round(cs.stack.top_layer.thickness_m * 1e9, 6) - peak) ** 2
+        return complex(3.15, 1e-3), alpha, 0.95
 
     spec = SweepSpec((SweepParameter("core_thickness_nm", 260.0, 380.0, 40.0),
                       SweepParameter("array_offset_nm", 0.0, 200.0, 100.0)),

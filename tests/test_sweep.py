@@ -5,7 +5,6 @@ import pytest
 import snspdkit.sweep as sweep_module
 from snspdkit import ResolutionPolicy, SolverConfig
 from snspdkit.errors import ConfigError
-from snspdkit.geometry import alignment_margin
 from snspdkit.io_utils import sweep_to_rows
 from snspdkit.modes import modal_absorption, solve_cross_section
 from snspdkit.sweep import (
@@ -24,16 +23,18 @@ def base_cs(default_config):
     return default_config.cross_section
 
 
-def synthetic(peak_nm=317.0, margin_floor=0.3e-6):
-    """Analytic stand-in for the solver: unimodal alpha over core thickness,
-    margin decreasing with array offset."""
+def core_nm(cs):
+    """The section's core thickness in nm, as the sweep value that set it."""
+    return round(cs.stack.top_layer.thickness_m * 1e9, 6)
 
-    def evaluate(values):
-        t = values.get("core_thickness_nm", 300.0)
-        off = abs(values.get("array_offset_nm", 0.0))
-        alpha = 500.0 - 0.02 * (t - peak_nm) ** 2
-        margin = 0.5e-6 - off * 1e-9
-        return complex(3.15, alpha * 1.3e-6 / (4e2 * 3.1415)), alpha, 0.95, margin
+
+def synthetic(peak_nm=317.0):
+    """Analytic stand-in for the solver: unimodal alpha over core thickness.
+    The sweep takes each point's margin from its built section."""
+
+    def evaluate(cs):
+        alpha = 500.0 - 0.02 * (core_nm(cs) - peak_nm) ** 2
+        return complex(3.15, alpha * 1.3e-6 / (4e2 * 3.1415)), alpha, 0.95
 
     return evaluate
 
@@ -82,6 +83,18 @@ def test_sweep_margin_tracks_offset(base_cs):
     assert len(alphas) == 1  # synthetic alpha does not move with offset
 
 
+def test_sweep_margin_comes_from_each_section(base_cs):
+    """The margin and feasibility of a ridge-width sweep follow from each
+    point's built section (array 850 nm wide, centred); the evaluator
+    supplies only the mode's numbers."""
+    spec = SweepSpec((SweepParameter("ridge_width_nm", 1650.0, 2250.0, 300.0),),
+                     min_margin_m=0.5e-6)
+    result = run_sweep(base_cs, spec, evaluate=lambda cs: (complex(3.15, 1e-3), 400.0, 0.9))
+    assert [p.margin_m for p in result.points] == pytest.approx([0.4e-6, 0.55e-6, 0.7e-6])
+    assert [p.feasible for p in result.points] == [False, True, True]
+    assert all(p.status == "ok" for p in result.points)
+
+
 def test_sweep_point_cap(base_cs, monkeypatch):
     """The cap is checked from the axis lengths before any axis is built, so
     a tiny step is a config error, not an out-of-memory failure. The
@@ -114,16 +127,17 @@ def test_sweep_best_dominates(base_cs):
 
 
 def test_sweep_failed_points_survive(base_cs):
-    def flaky(values):
-        if values["core_thickness_nm"] == 300.0:
+    def flaky(cs):
+        if core_nm(cs) == 300.0:
             raise ConfigError("synthetic failure")
-        return synthetic()(values)
+        return synthetic()(cs)
 
     spec = SweepSpec((SweepParameter("core_thickness_nm", 290.0, 310.0, 10.0),), min_margin_m=0.0)
     result = run_sweep(base_cs, spec, evaluate=flaky)
     statuses = [p.status for p in result.points]
     assert statuses[0] == "ok" and statuses[2] == "ok"
     assert statuses[1].startswith("failed:")
+    assert result.points[1].margin_m is None and not result.points[1].feasible
     assert result.best is not None
 
 
@@ -293,11 +307,9 @@ def test_continued_optimize_matches_cold_optimize(base_cs):
     and returns the same best point as with every point solved cold."""
     spec = SweepSpec((SweepParameter("core_thickness_nm", 280.0, 360.0, 40.0),), min_margin_m=0.0)
 
-    def cold(values):
-        cs = apply_parameters(base_cs, values)
+    def cold(cs):
         _grid, mode = solve_cross_section(cs, COARSE, SolverConfig(), spec.mode_kind)
-        return (mode.n_eff, modal_absorption(mode), mode.te_fraction,
-                alignment_margin(cs.ridge, cs.wires))
+        return mode.n_eff, modal_absorption(mode), mode.te_fraction
 
     warm = maximize_alpha(base_cs, spec, COARSE, tolerance=20.0)
     ref = maximize_alpha(base_cs, spec, evaluate=cold, tolerance=20.0)
@@ -331,10 +343,8 @@ def test_optimize_respects_margin_constraint(base_cs):
         min_margin_m=0.35e-6,
     )
 
-    def offset_loving(values):
-        off = abs(values.get("array_offset_nm", 0.0))
-        margin = 0.5e-6 - off * 1e-9
-        return complex(3.15, 1e-3), 400.0 + off, 0.9, margin  # alpha grows with offset
+    def offset_loving(cs):
+        return complex(3.15, 1e-3), 400.0 + abs(cs.wires.offset_m) * 1e9, 0.9  # grows with offset
 
     result = maximize_alpha(base_cs, spec, evaluate=offset_loving, tolerance=5.0)
     assert result.status == "ok"
@@ -360,7 +370,7 @@ def test_optimize_rejects_bad_tolerance(base_cs, tolerance):
     """Interval halving stops once the step is below the tolerance: at 0 or
     below it would never stop, and nan or inf would skip it without a word.
     The tolerance is checked before any point is evaluated."""
-    def never(values):
+    def never(cs):
         raise AssertionError("evaluated a point")
 
     spec = SweepSpec((SweepParameter("core_thickness_nm", 260.0, 380.0, 40.0),), min_margin_m=0.0)
