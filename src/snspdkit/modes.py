@@ -79,10 +79,10 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class ModeOperator:
-    """Assembled eigenproblem A [Hx; Hy] = beta^2 [Hx; Hy] on the nodes of ``grid``."""
+    """Assembled eigenproblem A [Hx; Hy] = beta^2 [Hx; Hy] on the nodes of
+    ``grid``, whose cell eps is the operator's only permittivity."""
 
     matrix: "scipy.sparse.csc_matrix" = field(repr=False)
-    eps: np.ndarray = field(repr=False)   # solver-convention (conjugated) cell eps
     grid: PermittivityGrid
 
     @property
@@ -98,7 +98,7 @@ class ModeOperator:
         global maximum; lossy materials such as the nanowire metal only enter
         the latter.
         """
-        n_vals = np.sqrt(self.eps.ravel())
+        n_vals = np.sqrt(self.grid.eps.ravel())   # same Re and |Im| as for conj(eps)
         re = n_vals.real
         n_high = float(re.max())
         diel = re[np.abs(n_vals.imag) < _DIELECTRIC_IM_CUT]
@@ -164,8 +164,7 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
     nnx, nny = len(x), len(y)
 
     # exp(-i w t) convention: absorbing cells get Im(eps) > 0
-    eps_cells = np.conj(grid.eps)
-    epsp = np.pad(eps_cells, 1, mode="edge")
+    epsp = np.pad(np.conj(grid.eps), 1, mode="edge")
     # quadrant cells around each node: 1=NW, 2=SW, 3=SE, 4=NE
     e1 = epsp[0:nnx, 1:nny + 1]
     e2 = epsp[0:nnx, 0:nny]
@@ -187,35 +186,31 @@ def assemble_operator(grid: PermittivityGrid) -> ModeOperator:
         (ayye, ayyw, ayyn, ayys), (ayxe, ayxw, ayxn, ayxs), yy_k2 = _x_couplings(
             s, n, w, e, e3, e2, e1, e4, k0)
 
-        nn = nnx * nny
-        ii = np.arange(nn).reshape(nnx, nny)
-        whole, head, tail = slice(None), slice(None, -1), slice(1, None)
-        # row-node and column-node slices of the self, N, S, E and W couplings:
-        # a node couples only to the neighbours inside the grid
-        links = [((whole, whole), (whole, whole)), ((whole, head), (whole, tail)),
-                 ((whole, tail), (whole, head)), ((head, whole), (tail, whole)),
-                 ((tail, whole), (head, whole))]
         # each self term sums its own block's couplings in N, S, E, W order
         blocks = [
-            (0, 0, (-axxn - axxs - axxe - axxw + xx_k2, axxn, axxs, axxe, axxw)),
-            (0, nn, (-(axyn + axys + axye + axyw), axyn, axys, axye, axyw)),
-            (nn, 0, (-(ayxn + ayxs + ayxe + ayxw), ayxn, ayxs, ayxe, ayxw)),
-            (nn, nn, (-ayyn - ayys - ayye - ayyw + yy_k2, ayyn, ayys, ayye, ayyw)),
+            [(-axxn - axxs - axxe - axxw + xx_k2, axxn, axxs, axxe, axxw),
+             (-(axyn + axys + axye + axyw), axyn, axys, axye, axyw)],
+            [(-(ayxn + ayxs + ayxe + ayxw), ayxn, ayxs, ayxe, ayxw),
+             (-ayyn - ayys - ayye - ayyw + yy_k2, ayyn, ayys, ayye, ayyw)],
         ]
-    rows, cols, vals = [], [], []
-    for row_off, col_off, coeffs in blocks:
-        for (r, c), a in zip(links, coeffs):
-            rows.append(ii[r].ravel() + row_off)
-            cols.append(ii[c].ravel() + col_off)
-            vals.append(np.broadcast_to(a, ii.shape)[r].ravel())
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    bad = np.count_nonzero(~np.isfinite(vals))
-    if bad:
-        raise DomainError(f"operator has {bad} non-finite couplings of {vals.size} "
-                          "(a zero permittivity on the window wall?)")
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(2 * nn, 2 * nn)).tocsc()
+    j = np.arange(nny)
 
-    return ModeOperator(mat, eps_cells, grid)
+    def block(p, an, as_, ae, aw):
+        # node (i, j) is row i * nny + j, so the self, N, S, E and W couplings
+        # are the diagonals 0, +1, -1, +nny and -nny; the N and S couplings of
+        # the wall nodes would wrap to the next node column and are zeroed
+        an, as_ = np.where(j < nny - 1, an, 0.0), np.where(j > 0, as_, 0.0)
+        p, an, as_, ae, aw = (np.broadcast_to(a, (nnx, nny)).ravel() for a in (p, an, as_, ae, aw))
+        return sp.diags([p, an[:-1], as_[1:], ae[:-nny], aw[nny:]], [0, 1, -1, nny, -nny])
+
+    # converting the diagonals drops their zeros, so no zero is stored (the
+    # Hx-Hy couplings vanish away from material corners)
+    mat = sp.bmat([[block(*couplings) for couplings in row] for row in blocks], format="csc")
+    bad = np.count_nonzero(~np.isfinite(mat.data))
+    if bad:
+        raise DomainError(f"operator has {bad} non-finite couplings of {mat.nnz} "
+                          "(a zero permittivity on the window wall?)")
+    return ModeOperator(mat, grid)
 
 
 def _x_couplings(w, e, s, n, e1, e2, e3, e4, k0):
@@ -261,7 +256,7 @@ def _derive_fields(op: ModeOperator, beta: complex, hx: np.ndarray, hy: np.ndarr
 
     # scaled fields: E_scaled = (eps0 * c) * E, so power = 0.5 Re(E x H*) / ...
     # carries no large constants; normalization below makes the scale moot.
-    eps = op.eps
+    eps = np.conj(op.grid.eps)   # the operator's exp(-i w t) convention
     ex = (beta * hyc + 1j * dhz_dy) / (k0 * eps)
     ey = -(beta * hxc + 1j * dhz_dx) / (k0 * eps)
     ez = 1j * (dhy_dx - dhx_dy) / (k0 * eps)
@@ -464,9 +459,9 @@ def _mirror_classes(op: ModeOperator, hx_parities=(1, -1)):
     """
     import scipy.sparse as sp
 
-    dx = np.diff(op.grid.x_edges_m)
+    dx, eps = np.diff(op.grid.x_edges_m), op.grid.eps
     nnx, nny = op.shape
-    if nnx % 2 == 0 or not np.array_equal(dx, dx[::-1]) or not np.array_equal(op.eps, op.eps[::-1]):
+    if nnx % 2 == 0 or not np.array_equal(dx, dx[::-1]) or not np.array_equal(eps, eps[::-1]):
         return None
     nn = nnx * nny
     centre = nnx // 2

@@ -1,8 +1,9 @@
 """Reference assembly of the full-vector FD operator, every coupling written
 out: the 10 Hx->Hx and Hx->Hy formulas and, separately, the 10 Hy->Hy and
 Hy->Hx formulas (Fallahkhair, Li & Murphy, J. Lightwave Technol. 26, 1423
-(2008)). ``snspdkit.modes.assemble_operator`` states the stencil once and
-must give this matrix bit for bit."""
+(2008)). Every coupling is stored, zeros included.
+``snspdkit.modes.assemble_operator`` states the stencil once and must give
+this matrix's nonzero entries bit for bit, storing no zero."""
 
 import numpy as np
 import scipy.sparse as sp
