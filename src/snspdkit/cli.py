@@ -16,7 +16,7 @@ import sys
 import click
 
 from . import __version__, detector as det
-from .config import default_config_path, load_project_config
+from .config import PULSE_RISE_PS, default_config_path, load_project_config
 from .errors import ConfigError, ConvergenceError, DomainError, SnspdKitError
 from .fabry_perot import FringeData, extract_coupling, read_fringe_scan
 from .io_utils import (OutputDir, canonical_json, export_count_record, export_grid,
@@ -37,13 +37,13 @@ def emit(payload: dict, as_json: bool) -> None:
             click.echo(f"{key.ljust(width)}  {value}")
 
 
-def _resolve_out(flag_value: str | None, config=None) -> OutputDir:
+def _resolve_out(flag_value: str | None, config) -> OutputDir:
     if flag_value:
         return OutputDir(flag_value)
     env = os.environ.get(ENV_OUTPUT_DIR)
     if env:
         return OutputDir(env)
-    return OutputDir(config.output_dir if config is not None else "runs")
+    return OutputDir(config.output_dir)
 
 
 class _FiniteFloat(click.ParamType):
@@ -144,24 +144,17 @@ def cmd_absorptance(alpha_per_cm, length_um, as_json):
 
 
 @main.command("pulse")
-@click.option("--lsq-ph-per-sq", type=FINITE_FLOAT, default=90.0, help="Sheet kinetic inductance [pH/square].")
-@click.option("--wires", type=int, default=4)
-@click.option("--length-um", type=FINITE_FLOAT, default=50.0)
-@click.option("--width-nm", type=FINITE_FLOAT, default=100.0)
-@click.option("--rload-ohm", type=FINITE_FLOAT, default=50.0)
-@click.option("--rise-ps", type=FINITE_FLOAT, default=200.0)
+@config_option
+@click.option("--rise-ps", type=FINITE_FLOAT, default=PULSE_RISE_PS)
 @click.option("--fwhm-target-ns", type=FINITE_FLOAT, default=None,
               help="Fit the rise constant that reproduces this measured FWHM.")
 @click.option("--dump-trace", is_flag=True, help="Write the pulse trace CSV.")
 @json_option
 @out_option
-def cmd_pulse(lsq_ph_per_sq, wires, length_um, width_nm, rload_ohm, rise_ps,
-              fwhm_target_ns, dump_trace, as_json, out_dir):
+def cmd_pulse(config_path, rise_ps, fwhm_target_ns, dump_trace, as_json, out_dir):
     """Kinetic-inductance pulse metrics and counting-rate ceiling."""
-    model = det.DetectorModel(
-        wire_count=wires, wire_length_m=length_um * 1e-6, wire_width_m=width_nm * 1e-9,
-        sheet_inductance_H=lsq_ph_per_sq * 1e-12, load_resistance_ohm=rload_ohm,
-    )
+    config = _load(config_path)
+    model = config.detector
     trace = det.pulse_shape(model, rise_ps * 1e-12)
     tau = det.recovery_time_constant(model)
     payload = {
@@ -175,9 +168,9 @@ def cmd_pulse(lsq_ph_per_sq, wires, length_um, width_nm, rload_ohm, rise_ps,
     if fwhm_target_ns is not None:
         payload["rise_fit_for_fwhm_ns"] = det.fit_rise_for_fwhm(model, fwhm_target_ns * 1e-9) * 1e9
     if dump_trace:
-        out = _resolve_out(out_dir)
+        out = _resolve_out(out_dir, config)
         p = out.path("pulse_trace.csv")
-        write_csv(p, ["t_ns", "v_norm"], zip(trace.time_s * 1e9, trace.voltage))
+        write_csv(p, ["t_ns", "v_norm"], zip(trace.time_s * 1e9, trace.voltage), config.digest)
         payload["files"] = [p.name]
         payload["output_dir"] = str(out.base)
     emit(payload, as_json)

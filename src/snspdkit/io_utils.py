@@ -21,7 +21,7 @@ TOOL = "snspdkit"
 _FLAG_NAMES = ("dark", "photon")   # the count-record flag column, indexed by the photon mask
 
 
-def header_line(config_digest: str = "none") -> str:
+def header_line(config_digest: str) -> str:
     return f"# {TOOL} {__version__} config_digest={config_digest}"
 
 
@@ -58,7 +58,7 @@ def _writing(path: Path):
         raise ConfigError(f"output file {path} cannot be written: {exc}") from exc
 
 
-def write_csv(path: Path, columns: list[str], rows, config_digest: str = "none") -> None:
+def write_csv(path: Path, columns: list[str], rows, config_digest: str) -> None:
     with _writing(path) as fh:
         fh.write(header_line(config_digest) + "\n")
         fh.write(",".join(columns) + "\n")
@@ -76,7 +76,7 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def write_json(path: Path, payload: dict, config_digest: str = "none") -> None:
+def write_json(path: Path, payload: dict, config_digest: str) -> None:
     header = {"tool": TOOL, "version": __version__, "config_digest": config_digest}
     body = {"_header": header, **payload}
     with _writing(path) as fh:
@@ -87,7 +87,7 @@ _TOKEN = 17              # bytes of the longest token, "-d.ddddddddde-ddd"
 _TIE_MARGIN = 2.0 ** -14
 
 
-def write_matrix(path: Path, array: np.ndarray, config_digest: str = "none") -> None:
+def write_matrix(path: Path, array: np.ndarray, config_digest: str) -> None:
     """Delimited-text matrix of complex entries as re+imj tokens.
 
     Row i holds ``array[i]``: tab-separated ``%.9e%+.9ej`` tokens, LF line
@@ -158,7 +158,7 @@ def _e_tokens(part, fmt: str) -> np.ndarray:
     return tokens
 
 
-def export_grid(grid, out: OutputDir, prefix: str = "grid", config_digest: str = "none") -> list[str]:
+def export_grid(grid, out: OutputDir, prefix: str, config_digest: str) -> list[str]:
     """Permittivity grid as a delimited-text matrix + JSON coordinate sidecar."""
     eps_file = out.path(f"{prefix}_eps.txt")
     write_matrix(eps_file, grid.eps, config_digest)
@@ -173,7 +173,7 @@ def export_grid(grid, out: OutputDir, prefix: str = "grid", config_digest: str =
     return [eps_file.name, sidecar.name]
 
 
-def export_mode_fields(mode, out: OutputDir, prefix: str = "mode", config_digest: str = "none") -> list[str]:
+def export_mode_fields(mode, out: OutputDir, prefix: str, config_digest: str) -> list[str]:
     """One delimited-text matrix per field component + JSON header."""
     names = []
     for comp in ("hx", "hy", "hz", "ex", "ey", "ez"):
@@ -219,7 +219,7 @@ def sweep_to_rows(points) -> tuple[list[str], list[list]]:
     return columns, rows
 
 
-def export_count_record(record, out: OutputDir, prefix: str = "counts", config_digest: str = "none") -> list[str]:
+def export_count_record(record, out: OutputDir, prefix: str, config_digest: str) -> list[str]:
     """CountRecord as CSV (timestamp_s, flag) + JSON metadata header file."""
     csv_file = out.path(f"{prefix}.csv")
     write_csv(

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import snspdkit
 from snspdkit.cli import main
 from snspdkit.config import default_config_path, load_project_config
+from snspdkit.io_utils import header_line
 from snspdkit.modes import solve_cross_section
 
 
@@ -137,15 +138,24 @@ def test_fp_extract_json_round_trip(runner):
 
 
 def test_pulse_command(runner):
-    result = runner.invoke(main, [
-        "pulse", "--lsq-ph-per-sq", "90", "--wires", "4", "--length-um", "50",
-        "--width-nm", "100", "--rload-ohm", "50", "--json",
-    ])
+    result = runner.invoke(main, ["pulse", "--json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["tau_ns"] == pytest.approx(3.6, rel=1e-9)
     assert payload["max_count_rate_MHz"] == pytest.approx(92.6, abs=0.01)
     assert payload["kinetic_inductance_nH"] == pytest.approx(180.0, rel=1e-9)
+
+
+def test_pulse_reads_the_detector_from_config(runner, tmp_path):
+    """``pulse`` takes its meander from ``--config``, as ``counts`` and the
+    pipeline's pulse stage do: two wires halve the shipped 180 nH and 3.6 ns."""
+    raw = json.loads(default_config_path().read_text(encoding="utf-8"))
+    raw["wires"]["count"] = 2
+    result = runner.invoke(main, ["pulse", "--config", str(_write(tmp_path, raw)), "--json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["kinetic_inductance_nH"] == pytest.approx(90.0, rel=1e-12)
+    assert payload["tau_ns"] == pytest.approx(1.8, rel=1e-12)
 
 
 def test_pulse_dump_trace_and_rise_fit(runner, tmp_path):
@@ -160,7 +170,7 @@ def test_pulse_dump_trace_and_rise_fit(runner, tmp_path):
     assert payload["files"] == ["pulse_trace.csv"]
     assert payload["output_dir"] == str(out)
     lines = (out / "pulse_trace.csv").read_text().splitlines()
-    assert lines[0].startswith("# snspdkit 0.1.0 config_digest=none")
+    assert lines[0] == header_line(load_project_config(default_config_path()).digest)
     assert lines[1] == "t_ns,v_norm"
     refit = runner.invoke(main, ["pulse", "--rise-ps", str(payload["rise_fit_for_fwhm_ns"] * 1e3),
                                  "--json"])
@@ -498,6 +508,8 @@ _ERRORS = [
     _error("pulse-fwhm-unreachable", "pulse --fwhm-target-ns 0.1 --dump-trace",
            3, "error (DomainError): FWHM target 1e-10 s not reachable"),
     _error("pulse-env-out-is-a-file", "pulse --dump-trace", 2, _TAKEN, env={"SNSPDKIT_OUT": "{tmp}/taken"}),
+    _error("pulse-invalid-config", "pulse --config {tmp}/invalid.json", 2, _INVALID),
+    _error("pulse-retired-flag", "pulse --wires 4", 2, "Error: No such option"),
     _error("counts-nan", "counts --duration-s 0.01 --power-pw nan", 2, _NOT_FINITE.format("--power-pw", "nan")),
     _error("counts-negative-seed", "counts --power-pw 0.5 --duration-s 0.01 --seed -1",
            3, "error (DomainError): seed must be >= 0, got -1"),

@@ -610,8 +610,8 @@ def test_solve_at_other_wavelength_in_band(tmp_path):
     grid, te = solve_cross_section(shifted, cfg.policy, cfg.solver, kind="TE")
     assert te is not None
     out = OutputDir(tmp_path)
-    export_mode_fields(te, out)
-    export_grid(grid, out)
+    export_mode_fields(te, out, "mode", cfg.digest)
+    export_grid(grid, out, "grid", cfg.digest)
     header = json.loads((tmp_path / "mode_header.json").read_text())
     sidecar = json.loads((tmp_path / "grid_coords.json").read_text())
     assert header["wavelength_m"] == sidecar["wavelength_m"] == 1340 / 1e9

@@ -40,7 +40,7 @@ def test_csv_numpy_scalars_format_as_python(tmp_path):
     numpy >= 2 their repr would write ``np.float64(0.5)``."""
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b", "c", "d"],
-              [(np.float64(0.5), np.float32(0.25), np.bool_(True), np.False_)])
+              [(np.float64(0.5), np.float32(0.25), np.bool_(True), np.False_)], "d")
     assert path.read_text().splitlines()[2] == "0.5,0.25,true,false"
 
 
