@@ -20,9 +20,9 @@ from .config import PULSE_RISE_PS, default_config_path, load_project_config
 from .errors import ConfigError, ConvergenceError, DomainError, SnspdKitError
 from .fabry_perot import FringeData, extract_coupling, read_fringe_scan
 from .io_utils import (OutputDir, canonical_json, export_count_record, export_grid,
-                       export_mode_fields, sweep_to_rows, write_csv)
+                       export_mode_fields, export_pulse_trace, sweep_to_rows, write_csv)
 from .modes import modal_absorption, solve_cross_section
-from .pipeline import STAGES, _reference_budget, run_reproduce, write_manifest
+from .pipeline import STAGES, count_run, pulse_figures, run_reproduce, write_manifest
 from .sweep import maximize_alpha, run_sweep
 
 ENV_OUTPUT_DIR = "SNSPDKIT_OUT"
@@ -154,24 +154,10 @@ def cmd_absorptance(alpha_per_cm, length_um, as_json):
 def cmd_pulse(config_path, rise_ps, fwhm_target_ns, dump_trace, as_json, out_dir):
     """Kinetic-inductance pulse metrics and counting-rate ceiling."""
     config = _load(config_path)
-    model = config.detector
-    trace = det.pulse_shape(model, rise_ps * 1e-12)
-    tau = det.recovery_time_constant(model)
-    payload = {
-        "kinetic_inductance_nH": det.kinetic_inductance(model) * 1e9,
-        "tau_ns": tau * 1e9,
-        "recovery_at_3tau": det.recovery_fraction(det.dead_time(model), tau),
-        "max_count_rate_MHz": det.max_count_rate(model) / 1e6,
-        "pulse_fwhm_ns": trace.fwhm_s * 1e9,
-        "decay_time_1e_ns": trace.decay_time_1e_s * 1e9,
-    }
-    if fwhm_target_ns is not None:
-        payload["rise_fit_for_fwhm_ns"] = det.fit_rise_for_fwhm(model, fwhm_target_ns * 1e-9) * 1e9
+    payload, trace = pulse_figures(config.detector, rise_ps, fwhm_target_ns)
     if dump_trace:
         out = _resolve_out(out_dir, config)
-        p = out.path("pulse_trace.csv")
-        write_csv(p, ["t_ns", "v_norm"], zip(trace.time_s * 1e9, trace.voltage), config.digest)
-        payload["files"] = [p.name]
+        payload["files"] = export_pulse_trace(trace, out, config.digest)
         payload["output_dir"] = str(out.base)
     emit(payload, as_json)
 
@@ -245,24 +231,35 @@ def cmd_jitter(total_ps, source_ps, as_json):
 def cmd_counts(config_path, power_pw, duration_s, seed, as_json, out_dir):
     """Simulate a counting run and persist the event record."""
     config = _load(config_path)
-    budget = _reference_budget(config.targets["coupling"]["value"])
-    src = det.SourceSpec(power_pw * 1e-12, config.cross_section.wavelength_m,
-                         config.counting.jitter_sigma_s)
     used_seed = config.stage_seed("counts") if seed is None else seed
     duration_s = config.counting.duration_s if duration_s is None else duration_s
-    record = det.simulate_counting(config.detector, budget, src, duration_s, used_seed)
+    record = count_run(config, power_pw * 1e-12, duration_s, used_seed)
     out = _resolve_out(out_dir, config)
     files = export_count_record(record, out, "counts", config.digest)
     emit({
         "events": len(record),
         "measured_rate_hz": len(record) / duration_s,
         "expected_rate_hz": det.expected_count_rate(
-            power_pw * 1e-12, config.cross_section.wavelength_m, budget.sqe,
-            det.dead_time(config.detector), det.dark_count_rate(config.detector)),
+            power_pw * 1e-12, config.cross_section.wavelength_m, record.metadata["sqe"],
+            record.dead_time_s, record.metadata["dark_rate_hz"]),
         "seed": used_seed,
         "files": files,
         "output_dir": str(out.base),
     }, as_json)
+
+
+def _emit_points(head: dict, result, name: str, config, out_dir, as_json, with_margin=False):
+    """Write a sweep or optimizer run's points to the CSV ``name`` and emit
+    ``head``, then the best point's fields (None when no point is feasible)."""
+    out = _resolve_out(out_dir, config)
+    p = out.path(name)
+    write_csv(p, *sweep_to_rows(result.points), config.digest)
+    best = result.best
+    payload = {**head, "best_alpha_per_cm": None if best is None else best.alpha_per_cm,
+               "best_params": None if best is None else best.params}
+    if with_margin:
+        payload["best_margin_um"] = None if best is None or best.margin_m is None else best.margin_m * 1e6
+    emit({**payload, "files": [p.name], "output_dir": str(out.base)}, as_json)
 
 
 @main.command("sweep")
@@ -274,19 +271,9 @@ def cmd_sweep(config_path, index, as_json, out_dir):
     """Run a configured parameter sweep and export the table."""
     config = _load(config_path)
     result = run_sweep(config.cross_section, _sweep_spec(config, index), config.policy, config.solver)
-    out = _resolve_out(out_dir, config)
-    columns, rows = sweep_to_rows(result.points)
-    p = out.path(f"sweep_{index}.csv")
-    write_csv(p, columns, rows, config.digest)
-    best = result.best
-    emit({
-        "points": len(result.points),
-        "feasible_ok": sum(1 for q in result.points if q.feasible and q.status == "ok"),
-        "best_alpha_per_cm": None if best is None else best.alpha_per_cm,
-        "best_params": None if best is None else best.params,
-        "files": [p.name],
-        "output_dir": str(out.base),
-    }, as_json)
+    feasible_ok = sum(1 for q in result.points if q.feasible and q.status == "ok")
+    _emit_points({"points": len(result.points), "feasible_ok": feasible_ok},
+                 result, f"sweep_{index}.csv", config, out_dir, as_json)
 
 
 @main.command("optimize")
@@ -300,21 +287,9 @@ def cmd_optimize(config_path, index, tolerance_nm, as_json, out_dir):
     config = _load(config_path)
     result = maximize_alpha(config.cross_section, _sweep_spec(config, index),
                             config.policy, config.solver, tolerance=tolerance_nm)
-    out = _resolve_out(out_dir, config)
-    columns, rows = sweep_to_rows(result.points)
-    p = out.path(f"optimize_{index}_trace.csv")
-    write_csv(p, columns, rows, config.digest)
-    best = result.best
-    emit({
-        "status": result.status,
-        "iterations": result.iterations,
-        "evaluations": len(result.points),
-        "best_alpha_per_cm": None if best is None else best.alpha_per_cm,
-        "best_params": None if best is None else best.params,
-        "best_margin_um": None if best is None or best.margin_m is None else best.margin_m * 1e6,
-        "files": [p.name],
-        "output_dir": str(out.base),
-    }, as_json)
+    _emit_points({"status": result.status, "iterations": result.iterations,
+                  "evaluations": len(result.points)},
+                 result, f"optimize_{index}_trace.csv", config, out_dir, as_json, with_margin=True)
 
 
 @main.command("reproduce-paper")

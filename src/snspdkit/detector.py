@@ -158,9 +158,9 @@ class PulseTrace:
 
     time_s: np.ndarray
     voltage: np.ndarray = field(repr=False)
-    peak_time_s: float = 0.0
-    fwhm_s: float = 0.0
-    decay_time_1e_s: float = 0.0
+    peak_time_s: float
+    fwhm_s: float
+    decay_time_1e_s: float
 
     def __post_init__(self):
         self.time_s.setflags(write=False)

@@ -219,6 +219,13 @@ def sweep_to_rows(points) -> tuple[list[str], list[list]]:
     return columns, rows
 
 
+def export_pulse_trace(trace, out: OutputDir, config_digest: str) -> list[str]:
+    """PulseTrace as CSV (t_ns, v_norm)."""
+    csv_file = out.path("pulse_trace.csv")
+    write_csv(csv_file, ["t_ns", "v_norm"], zip(trace.time_s * 1e9, trace.voltage), config_digest)
+    return [csv_file.name]
+
+
 def export_count_record(record, out: OutputDir, prefix: str, config_digest: str) -> list[str]:
     """CountRecord as CSV (timestamp_s, flag) + JSON metadata header file."""
     csv_file = out.path(f"{prefix}.csv")

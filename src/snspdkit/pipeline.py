@@ -19,7 +19,8 @@ from .config import (FRINGE_T_MAX, FRINGE_T_MIN, JITTER_SOURCE_PS, JITTER_TOTAL_
 from .detector import EfficiencyBudget, SourceSpec, dark_count_rate, internal_efficiency
 from .errors import ConfigError, SnspdKitError
 from .fabry_perot import FringeData, extract_coupling, fp_transmission, fresnel_reflectivity
-from .io_utils import OutputDir, export_grid, export_mode_fields, header_line, write_csv, write_json
+from .io_utils import (OutputDir, export_grid, export_mode_fields, export_pulse_trace, header_line,
+                       write_csv, write_json)
 from .modes import modal_absorption, solve_cross_section
 from .sweep import apply_parameters
 
@@ -118,6 +119,34 @@ def _reference_budget(coupling: float) -> EfficiencyBudget:
     return EfficiencyBudget(coupling, a_ref, det.invert_internal(TARGETS["dqe"]["value"], a_ref))
 
 
+def pulse_figures(model: det.DetectorModel, rise_ps: float,
+                  fwhm_target_ns: float | None = None) -> tuple[dict, det.PulseTrace]:
+    """The ``pulse`` command's figures of ``model`` in its names and units and the
+    trace at rise constant ``rise_ps``; with ``fwhm_target_ns``, the rise fit to it."""
+    tau = det.recovery_time_constant(model)
+    trace = det.pulse_shape(model, rise_ps * 1e-12)
+    figures = {
+        "kinetic_inductance_nH": det.kinetic_inductance(model) * 1e9,
+        "tau_ns": tau * 1e9,
+        "recovery_at_3tau": det.recovery_fraction(det.dead_time(model), tau),
+        "max_count_rate_MHz": det.max_count_rate(model) / 1e6,
+        "pulse_fwhm_ns": trace.fwhm_s * 1e9,
+        "decay_time_1e_ns": trace.decay_time_1e_s * 1e9,
+    }
+    if fwhm_target_ns is not None:
+        figures["rise_fit_for_fwhm_ns"] = det.fit_rise_for_fwhm(model, fwhm_target_ns * 1e-9) * 1e9
+    return figures, trace
+
+
+def count_run(config: ProjectConfig, power_w: float, duration_s: float, seed: int) -> det.CountRecord:
+    """One counting run of the config's detector at ``power_w``, at its
+    wavelength and timing jitter, through the reference efficiency chain at
+    the paper's coupling."""
+    src = SourceSpec(power_w, config.cross_section.wavelength_m, config.counting.jitter_sigma_s)
+    return det.simulate_counting(config.detector, _reference_budget(TARGETS["coupling"]["value"]),
+                                 src, duration_s, seed)
+
+
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
@@ -205,21 +234,15 @@ def _stage_efficiency(config: ProjectConfig, out, rec, results):
 
 
 def _stage_pulse(config: ProjectConfig, out, rec, results):
-    model = config.detector
-    lkin = det.kinetic_inductance(model)
-    tau = det.recovery_time_constant(model)
-    _check(rec, config, "kinetic_inductance_nH", lkin * 1e9)
-    _check(rec, config, "tau_ns", tau * 1e9)
-    _check(rec, config, "recovery_3tau", det.recovery_fraction(det.dead_time(model), tau))
-    _check(rec, config, "max_rate_MHz", det.max_count_rate(model) / 1e6)
-    trace = det.pulse_shape(model, PULSE_RISE_PS * 1e-12)
-    rec.notes["fwhm_ns"] = trace.fwhm_s * 1e9
-    rec.notes["decay_time_1e_ns"] = trace.decay_time_1e_s * 1e9
-    rec.notes["rise_fit_for_fwhm_ns"] = det.fit_rise_for_fwhm(model, PULSE_FWHM_NS * 1e-9) * 1e9
-    f = out.path("pulse_trace.csv")
-    write_csv(f, ["t_ns", "v_norm"],
-              zip(trace.time_s * 1e9, trace.voltage), config.digest)
-    rec.outputs.append(f.name)
+    figures, trace = pulse_figures(config.detector, PULSE_RISE_PS, PULSE_FWHM_NS)
+    _check(rec, config, "kinetic_inductance_nH", figures["kinetic_inductance_nH"])
+    _check(rec, config, "tau_ns", figures["tau_ns"])
+    _check(rec, config, "recovery_3tau", figures["recovery_at_3tau"])
+    _check(rec, config, "max_rate_MHz", figures["max_count_rate_MHz"])
+    rec.notes["fwhm_ns"] = figures["pulse_fwhm_ns"]
+    rec.notes["decay_time_1e_ns"] = figures["decay_time_1e_ns"]
+    rec.notes["rise_fit_for_fwhm_ns"] = figures["rise_fit_for_fwhm_ns"]
+    rec.outputs += export_pulse_trace(trace, out, config.digest)
 
 
 def _stage_jitter(config: ProjectConfig, out, rec, results):
@@ -231,22 +254,17 @@ def _stage_jitter(config: ProjectConfig, out, rec, results):
 
 
 def _stage_counting(config: ProjectConfig, out, rec, results):
-    model = config.detector
-    budget = _reference_budget(config.targets["coupling"]["value"])
     seed0 = config.stage_seed("counting")
     rec.seed = seed0
-    wavelength = config.cross_section.wavelength_m
-    records = []
-    for k, power in enumerate(config.counting.powers_w):
-        src = SourceSpec(power, wavelength, config.counting.jitter_sigma_s)
-        records.append(det.simulate_counting(model, budget, src,
-                                             config.counting.duration_s, seed0 + k))
+    records = [count_run(config, power, config.counting.duration_s, seed0 + k)
+               for k, power in enumerate(config.counting.powers_w)]
+    sqe_input = records[0].metadata["sqe"]
     sqe_est, slope, intercept = det.estimate_sqe_from_sweep(
-        list(config.counting.powers_w), records, wavelength)
+        list(config.counting.powers_w), records, config.cross_section.wavelength_m)
     tol = config.targets["sqe_slope_rel_tol"]
-    rec.checks.append(CheckResult("sqe_recovered_over_input", sqe_est / budget.sqe,
+    rec.checks.append(CheckResult("sqe_recovered_over_input", sqe_est / sqe_input,
                                   1.0 - tol, 1.0 + tol))
-    rec.notes.update({"sqe_input": budget.sqe, "sqe_recovered": sqe_est,
+    rec.notes.update({"sqe_input": sqe_input, "sqe_recovered": sqe_est,
                       "dark_intercept_hz": intercept})
     rows = [(p * 1e12, len(r) / config.counting.duration_s)
             for p, r in zip(config.counting.powers_w, records)]

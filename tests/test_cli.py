@@ -190,6 +190,44 @@ def test_pulse_dump_trace_defaults_to_runs(runner, tmp_path, monkeypatch):
     assert (tmp_path / "runs" / "pulse_trace.csv").read_text().startswith("# snspdkit 0.1.0")
 
 
+@pytest.mark.parametrize("wires", [4, 2])
+def test_pulse_and_counts_match_reproduce_paper(runner, tmp_path, wires):
+    """``pulse`` and ``counts`` report the figures, trace and counting run
+    that the ``reproduce-paper`` pulse and counting stages check, on the
+    shipped config and on a 2-wire copy whose pulse checks fail (exit 1)."""
+    raw = json.loads(default_config_path().read_text(encoding="utf-8"))
+    raw["wires"]["count"] = wires
+    cfg = _write(tmp_path, raw)
+    repro = runner.invoke(main, ["reproduce-paper", "--config", str(cfg), "--out", str(tmp_path / "repro"),
+                                 "--skip", "mode-solver", "--skip", "tm-design", "--json"])
+    assert repro.exit_code == (0 if wires == 4 else 1), repro.output
+    manifest = json.loads((tmp_path / "repro" / "run_manifest.json").read_text(encoding="utf-8"))
+    stage = next(s for s in manifest["stages"] if s["name"] == "pulse")
+
+    pulse = runner.invoke(main, ["pulse", "--config", str(cfg), "--fwhm-target-ns", "3.2",
+                                 "--dump-trace", "--out", str(tmp_path / "pulse"), "--json"])
+    assert pulse.exit_code == 0, pulse.output
+    figures = json.loads(pulse.output)
+    assert [(c["name"], c["value"]) for c in stage["checks"]] == [
+        ("kinetic_inductance_nH", figures["kinetic_inductance_nH"]),
+        ("tau_ns", figures["tau_ns"]),
+        ("recovery_3tau", figures["recovery_at_3tau"]),
+        ("max_rate_MHz", figures["max_count_rate_MHz"]),
+    ]
+    assert stage["notes"] == {"fwhm_ns": figures["pulse_fwhm_ns"],
+                              "decay_time_1e_ns": figures["decay_time_1e_ns"],
+                              "rise_fit_for_fwhm_ns": figures["rise_fit_for_fwhm_ns"]}
+    assert ((tmp_path / "pulse" / "pulse_trace.csv").read_bytes()
+            == (tmp_path / "repro" / "pulse_trace.csv").read_bytes())
+
+    seed = load_project_config(cfg).stage_seed("counting")
+    counts = runner.invoke(main, ["counts", "--config", str(cfg), "--power-pw", repr(raw["counting"]["powers_pW"][0]),
+                                  "--seed", str(seed), "--out", str(tmp_path / "counts"), "--json"])
+    assert counts.exit_code == 0, counts.output
+    rows = (tmp_path / "repro" / "count_rate_vs_power.csv").read_text(encoding="utf-8").splitlines()
+    assert json.loads(counts.output)["measured_rate_hz"] == float(rows[2].split(",")[1])
+
+
 def test_absorptance_command(runner):
     result = runner.invoke(main, ["absorptance", "--alpha-per-cm", "451",
                                   "--length-um", "51", "--json"])
@@ -312,6 +350,33 @@ def test_optimize_command_coarse(runner, tmp_path):
     assert payload["best_alpha_per_cm"] > 0
     assert payload["best_margin_um"] >= 0.3
     assert (out / "optimize_0_trace.csv").exists()
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_sweep_and_optimize_report_infeasible(runner, tmp_path, as_json):
+    """With a margin floor above every point's margin, ``sweep`` and
+    ``optimize`` exit 0, write every point and report no best point."""
+    raw = _coarse_raw()
+    raw["sweeps"] = [{
+        "parameters": [{"name": "array_offset_nm", "start": 0, "stop": 100, "step": 100}],
+        "mode": "TE", "min_margin_um": 1.0,
+    }]
+    cfg = _write(tmp_path, raw)
+    for command, csv_name, head in (("sweep", "sweep_0.csv", {"feasible_ok": 0}),
+                                    ("optimize", "optimize_0_trace.csv", {"status": "infeasible"})):
+        out = tmp_path / command
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)]
+                               + (["--json"] if as_json else []))
+        assert result.exit_code == 0, result.output
+        if as_json:
+            payload = json.loads(result.output)
+        else:
+            payload = dict(line.split(None, 1) for line in result.output.splitlines())
+            head = {key: str(value) for key, value in head.items()}
+        best = {key: value for key, value in payload.items() if key.startswith("best_")}
+        assert {key: payload[key] for key in head} == head
+        assert best and set(best.values()) == {None if as_json else "None"}
+        assert len((out / csv_name).read_text(encoding="utf-8").splitlines()) == 2 + 2
 
 
 def test_reproduce_stage_error_blocks_dependents(runner, tmp_path, monkeypatch):
