@@ -168,13 +168,14 @@ def cmd_pulse(config_path, rise_ps, fwhm_target_ns, dump_trace, as_json, out_dir
 @click.option("--single-pass", type=FINITE_FLOAT, default=1.0,
               help="Assumed single-pass propagation transmission (default 1).")
 @click.option("--scan-csv", type=click.Path(), default=None,
-              help="Fringe scan CSV (wavelength_nm, transmission); extrema by 95th/5th percentile.")
+              help="Fringe scan CSV (wavelength_nm, transmission), instead of --tmax/--tmin; "
+                   "extrema by 95th/5th percentile.")
 @json_option
 def cmd_fp_extract(tmax, tmin, single_pass, scan_csv, as_json):
     """Facet reflectivity and coupling efficiency from fringe extrema."""
-    if scan_csv is not None:
+    if scan_csv is not None and tmax is None and tmin is None:
         fringes = read_fringe_scan(scan_csv, single_pass)
-    elif tmax is not None and tmin is not None:
+    elif scan_csv is None and tmax is not None and tmin is not None:
         fringes = FringeData(tmax, tmin, single_pass)
     else:
         raise DomainError("give either --tmax and --tmin, or --scan-csv")

@@ -139,9 +139,9 @@ class _Reader:
             return _ABSENT
         return self.number(hits[0], scales[hits[0]])
 
-    def section(self, key: str, default: dict | None = None) -> "_Reader":
-        """The sub-object ``key``; an omitted one reads as ``default`` (or empty)."""
-        return _Reader(self.value(key, default or {}), self._path(key), self.readers)
+    def section(self, key: str) -> "_Reader":
+        """The sub-object ``key``; an omitted one reads as empty."""
+        return _Reader(self.value(key, {}), self._path(key), self.readers)
 
     def objects(self, key: str, nonempty: bool = True) -> list["_Reader"]:
         """The list ``key`` of sub-objects, one reader each; an omitted list is empty."""
@@ -199,7 +199,7 @@ class ProjectConfig:
     detector: DetectorModel
     counting: CountingSpec
     sweeps: tuple[SweepSpec, ...]
-    targets: ClassVar[dict] = TARGETS   # the fixed reference bands, not a setting
+    targets: ClassVar[dict] = TARGETS   # not a setting; src reads TARGETS, the benchmark cfg.targets
 
     def stage_seed(self, stage: str) -> int:
         return stable_seed(self.seed, stage)

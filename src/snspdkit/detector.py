@@ -110,14 +110,13 @@ def invert_internal(dqe: float, absorptance_: float) -> float:
     return eta
 
 
-def internal_efficiency(model: DetectorModel, bias_fraction: float | None = None) -> float:
+def internal_efficiency(model: DetectorModel, bias_fraction: float) -> float:
     """Logistic shape 1 / (1 + exp(-(i - midpoint) / width)) of the internal
-    efficiency vs normalized bias i = I_b/I_c, with ceiling 1. A modeling
+    efficiency at normalized bias i = I_b/I_c (``bias_fraction``), with ceiling 1. A modeling
     choice, not a measured curve; the efficiency stage scales it to the
     internal efficiency inverted from the measured DQE at i = 0.95.
     """
-    i = model.bias_fraction if bias_fraction is None else bias_fraction
-    return 1.0 / (1.0 + math.exp(-(i - model.bias_midpoint) / model.bias_width))
+    return 1.0 / (1.0 + math.exp(-(bias_fraction - model.bias_midpoint) / model.bias_width))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,15 @@ def header_line(config_digest: str) -> str:
     return f"# {TOOL} {__version__} config_digest={config_digest}"
 
 
+def read_digest(path: Path) -> str | None:
+    """The digest a written file's header carries (JSON ``_header`` or text first line), or None."""
+    with open(path, encoding="utf-8") as fh:
+        if path.suffix == ".json":
+            return json.load(fh).get("_header", {}).get("config_digest")
+        first, prefix = fh.readline().rstrip("\n"), header_line("")
+    return first[len(prefix):] if first.startswith(prefix) else None
+
+
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=2)
 

@@ -7,7 +7,6 @@ skipped stage marks them "not-run". The pipeline always runs to the end
 and the manifest records every stage, its checks, outputs and seed.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -19,7 +18,7 @@ from .config import (FRINGE_T_MAX, FRINGE_T_MIN, JITTER_SOURCE_PS, JITTER_TOTAL_
 from .detector import EfficiencyBudget, SourceSpec, dark_count_rate, internal_efficiency
 from .errors import ConfigError, SnspdKitError
 from .fabry_perot import FringeData, extract_coupling, fp_transmission, fresnel_reflectivity
-from .io_utils import (OutputDir, export_grid, export_mode_fields, export_pulse_trace, header_line,
+from .io_utils import (OutputDir, export_grid, export_mode_fields, export_pulse_trace, read_digest,
                        write_csv, write_json)
 from .modes import modal_absorption, solve_cross_section
 from .sweep import apply_parameters
@@ -69,9 +68,17 @@ def band(target: dict) -> tuple[float, float]:
     return value - tol, value + tol
 
 
-def _check(rec: StageRecord, config: ProjectConfig, name: str, value: float) -> None:
+def _check(rec: StageRecord, name: str, value: float) -> None:
     """Record ``value`` as check ``name`` against the band of the target of that name."""
-    rec.checks.append(CheckResult(name, value, *band(config.targets[name])))
+    rec.checks.append(CheckResult(name, value, *band(TARGETS[name])))
+
+
+def _mode_alpha(rec: StageRecord, mode) -> float:
+    """The modal absorption of a solved ``mode`` (0 for none), its n_eff and TE fraction noted."""
+    if mode is None:
+        return 0.0
+    rec.notes.update(n_eff={"re": mode.n_eff.real, "im": mode.n_eff.imag}, te_fraction=mode.te_fraction)
+    return modal_absorption(mode)
 
 
 def _utc_now() -> str:
@@ -153,15 +160,12 @@ def count_run(config: ProjectConfig, power_w: float, duration_s: float, seed: in
 
 def _stage_mode_solver(config: ProjectConfig, out, rec, results):
     grid, te = solve_cross_section(config.cross_section, config.policy, config.solver, "TE")
-    alpha = 0.0 if te is None else modal_absorption(te)
-    _check(rec, config, "alpha_per_cm", alpha)
+    results["alpha_per_cm"] = alpha = _mode_alpha(rec, te)
+    _check(rec, "alpha_per_cm", alpha)
     if te is not None:
-        rec.notes["n_eff"] = {"re": te.n_eff.real, "im": te.n_eff.imag}
-        rec.notes["te_fraction"] = te.te_fraction
         rec.notes["fresnel_reflectivity_estimate"] = fresnel_reflectivity(te.n_eff.real)
         rec.outputs += export_mode_fields(te, out, "mode_te0", config.digest)
     rec.outputs += export_grid(grid, out, "grid", config.digest)
-    results["alpha_per_cm"] = alpha
 
 
 def _stage_tm_design(config: ProjectConfig, out, rec, results):
@@ -169,21 +173,17 @@ def _stage_tm_design(config: ProjectConfig, out, rec, results):
     t_nm = base.stack.top_layer.thickness_m * 1e9 + 50.0
     thick = apply_parameters(base, {"core_thickness_nm": t_nm})
     _grid, tm = solve_cross_section(thick, config.policy, config.solver, "TM")
-    alpha = 0.0 if tm is None else modal_absorption(tm)
     rec.checks.append(CheckResult(
-        "tm_alpha_per_cm", alpha, config.targets["tm_alpha_min_per_cm"], math.inf))
-    if tm is not None:
-        rec.notes["n_eff"] = {"re": tm.n_eff.real, "im": tm.n_eff.imag}
-        rec.notes["te_fraction"] = tm.te_fraction
+        "tm_alpha_per_cm", _mode_alpha(rec, tm), TARGETS["tm_alpha_min_per_cm"], math.inf))
     rec.notes["core_thickness_nm"] = t_nm
 
 
 def _stage_absorptance(config: ProjectConfig, out, rec, results):
-    alpha_ref = config.targets["alpha_per_cm"]["value"]
+    alpha_ref = TARGETS["alpha_per_cm"]["value"]
     a51 = det.absorptance(alpha_ref, 51e-4)
     a102 = det.absorptance(alpha_ref, 102e-4)
-    _check(rec, config, "absorptance_51um", a51)
-    _check(rec, config, "absorptance_102um", a102)
+    _check(rec, "absorptance_51um", a51)
+    _check(rec, "absorptance_102um", a102)
     alpha_solved = results["alpha_per_cm"]
     rec.notes["alpha_reference_per_cm"] = alpha_ref
     rec.notes["absorptance_51um_at_solved_alpha"] = det.absorptance(alpha_solved, 51e-4)
@@ -199,7 +199,7 @@ def _stage_absorptance(config: ProjectConfig, out, rec, results):
 def _stage_fp_extract(config: ProjectConfig, out, rec, results):
     fringes = FringeData(FRINGE_T_MAX, FRINGE_T_MIN)
     res = extract_coupling(fringes)
-    _check(rec, config, "coupling", res.coupling)
+    _check(rec, "coupling", res.coupling)
     rec.notes.update({
         "facet_reflectivity": res.facet_reflectivity,
         "mode_match": res.mode_match,
@@ -218,7 +218,7 @@ def _stage_efficiency(config: ProjectConfig, out, rec, results):
     coupling = results["coupling"]
     budget = _reference_budget(coupling)
     a_ref, eta_int = budget.absorptance, budget.internal
-    _check(rec, config, "sqe", budget.sqe)
+    _check(rec, "sqe", budget.sqe)
     rec.notes.update({"coupling": coupling, "absorptance": a_ref,
                       "internal_efficiency": eta_int, "dqe": budget.dqe})
     model = config.detector
@@ -235,10 +235,10 @@ def _stage_efficiency(config: ProjectConfig, out, rec, results):
 
 def _stage_pulse(config: ProjectConfig, out, rec, results):
     figures, trace = pulse_figures(config.detector, PULSE_RISE_PS, PULSE_FWHM_NS)
-    _check(rec, config, "kinetic_inductance_nH", figures["kinetic_inductance_nH"])
-    _check(rec, config, "tau_ns", figures["tau_ns"])
-    _check(rec, config, "recovery_3tau", figures["recovery_at_3tau"])
-    _check(rec, config, "max_rate_MHz", figures["max_count_rate_MHz"])
+    _check(rec, "kinetic_inductance_nH", figures["kinetic_inductance_nH"])
+    _check(rec, "tau_ns", figures["tau_ns"])
+    _check(rec, "recovery_3tau", figures["recovery_at_3tau"])
+    _check(rec, "max_rate_MHz", figures["max_count_rate_MHz"])
     rec.notes["fwhm_ns"] = figures["pulse_fwhm_ns"]
     rec.notes["decay_time_1e_ns"] = figures["decay_time_1e_ns"]
     rec.notes["rise_fit_for_fwhm_ns"] = figures["rise_fit_for_fwhm_ns"]
@@ -248,7 +248,7 @@ def _stage_pulse(config: ProjectConfig, out, rec, results):
 def _stage_jitter(config: ProjectConfig, out, rec, results):
     total_s, source_s = JITTER_TOTAL_PS * 1e-12, JITTER_SOURCE_PS * 1e-12
     intrinsic = det.jitter_deconvolve(total_s, source_s)
-    _check(rec, config, "jitter_intrinsic_ps", intrinsic * 1e12)
+    _check(rec, "jitter_intrinsic_ps", intrinsic * 1e12)
     rec.notes["total_ps"] = total_s * 1e12
     rec.notes["source_ps"] = source_s * 1e12
 
@@ -261,7 +261,7 @@ def _stage_counting(config: ProjectConfig, out, rec, results):
     sqe_input = records[0].metadata["sqe"]
     sqe_est, slope, intercept = det.estimate_sqe_from_sweep(
         list(config.counting.powers_w), records, config.cross_section.wavelength_m)
-    tol = config.targets["sqe_slope_rel_tol"]
+    tol = TARGETS["sqe_slope_rel_tol"]
     rec.checks.append(CheckResult("sqe_recovered_over_input", sqe_est / sqe_input,
                                   1.0 - tol, 1.0 + tol))
     rec.notes.update({"sqe_input": sqe_input, "sqe_recovered": sqe_est,
@@ -308,21 +308,12 @@ def _write_summary(manifest: RunManifest, config: ProjectConfig, out: OutputDir)
 
 def verify_manifest(manifest: RunManifest, out: OutputDir, extra: list[str] = ()) -> None:
     """Every listed output exists and carries the config digest in its header."""
-    names = [name for s in manifest.stages for name in s.outputs] + list(extra)
-    for name in names:
+    for name in [name for s in manifest.stages for name in s.outputs] + list(extra):
         path = out.base / name
         if not path.exists():
             raise SnspdKitError(f"manifest lists missing output {name}")
-        if name.endswith(".json"):
-            with open(path, encoding="utf-8") as fh:
-                head = json.load(fh).get("_header", {})
-            if head.get("config_digest") != manifest.config_digest:
-                raise SnspdKitError(f"output {name} lacks the config digest header")
-        else:
-            with open(path, encoding="utf-8") as fh:
-                first = fh.readline().rstrip("\n")
-            if first != header_line(manifest.config_digest):
-                raise SnspdKitError(f"output {name} lacks the config digest header")
+        if read_digest(path) != manifest.config_digest:
+            raise SnspdKitError(f"output {name} lacks the config digest header")
 
 
 def write_manifest(manifest: RunManifest, config: ProjectConfig, out: OutputDir) -> str:

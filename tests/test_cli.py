@@ -46,6 +46,11 @@ def test_version(runner):
     assert "0.1.0" in result.output
 
 
+def test_module_entry_point():
+    """``python -m snspdkit.cli`` runs the command group in a new interpreter."""
+    assert snspdkit.__version__ in _fresh_python("-m", "snspdkit.cli", "--version").stdout
+
+
 def _fresh_python(*args) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a new interpreter that imports the snspdkit
     under test; fails the test on a non-zero exit."""
@@ -563,6 +568,8 @@ _ERRORS = [
     _error("efficiency-minus-inf", "efficiency --absorptance 0.9 --internal 0.2 --coupling -inf",
            2, _NOT_FINITE.format("--coupling", "-inf")),
     _error("fp-extract-without-inputs", "fp-extract --tmax 0.061",
+           3, "error (DomainError): give either --tmax and --tmin, or --scan-csv"),
+    _error("fp-extract-scan-and-extrema", "fp-extract --scan-csv {tmp}/garbled.csv --tmax 0.5 --tmin 0.1",
            3, "error (DomainError): give either --tmax and --tmin, or --scan-csv"),
     _error("fp-extract-missing-scan", "fp-extract --scan-csv {tmp}/missing.csv",
            3, "error (DomainError): fringe scan {tmp}/missing.csv cannot be read: "),

@@ -18,6 +18,7 @@ from snspdkit.config import (
     stable_seed,
 )
 from snspdkit.errors import ConfigError
+from snspdkit.geometry import rasterize
 from snspdkit.io_utils import OutputDir
 from snspdkit.modes import SolverConfig
 from snspdkit.pipeline import band
@@ -337,6 +338,66 @@ def test_every_solver_free_value_takes_effect(path, shipped_outputs, tmp_path):
     assert changed.keys() == shipped_outputs.keys()
     assert any(_moved(shipped_outputs[name], changed[name]) for name in changed), (
         f"{_dotted(path)} moved no output")
+
+
+# -- every settable value the solver reads takes effect -------------------------
+
+_SOLVER_SECTIONS = ("wavelength_nm", "materials", "layers", "ridge", "wires", "window", "solver", "sweeps")
+_SOLVER_VALUES = [path for section in _SOLVER_SECTIONS
+                  for path, _value in _numeric_leaves(_raw_default()[section], (section,))]
+
+
+def _solver_inputs(raw: dict) -> dict:
+    """What the config ``raw`` hands the solver, by name: the painted grid
+    (edges, permittivity and k0) at the config's policy, the SolverConfig,
+    and each sweep's parameter values and constraint."""
+    config = load_project_config(raw)
+    grid = rasterize(config.cross_section, config.policy)
+    return {
+        "edges": (grid.x_edges_m.tolist(), grid.y_edges_m.tolist()),
+        "eps": grid.eps.tolist(),
+        "k0": grid.k0,
+        "solver": config.solver,
+        "sweeps": [(spec.mode_kind, spec.min_margin_m, [(p.name, p.values()) for p in spec.parameters])
+                   for spec in config.sweeps],
+    }
+
+
+@pytest.fixture(scope="module")
+def shipped_solver_inputs():
+    return _solver_inputs(_raw_default())
+
+
+@pytest.mark.parametrize("path", _SOLVER_VALUES, ids=map(_dotted, _SOLVER_VALUES))
+def test_every_solver_value_takes_effect(path, shipped_solver_inputs):
+    """Moving one settable value that the solver reads changes what it is
+    handed: the painted grid, the SolverConfig, or a sweep's values or
+    constraint. A value is raised by 5% (an integer by 1, so the 0 nm wire
+    offset moves to 1 nm), except two: ``wavelength_nm`` is lowered by 1%, as
+    5% either way leaves the tabulated 1260-1360 nm band, and a sweep's
+    ``stop`` moves by one step, as 5% of it adds no point. No solve runs; one
+    that changes nothing is a dead knob."""
+    raw = _raw_default()
+    *parents, key = path
+    node = _walk(raw, parents)
+    if path == ("wavelength_nm",):
+        node[key] *= 0.99
+    elif key == "stop":
+        node[key] += node["step"]
+    else:
+        node[key] = node[key] + 1 if isinstance(node[key], int) else node[key] * 1.05
+    changed = _solver_inputs(raw)
+    assert any(changed[name] != shipped_solver_inputs[name] for name in changed), (
+        f"{_dotted(path)} changed nothing the solver is handed")
+
+
+def test_effect_tests_cover_every_numeric_leaf():
+    """The solver-side and solver-free effect tests together move every
+    number of the shipped config once, so a new numeric key fails here until
+    it joins one of them."""
+    every = [path for path, _value in _numeric_leaves(_raw_default(), ())]
+    assert len(every) == 47
+    assert sorted(map(_dotted, _SOLVER_VALUES + _SOLVER_FREE_VALUES)) == sorted(map(_dotted, every))
 
 
 @pytest.mark.parametrize("with_detector", [True, False], ids=["detector", "no-detector"])

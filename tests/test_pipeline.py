@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import pytest
 
-from snspdkit.errors import SnspdKitError
+from snspdkit.errors import ConfigError, SnspdKitError
 from snspdkit.io_utils import OutputDir, canonical_json, write_csv, write_json
-from snspdkit.pipeline import CheckResult, RunManifest, StageRecord, verify_manifest
+from snspdkit.pipeline import STAGES, CheckResult, RunManifest, StageRecord, run_reproduce, verify_manifest
 
 
 def test_manifest_payload_schema():
@@ -46,3 +47,13 @@ def test_verify_manifest_rejects_bad_outputs(tmp_path, name, content, message):
     manifest.stages[0].outputs.append(name)
     with pytest.raises(SnspdKitError, match=message):
         verify_manifest(manifest, out, extra=["good.json"])
+
+
+def test_unknown_stage_refused_before_any_output(default_config, tmp_path):
+    """A library caller's unknown stage to skip is a ConfigError naming the
+    stages, raised before any stage runs or writes (the CLI's ``--skip``
+    choice refuses it before this)."""
+    out = OutputDir(tmp_path / "out")
+    with pytest.raises(ConfigError, match=re.escape(f"unknown stage 'bogus'; stages: {STAGES}")):
+        run_reproduce(default_config, out, ("pulse", "bogus"))
+    assert list(out.base.iterdir()) == []
