@@ -39,10 +39,13 @@ from .errors import ConfigError, ConvergenceError, DomainError
 from .geometry import CrossSection, PermittivityGrid, ResolutionPolicy, rasterize
 
 _ARNOLDI_SEED = 718281828  # fixed start-vector seed: solves are deterministic
-# Weight, against the seeded start vector, of a carried mode of unit
-# full-domain norm: the start is the carried mode, while the seeded part
-# keeps every other eigenvector represented.
-_CARRY_WEIGHT = 1e6
+# Continuation of a query from a solved mode (see solve_fundamental): the
+# back-solves an inverse iteration may spend, the relative change of its
+# eigenvalue below which it has stalled, and the least overlap of an accepted
+# iterate with the carried field.
+_CONTINUE_MAX_BACKSOLVES = 10
+_CONTINUE_STALL = 1e-14
+_CONTINUE_MIN_OVERLAP = 0.9
 _ARPACK_MAX_ITERATIONS = 400   # Arnoldi restarts per eigs call before giving up
 _DIELECTRIC_IM_CUT = 0.1   # |Im n| below this counts as a dielectric for bracketing
 # Per kind of fundamental-mode query: the Hx parity of the one mirror class
@@ -289,16 +292,17 @@ def solve_fundamental(
     """The mode ``select_mode(solve_modes(op, config), kind)`` picks, computed
     from as few eigenpairs as the query needs.
 
-    One operator is factored once: the full domain or, on an exactly
-    mirror-symmetric operator, the one parity class :data:`_QUERY` names for
-    ``kind``. Arnoldi runs on it for the k = 1, 2, 4, ... eigenpairs nearest
-    the shift (at most ``num_modes``; :data:`_QUERY` gives the first k)
-    until the computed set holds a guided ``kind`` mode and reaches at least
-    (k0 * n_core)^2 - sigma from the shift, so that every dielectric-guided
-    eigenvalue above the shift has been seen. The highest-Re(n_eff) guided
-    ``kind`` mode over the computed pairs passes the residual gate against
-    the full operator and is the only one finalized. Returns None if no such
-    mode is found within the cap.
+    Without ``start``, one operator is factored once: the full domain or,
+    on an exactly mirror-symmetric operator, the one parity class
+    :data:`_QUERY` names for ``kind``. Arnoldi runs on it for the k = 1, 2,
+    4, ... eigenpairs nearest the shift (at most ``num_modes``;
+    :data:`_QUERY` gives the first k) until the computed set holds a guided
+    ``kind`` mode and reaches at least (k0 * n_core)^2 - sigma from the
+    shift, so that every dielectric-guided eigenvalue above the shift has
+    been seen. The highest-Re(n_eff) guided ``kind`` mode over the computed
+    pairs passes the residual gate against the full operator and is the
+    only one finalized. Returns None if no such mode is found within the
+    cap.
 
     Starting a TM ladder above k = 1 changes the pick only where a skipped
     rung would have stopped and a later pair is a guided TM mode of higher
@@ -309,20 +313,39 @@ def solve_fundamental(
     ladder stopped at the cap short of the fundamental, which then neither
     search computes.
 
-    ``start``, a mode solved before (on any grid), seeds every Arnoldi run
-    with its fields (see :func:`_start_vector`). It changes only how fast
-    the eigenpairs converge, not which are computed: a start close to the
-    answer, such as the previous point of a sweep, saves back-solves.
+    ``start``, a mode solved before on any grid (the previous point of a
+    sweep), is continued instead: on the same operator, the full domain or
+    the query's parity class, ``mat - sigma*I`` is factored once at sigma =
+    (k0 * n_eff(start))^2, and inverse iteration runs from ``start``'s
+    fields interpolated onto this grid (see :func:`_carried`), with the
+    Rayleigh quotient as the eigenvalue. It stops once the residual against
+    the full operator is within :attr:`SolverConfig.tolerance` and the
+    eigenvalue has stalled (relative change at most
+    :data:`_CONTINUE_STALL`), within :data:`_CONTINUE_MAX_BACKSOLVES`
+    back-solves. The iterate is accepted only if it is guided, of
+    polarization ``kind``, and its overlap with the carried field, both of
+    unit norm, is at least :data:`_CONTINUE_MIN_OVERLAP` (0.9, stated before
+    measuring; continued TE and TM offset points keep 0.998 or more).
+    Otherwise, and also where the factorization fails or the carried field
+    has no component in the solved class, that LU is dropped and the ladder
+    above runs cold with its own factorization at the default shift.
+
+    What the continuation rule cannot see: a mode of the same kind that
+    overtakes the continued one within one step. An accepted point is
+    certified only as the continuation of ``start``, not as the
+    highest-Re(n_eff) mode of its kind; the ladder certifies only the
+    first point of every call, which is solved without ``start``.
     """
     kind = _mode_kind(kind)
     config = config or SolverConfig()
-    _sigma, vals, vecs = _search(op, config, kind, start)
-    found = _first_of_kind(op, vals, vecs, kind)
+    found = None if start is None else _continued(op, kind, start)
+    if found is None:
+        _sigma, vals, vecs = _search(op, config, kind)
+        found = _first_of_kind(op, vals, vecs, kind)
     return None if found is None else _gated_mode(op, *found)
 
 
-def _search(op: ModeOperator, config: SolverConfig, kind: str | None,
-            start: ModeSolution | None = None):
+def _search(op: ModeOperator, config: SolverConfig, kind: str | None):
     """The shift sigma, and the eigenvalues and full-domain eigenvectors that
     :func:`_nearest` computes on each eigenproblem ``op`` is solved as for
     ``kind``, joined in order: on an exactly mirror-symmetric operator both
@@ -332,21 +355,25 @@ def _search(op: ModeOperator, config: SolverConfig, kind: str | None,
     n_core = op.index_bracket()[1]
     sigma = (op.grid.k0 * (config.target_n_eff or 0.98 * n_core)) ** 2
     reach = max(0.0, (op.grid.k0 * n_core) ** 2 - sigma)
-    carried = None if start is None else _carried(op, start)
-    classes = _mirror_classes(op, (1, -1) if kind is None else _QUERY[kind][:1])
-    found = [_nearest(op, mat, lift, sigma, reach, kind, config, carried)
-             for mat, lift in classes or [(op.matrix, None)]]
+    found = [_nearest(op, mat, lift, sigma, reach, kind, config)
+             for mat, lift in _operators(op, kind)]
     return sigma, np.concatenate([v for v, _ in found]), np.hstack([u for _, u in found])
 
 
-def _nearest(op, mat, lift, sigma, reach, kind, config, carried):
+def _operators(op: ModeOperator, kind: str | None):
+    """``(mat, lift)`` of each eigenproblem ``op`` is solved as for ``kind``
+    (see :func:`_search`); ``lift`` is None for the full operator."""
+    classes = _mirror_classes(op, (1, -1) if kind is None else _QUERY[kind][:1])
+    return classes or [(op.matrix, None)]
+
+
+def _nearest(op, mat, lift, sigma, reach, kind, config):
     """The eigenpairs of ``mat`` nearest sigma, eigenvectors lifted to the
     full domain by ``lift`` (None for the full operator): the cap,
     ``num_modes`` of them, for ``kind`` None, or the k ladder of
     :func:`solve_fundamental`, from the first k of :data:`_QUERY` and with
     its reach from sigma, for "TE" or "TM". Every Arnoldi run uses one LU
-    of mat - sigma*I, which dies with this call, and a start built from
-    ``carried``, a full-domain field of unit norm or None."""
+    of mat - sigma*I, which dies with this call, and the seeded start."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -360,7 +387,8 @@ def _nearest(op, mat, lift, sigma, reach, kind, config, carried):
         return lu.solve(rhs)
 
     opinv = spla.LinearOperator((nn, nn), matvec=backsolve, dtype=complex)
-    v0 = _start_vector(nn, carried if carried is None or lift is None else lift.T @ carried)
+    rng = np.random.default_rng(_ARNOLDI_SEED)
+    v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
     cap = min(config.num_modes, nn - 2)
     k = cap if kind is None else min(_QUERY[kind][1 if lift is not None else 2], cap)
     while True:
@@ -379,6 +407,43 @@ def _nearest(op, mat, lift, sigma, reach, kind, config, carried):
                         and np.abs(vals - sigma).max() >= reach):
             return vals, vecs
         k = min(2 * k, cap)
+
+
+def _continued(op: ModeOperator, kind: str, start: ModeSolution):
+    """``(n_eff, eigenvalue, vector)`` that inverse iteration at ``start``'s
+    eigenvalue reaches and accepts (see :func:`solve_fundamental`), or None
+    for the ladder. Its LU dies with this call."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    carried = _carried(op, start)
+    (mat, lift), = _operators(op, kind)
+    vec = carried if lift is None else lift.T @ carried
+    norm = np.linalg.norm(vec)
+    if not 0.0 < norm < np.inf:
+        return None
+    sigma = (op.grid.k0 * start.n_eff) ** 2
+    try:
+        lu = spla.splu(mat - sigma * sp.identity(mat.shape[0], format="csc"), **_SHIFT_INVERT_LU)
+    except RuntimeError:   # SuperLU: an exactly singular factor
+        return None
+    vec, val = vec / norm, None
+    for _ in range(_CONTINUE_MAX_BACKSOLVES):
+        vec = lu.solve(vec)
+        norm = np.linalg.norm(vec)
+        if not 0.0 < norm < np.inf:
+            return None
+        vec /= norm
+        last, val = val, np.vdot(vec, mat @ vec)
+        full = vec if lift is None else lift @ vec
+        if (last is not None and abs(val - last) <= _CONTINUE_STALL * abs(val)
+                and _relative_residual(op.matrix, val, full) <= SolverConfig.tolerance):
+            break
+    else:
+        return None
+    found = _first_of_kind(op, np.array([val]), full[:, None], kind)
+    overlap = abs(np.vdot(carried, full)) / np.linalg.norm(full)
+    return found if found is not None and overlap >= _CONTINUE_MIN_OVERLAP else None
 
 
 def _first_of_kind(op: ModeOperator, vals: np.ndarray, vecs: np.ndarray, kind: str):
@@ -400,17 +465,6 @@ def _guided(op: ModeOperator, vals: np.ndarray):
     n_effs = np.sqrt(vals.astype(complex)) / op.grid.k0
     return [(idx, complex(n_effs[idx])) for idx in np.argsort(-n_effs.real, kind="stable")
             if n_clad < n_effs[idx].real < n_high]
-
-
-def _start_vector(nn: int, guess: np.ndarray | None) -> np.ndarray:
-    """Arnoldi start vector of an ``nn``-unknown operator: the seeded random
-    vector, plus ``_CARRY_WEIGHT`` times ``guess`` (the carried field in this
-    operator's unknowns, scaled by its full-domain norm). A parity class that
-    holds none of the carried field thus starts from the seeded vector, not
-    from its round-off made large."""
-    rng = np.random.default_rng(_ARNOLDI_SEED)
-    v0 = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
-    return v0 if guess is None else v0 + _CARRY_WEIGHT * guess
 
 
 def _carried(op: ModeOperator, start: ModeSolution) -> np.ndarray:

@@ -126,10 +126,12 @@ def apply_parameters(base: CrossSection, values: dict[str, float]) -> CrossSecti
 def _default_evaluate(kind, policy, solver_config):
     """Real evaluation path: solve the built section, select, measure.
 
-    Each solve starts its Arnoldi runs from the last mode this evaluator
-    solved (continuation: neighbouring points have nearly the same mode);
-    the first point, and every point before the first solved one, starts
-    cold. A failed or no-mode point leaves the start as it was.
+    Each solve continues the last mode this evaluator solved (neighbouring
+    points have nearly the same mode): inverse iteration at its eigenvalue,
+    accepted only under the rule of :func:`solve_fundamental`, else the
+    cold ladder. The first point, and every point before the first solved
+    one, is a cold ladder solve. A failed or no-mode point leaves the start
+    as it was.
     """
     last = None
 

@@ -18,6 +18,7 @@ from snspdkit.errors import ConfigError, ConvergenceError, DomainError
 from snspdkit.geometry import PermittivityGrid, rasterize
 from snspdkit.modes import (
     _ARNOLDI_SEED,
+    _CONTINUE_MAX_BACKSOLVES,
     _QUERY,
     _cell_area,
     _centered,
@@ -35,7 +36,7 @@ from snspdkit.modes import (
     solve_fundamental,
     solve_modes,
 )
-from snspdkit.sweep import apply_parameters
+from snspdkit.sweep import _default_evaluate, _evaluate_point, apply_parameters, run_sweep
 
 from slab_oracle import slab_neff
 
@@ -124,18 +125,21 @@ def solves(monkeypatch):
     count of each factorization (one full-size operator, or one half-size
     operator per mirror parity class), ``runs`` the (unknowns, k) of each
     Arnoldi run given an ``OPinv`` (the ``full_domain_eigs`` oracle passes
-    none and is not recorded), ``backsolves`` the number of LU back-solves,
-    and ``lus`` a weak reference to each LU. Each new factorization asserts
-    that the earlier ones are dead: one LU is alive at a time."""
-    record = SimpleNamespace(factored=[], runs=[], lus=[], backsolves=0)
+    none and is not recorded), ``backsolves`` the number of LU back-solves
+    and ``per_lu`` that number for each factorization, and ``lus`` a weak
+    reference to each LU. Each new factorization asserts that the earlier
+    ones are dead: one LU is alive at a time."""
+    record = SimpleNamespace(factored=[], runs=[], lus=[], backsolves=0, per_lu=[])
     splu, eigs = spla.splu, spla.eigs
 
     class CountedLU:
         def __init__(self, lu):
-            self.lu = lu
+            self.lu, self.index = lu, len(record.per_lu)
+            record.per_lu.append(0)
 
         def solve(self, rhs):
             record.backsolves += 1
+            record.per_lu[self.index] += 1
             return self.lu.solve(rhs)
 
     def factor(mat, *args, **kwargs):
@@ -439,7 +443,7 @@ def two_class_pick(op, kind, config):
     reach = max(0.0, (op.grid.k0 * n_core) ** 2 - sigma)
     classes = _mirror_classes(op)
     assert classes is not None
-    found = [_nearest(op, mat, lift, sigma, reach, kind, config, None) for mat, lift in classes]
+    found = [_nearest(op, mat, lift, sigma, reach, kind, config) for mat, lift in classes]
     pick = _first_of_kind(op, np.concatenate([v for v, _ in found]),
                           np.hstack([u for _, u in found]), kind)
     return None if pick is None else _gated_mode(op, *pick)
@@ -508,7 +512,8 @@ def test_solve_fundamental_failures_are_convergence_errors(solves, monkeypatch):
 def test_start_from_neighbour_saves_backsolves(default_config, coarse_solved, solves):
     """An asymmetric step (array offset 100 -> 200 nm, which moves grid
     lines) started from the neighbour's TE mode takes fewer OPinv
-    applications than the seeded start, for the same eigenpair."""
+    applications than the seeded start, for the same eigenpair, and no more
+    than the continuation's cap."""
     cfg = default_config
     start = select_mode(coarse_solved["offset"][1], "TE")
     cs = apply_parameters(cfg.cross_section, {"array_offset_nm": 200})
@@ -522,6 +527,7 @@ def test_start_from_neighbour_saves_backsolves(default_config, coarse_solved, so
         if not kwargs:
             cold = mode
     assert counts[1] < counts[0]
+    assert counts[1] <= _CONTINUE_MAX_BACKSOLVES
     assert abs(mode.n_eff - cold.n_eff) <= 1e-9 * abs(cold.n_eff)
     assert mode.polarization == cold.polarization == "TE"
 
@@ -530,9 +536,12 @@ def test_start_from_neighbour_saves_backsolves(default_config, coarse_solved, so
 @pytest.mark.parametrize("geometry", ["shipped", "offset"])
 def test_wrong_start_gives_the_cold_pick(default_config, coarse_solved, geometry, start_from):
     """A start far from the answer, the TM mode for a TE query or a mode of
-    an unrelated section on another grid, changes only the convergence: the
-    TE query still picks the mode the seeded start picks, on the split and
-    the full-domain paths."""
+    an unrelated section on another grid, is not continued: the TM mode has
+    no component in the class a split TE query solves and is rejected by
+    polarization on the full domain, and from the other section's field the
+    iteration reaches the cap unconverged. The ladder then runs cold and
+    picks the mode it picks without a start, on the split and the
+    full-domain paths."""
     op, modes = coarse_solved[geometry]
     if start_from == "tm-mode":
         start = select_mode(modes, "TM")
@@ -543,6 +552,102 @@ def test_wrong_start_gives_the_cold_pick(default_config, coarse_solved, geometry
     mode = solve_fundamental(op, "TE", default_config.solver, start)
     assert abs(mode.n_eff - cold.n_eff) <= 1e-9 * abs(cold.n_eff)
     assert mode.polarization == "TE"
+    assert_same_pick(mode, solve_fundamental(op, "TE", default_config.solver))
+
+
+@pytest.mark.parametrize("kind", ["TE", "TM"])
+@pytest.mark.parametrize("geometry", ["shipped", "offset"])
+def test_continuing_on_the_same_section_returns_its_mode(default_config, coarse_solved, geometry,
+                                                          kind, solves):
+    """A start solved on the identical section puts the shift on an exact
+    eigenvalue of the factored operator: the continuation returns that mode
+    from its one factorization, within the cap."""
+    op, _modes = coarse_solved[geometry]
+    start = solve_fundamental(op, kind, default_config.solver)
+    solves.factored.clear()
+    solves.per_lu.clear()
+    mode = solve_fundamental(op, kind, default_config.solver, start)
+    assert abs(mode.n_eff - start.n_eff) <= 1e-12 * abs(start.n_eff)
+    assert mode.polarization == kind
+    assert len(solves.factored) == 1 and solves.per_lu[0] <= _CONTINUE_MAX_BACKSOLVES
+
+
+@pytest.mark.parametrize("failure", ["singular", "nan"])
+def test_failed_continuation_falls_back_to_the_ladder(default_config, failure, monkeypatch):
+    """A continuation whose factorization raises (SuperLU's singular-factor
+    ``RuntimeError``) or whose back-solves return NaN falls back to the
+    ladder: the second of two points of the identical section is solved,
+    and no error reaches the sweep's point evaluation."""
+    cfg = default_config
+    splu, calls = spla.splu, []
+
+    class NanLU:
+        def solve(self, rhs):
+            return np.full_like(rhs, np.nan)
+
+    def factor(mat, *args, **kwargs):
+        calls.append(mat.shape[0])
+        if len(calls) == 2:   # the second point's continuation
+            if failure == "singular":
+                raise RuntimeError("Factor is exactly singular")
+            return NanLU()
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", factor)
+    values = COARSE_GEOMETRIES["offset"]
+    spec = cfg.sweeps[0]
+    evaluate = _default_evaluate("TE", coarse_case(cfg, "offset")[1], cfg.solver)
+    first, second = (_evaluate_point(cfg.cross_section, values, spec, evaluate) for _ in range(2))
+    assert len(calls) == 3   # the ladder, the failed continuation, the ladder again
+    assert first.status == second.status == "ok"
+    assert second.n_eff == first.n_eff
+
+
+def test_start_at_another_same_kind_mode_falls_back(default_config, coarse_solved, solves):
+    """A start whose n_eff is the second TE mode's, with TE0's fields: the
+    iteration reaches the second TE mode at once, a guided TE mode, and only
+    the overlap rule rejects it, so the ladder returns TE0."""
+    op, modes = coarse_solved["offset"]
+    te0, te1 = [m for m in modes if m.polarization == "TE"][:2]
+    cold = solve_fundamental(op, "TE", default_config.solver)
+    solves.factored.clear()
+    mode = solve_fundamental(op, "TE", default_config.solver, replace(te0, n_eff=te1.n_eff))
+    assert solves.factored == [op.matrix.shape[0]] * 2
+    assert_same_pick(mode, cold)
+
+
+def test_tm_thickness_step_falls_back_to_tm0(default_config, solves):
+    """A 50 nm core step moves TM0 by more than the continuation can follow:
+    another eigenvalue lies nearer the old one. The inverse iteration stops
+    at the cap, its LU dies, and the ladder returns TM0 from its own
+    factorization."""
+    cfg = default_config
+    policy = cfg.policy.bulk_refined(0.35)
+    ops = [assemble_operator(rasterize(apply_parameters(cfg.cross_section, {"core_thickness_nm": nm}),
+                                       policy)) for nm in (250.0, 300.0)]
+    start, cold = (solve_fundamental(op, "TM", cfg.solver) for op in ops)
+    op = ops[1]
+    solves.factored.clear()
+    solves.per_lu.clear()
+    mode = solve_fundamental(op, "TM", cfg.solver, start)
+    assert solves.factored == [op.matrix.shape[0] // 2] * 2
+    assert solves.per_lu[0] <= _CONTINUE_MAX_BACKSOLVES
+    assert all(lu() is None for lu in solves.lus)
+    assert mode.polarization == "TM"
+    assert abs(mode.n_eff - cold.n_eff) <= 1e-9 * abs(cold.n_eff)
+
+
+def test_default_offset_sweep_counted_work(default_config, solves):
+    """One default offset sweep on a coarse grid: one ARPACK run (the cold
+    point 0), one factorization per point, every continued point within the
+    cap, and no LU alive once the sweep returns."""
+    cfg = default_config
+    result = run_sweep(cfg.cross_section, cfg.sweeps[0], cfg.policy.bulk_refined(0.35), cfg.solver)
+    assert [p.status for p in result.points] == ["ok"] * 5
+    assert len(solves.runs) == 1
+    assert len(solves.factored) == 5
+    assert all(n <= _CONTINUE_MAX_BACKSOLVES for n in solves.per_lu[1:])
+    assert all(lu() is None for lu in solves.lus)
 
 
 def test_touching_wires_te_query_passes_residual_gate(touching_wires_case, default_config):

@@ -269,9 +269,10 @@ def assert_same_point(p, ref):
 
 @pytest.mark.parametrize("axis, kind", [
     (("array_offset_nm", 0.0, 200.0, 100.0), "TE"),
+    (("array_offset_nm", 0.0, 200.0, 100.0), "TM"),
     (("core_thickness_nm", 330.0, 350.0, 20.0), "TM"),
     (("wavelength_nm", 1300.0, 1320.0, 20.0), "TE"),   # mirror-symmetric at every point
-], ids=["te-offset", "tm-core", "te-wavelength"])
+], ids=["te-offset", "tm-offset", "tm-core", "te-wavelength"])
 def test_continued_sweep_matches_cold_solves(base_cs, starts, axis, kind):
     """Every point after the first starts from the previous point's mode,
     and equals the cold solve of that point alone."""
