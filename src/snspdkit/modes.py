@@ -276,7 +276,10 @@ def solve_modes(op: ModeOperator, config: SolverConfig | None = None) -> list[Mo
     Arnoldi iteration fails or a residual exceeds the fixed 1e-10 gate.
     """
     config = config or SolverConfig()
-    sigma, vals, vecs = _search(op, config, None)
+    sigma, reach = _shift(op, config)
+    found = [_nearest(op, mat, lift, sigma, reach, None, config)
+             for mat, lift in _operators(op, None)]
+    vals, vecs = np.concatenate([v for v, _ in found]), np.hstack([u for _, u in found])
     # over the two mirror parity classes, the num_modes eigenvalues nearest
     # sigma are the ones a full-domain solve returns
     nearest = np.argsort(np.abs(vals - sigma), kind="stable")[: config.num_modes]
@@ -338,33 +341,37 @@ def solve_fundamental(
     """
     kind = _mode_kind(kind)
     config = config or SolverConfig()
-    found = None if start is None else _continued(op, kind, start)
+    (mat, lift), = _operators(op, kind)
+    found = None if start is None else _continued(op, mat, lift, kind, start)
     if found is None:
-        _sigma, vals, vecs = _search(op, config, kind)
+        vals, vecs = _nearest(op, mat, lift, *_shift(op, config), kind, config)
         found = _first_of_kind(op, vals, vecs, kind)
     return None if found is None else _gated_mode(op, *found)
 
 
-def _search(op: ModeOperator, config: SolverConfig, kind: str | None):
-    """The shift sigma, and the eigenvalues and full-domain eigenvectors that
-    :func:`_nearest` computes on each eigenproblem ``op`` is solved as for
-    ``kind``, joined in order: on an exactly mirror-symmetric operator both
-    parity classes for the mode list (``kind`` None) and the class of
-    :data:`_QUERY` for "TE" or "TM", else the full operator. Sigma and the
-    ladder's reach are computed once."""
+def _shift(op: ModeOperator, config: SolverConfig) -> tuple[float, float]:
+    """The shift sigma of a cold solve, and the ladder's reach from it:
+    (k0 * n_core)^2 - sigma, or 0 above the core (see :func:`solve_fundamental`)."""
     n_core = op.index_bracket()[1]
     sigma = (op.grid.k0 * (config.target_n_eff or 0.98 * n_core)) ** 2
-    reach = max(0.0, (op.grid.k0 * n_core) ** 2 - sigma)
-    found = [_nearest(op, mat, lift, sigma, reach, kind, config)
-             for mat, lift in _operators(op, kind)]
-    return sigma, np.concatenate([v for v, _ in found]), np.hstack([u for _, u in found])
+    return sigma, max(0.0, (op.grid.k0 * n_core) ** 2 - sigma)
 
 
 def _operators(op: ModeOperator, kind: str | None):
-    """``(mat, lift)`` of each eigenproblem ``op`` is solved as for ``kind``
-    (see :func:`_search`); ``lift`` is None for the full operator."""
+    """``(mat, lift)`` of each eigenproblem ``op`` is solved as for ``kind``:
+    on an exactly mirror-symmetric operator both parity classes for the mode
+    list (``kind`` None) and the class of :data:`_QUERY` for "TE" or "TM",
+    else the full operator, whose ``lift`` is None."""
     classes = _mirror_classes(op, (1, -1) if kind is None else _QUERY[kind][:1])
     return classes or [(op.matrix, None)]
+
+
+def _shift_invert_lu(mat, sigma):
+    """SuperLU factorization of ``mat - sigma*I`` with :data:`_SHIFT_INVERT_LU`."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    return spla.splu(mat - sigma * sp.identity(mat.shape[0], format="csc"), **_SHIFT_INVERT_LU)
 
 
 def _nearest(op, mat, lift, sigma, reach, kind, config):
@@ -374,11 +381,10 @@ def _nearest(op, mat, lift, sigma, reach, kind, config):
     :func:`solve_fundamental`, from the first k of :data:`_QUERY` and with
     its reach from sigma, for "TE" or "TM". Every Arnoldi run uses one LU
     of mat - sigma*I, which dies with this call, and the seeded start."""
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     nn = mat.shape[0]
-    lu = spla.splu(mat - sigma * sp.identity(nn, format="csc"), **_SHIFT_INVERT_LU)
+    lu = _shift_invert_lu(mat, sigma)
     backsolves = 0
 
     def backsolve(rhs):
@@ -409,22 +415,18 @@ def _nearest(op, mat, lift, sigma, reach, kind, config):
         k = min(2 * k, cap)
 
 
-def _continued(op: ModeOperator, kind: str, start: ModeSolution):
-    """``(n_eff, eigenvalue, vector)`` that inverse iteration at ``start``'s
-    eigenvalue reaches and accepts (see :func:`solve_fundamental`), or None
-    for the ladder. Its LU dies with this call."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
+def _continued(op: ModeOperator, mat, lift, kind: str, start: ModeSolution):
+    """``(n_eff, eigenvalue, vector)`` that inverse iteration on the
+    eigenproblem ``(mat, lift)`` at ``start``'s eigenvalue reaches and
+    accepts (see :func:`solve_fundamental`), or None for the ladder. Its LU
+    dies with this call."""
     carried = _carried(op, start)
-    (mat, lift), = _operators(op, kind)
     vec = carried if lift is None else lift.T @ carried
     norm = np.linalg.norm(vec)
     if not 0.0 < norm < np.inf:
         return None
-    sigma = (op.grid.k0 * start.n_eff) ** 2
     try:
-        lu = spla.splu(mat - sigma * sp.identity(mat.shape[0], format="csc"), **_SHIFT_INVERT_LU)
+        lu = _shift_invert_lu(mat, (op.grid.k0 * start.n_eff) ** 2)
     except RuntimeError:   # SuperLU: an exactly singular factor
         return None
     vec, val = vec / norm, None
@@ -509,7 +511,9 @@ def _mirror_classes(op: ModeOperator, hx_parities=(1, -1)):
     maps the unknowns on the nodes left of and on the centre line to the
     full vector, and ``keep`` are their full-vector indices, so the first
     is the class's exact restriction and ``basis @ u`` lifts its
-    eigenvectors. Returns None when the operator is not exactly symmetric.
+    eigenvectors. Each component's part of ``basis`` is a map over node
+    columns times the identity over y. Returns None when the operator is
+    not exactly symmetric.
     """
     import scipy.sparse as sp
 
@@ -517,27 +521,20 @@ def _mirror_classes(op: ModeOperator, hx_parities=(1, -1)):
     nnx, nny = op.shape
     if nnx % 2 == 0 or not np.array_equal(dx, dx[::-1]) or not np.array_equal(eps, eps[::-1]):
         return None
-    nn = nnx * nny
     centre = nnx // 2
-    node = np.arange(nn).reshape(nnx, nny)
-    off_centre = np.arange(centre * nny)
     by_row = op.matrix.tocsr()
     classes = []
     for hx_parity in hx_parities:
-        keep, rows, cols, vals = [], [], [], []
-        col = 0
-        for comp, parity in ((0, hx_parity), (1, -hx_parity)):
-            left = node[: centre + (parity > 0)].ravel() + comp * nn   # centre row only if even
-            mirrored = node[::-1][:centre].ravel() + comp * nn
-            keep.append(left)
-            rows += [left, mirrored]
-            cols += [col + np.arange(left.size), col + off_centre]
-            vals += [np.ones(left.size), np.full(mirrored.size, float(parity))]
-            col += left.size
-        basis = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * nn, col)
-        )
-        classes.append(((by_row[np.concatenate(keep)] @ basis).tocsc(), basis))
+        maps = []
+        for parity in (hx_parity, -hx_parity):   # Hx, then Hy
+            # kept column i (the centre one only if even) is node column i
+            # and, times parity, its mirror image
+            node_map = np.eye(nnx, centre + (parity > 0))
+            node_map[centre + 1:, :centre] = parity * np.eye(centre)[::-1]
+            maps.append(sp.kron(node_map, sp.identity(nny), format="csr"))
+        basis = sp.block_diag(maps, format="csr")
+        keep = np.concatenate([comp * nnx * nny + np.arange(m.shape[1]) for comp, m in enumerate(maps)])
+        classes.append(((by_row[keep] @ basis).tocsc(), basis))
     return classes
 
 

@@ -71,6 +71,14 @@ MUTANTS = (
             "tests/test_modes.py::test_one_class_query_picks_the_two_class_mode[shipped-TM]",
             "tests/test_modes.py::test_one_class_query_picks_the_two_class_mode[tm-design-TE]",
             "tests/test_modes.py::test_one_class_query_picks_the_two_class_mode[tm-design-TM]")),
+    # the shift-invert LU's fill-reducing ordering
+    Mutant("shift-invert-lu-default-ordering", MODES,
+           '_SHIFT_INVERT_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,\n'
+           '                        options=dict(SymmetricMode=True))',
+           "_SHIFT_INVERT_LU = dict()",
+           ("tests/test_modes.py::test_shift_invert_lu_fill_is_under_default[shipped-TE]",
+            "tests/test_modes.py::test_shift_invert_lu_fill_is_under_default[shipped-TM]",
+            "tests/test_modes.py::test_shift_invert_lu_fill_is_under_default[offset-TE]")),
     # matrix files: the per-element fallback and the round-half-even rule
     Mutant("matrix-percent-fallback-removed", IO,
            "for i in np.flatnonzero(~fast):",

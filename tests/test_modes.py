@@ -433,6 +433,29 @@ def test_one_factorization_alive_at_a_time(default_config, coarse_solved, kind, 
     assert all(lu() is None for lu in solves.lus)
 
 
+@pytest.mark.parametrize("geometry, kind", [("shipped", "TE"), ("shipped", "TM"), ("offset", "TE")])
+def test_shift_invert_lu_fill_is_under_default(default_config, coarse_solved, geometry, kind,
+                                               monkeypatch):
+    """Every LU a query builds has at most 0.7 times the fill (L.nnz +
+    U.nnz) of SciPy's default ``splu`` (COLAMD) on the same matrix: the
+    solver's ordering, minimum degree on A^T + A with diagonal pivots, gives
+    about half the default's fill."""
+    op, _modes = coarse_solved[geometry]
+    splu, factored = spla.splu, []
+
+    def factor(mat, *args, **kwargs):
+        lu = splu(mat, *args, **kwargs)
+        factored.append((mat, lu.L.nnz + lu.U.nnz))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", factor)
+    assert solve_fundamental(op, kind, default_config.solver) is not None
+    assert factored
+    for mat, fill in factored:
+        default = splu(mat)
+        assert fill <= 0.7 * (default.L.nnz + default.U.nnz)
+
+
 def two_class_pick(op, kind, config):
     """Oracle: the pick of a query that searches both parity classes, every
     class of ``_mirror_classes(op)`` through ``_nearest``, ``_first_of_kind``
@@ -635,6 +658,30 @@ def test_tm_thickness_step_falls_back_to_tm0(default_config, solves):
     assert all(lu() is None for lu in solves.lus)
     assert mode.polarization == "TM"
     assert abs(mode.n_eff - cold.n_eff) <= 1e-9 * abs(cold.n_eff)
+
+
+def test_fallback_builds_its_parity_class_once(default_config, solves, monkeypatch):
+    """A continued query that falls back to the ladder (the TM core step of
+    ``test_tm_thickness_step_falls_back_to_tm0``) solves one eigenproblem:
+    the continuation and the ladder factor the same parity class, which is
+    built once."""
+    cfg = default_config
+    policy = cfg.policy.bulk_refined(0.35)
+    start, op = (assemble_operator(rasterize(apply_parameters(cfg.cross_section, {"core_thickness_nm": nm}),
+                                             policy)) for nm in (250.0, 300.0))
+    start = solve_fundamental(start, "TM", cfg.solver)
+    built = []
+
+    def classes(*args, **kwargs):
+        built.append(args)
+        return _mirror_classes(*args, **kwargs)
+
+    monkeypatch.setattr("snspdkit.modes._mirror_classes", classes)
+    solves.factored.clear()
+    mode = solve_fundamental(op, "TM", cfg.solver, start)
+    assert solves.factored == [op.matrix.shape[0] // 2] * 2
+    assert mode is not None and mode.polarization == "TM"
+    assert len(built) == 1
 
 
 def test_default_offset_sweep_counted_work(default_config, solves):
