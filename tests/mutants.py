@@ -79,6 +79,18 @@ MUTANTS = (
            ("tests/test_modes.py::test_shift_invert_lu_fill_is_under_default[shipped-TE]",
             "tests/test_modes.py::test_shift_invert_lu_fill_is_under_default[shipped-TM]",
             "tests/test_modes.py::test_shift_invert_lu_fill_is_under_default[offset-TE]")),
+    # the mode list's loose Arnoldi run: certified by the residual gate, and
+    # for the list only
+    Mutant("list-loose-run-gate-check-removed", MODES,
+           "if tol and any(_relative_residual(op.matrix, vals[idx], vecs[:, idx])",
+           "if False and any(_relative_residual(op.matrix, vals[idx], vecs[:, idx])",
+           ("tests/test_modes.py::test_loose_list_run_that_misses_the_gate_reruns_strictly",)),
+    Mutant("list-tol-applied-to-queries", MODES,
+           "tol = _LIST_TOL if kind is None else 0",
+           "tol = _LIST_TOL",
+           # the TE query's k = 1 run stops after ARPACK's first pass at any
+           # tol, so its case passes on this mutant and the TM case fails
+           ("tests/test_modes.py::test_queries_ignore_the_list_tolerance",)),
     # matrix files: the per-element fallback and the round-half-even rule
     Mutant("matrix-percent-fallback-removed", IO,
            "for i in np.flatnonzero(~fast):",

@@ -19,6 +19,7 @@ from snspdkit.geometry import PermittivityGrid, rasterize
 from snspdkit.modes import (
     _ARNOLDI_SEED,
     _CONTINUE_MAX_BACKSOLVES,
+    _LIST_TOL,
     _QUERY,
     _cell_area,
     _centered,
@@ -251,6 +252,21 @@ def test_arpack_no_convergence_is_convergence_error(mirrored, solves, monkeypatc
     # the message names the failing operator, its rung and the back-solves spent
     assert "(k = 8 of cap 8, " in str(info.value)
     assert str(info.value).endswith(f"; {unknowns} unknowns, {solves.backsolves} back-solves)")
+    # the loose run converged and missed the residual gate; the strict rerun
+    # failed, and the back-solves above count both runs
+    assert "at tol 0 (k = 8 of cap 8, " in str(info.value)
+    assert solves.runs == [(unknowns, 8)] * 2
+
+
+def test_loose_list_run_no_convergence_names_its_tol(solves, monkeypatch):
+    """The clustered spectrum of an empty window does not converge in one
+    iteration even at the mode list's loose tolerance; the error names it."""
+    monkeypatch.setattr("snspdkit.modes._ARPACK_MAX_ITERATIONS", 1)
+    empty = assemble_operator(uniform_grid(1.0, 24, 24, 10e-6))
+    with pytest.raises(ConvergenceError, match="did not converge within 1 iterations") as info:
+        solve_modes(empty)
+    assert f"at tol {_LIST_TOL:g} (k = 8 of cap 8, " in str(info.value)
+    assert solves.runs == [(empty.matrix.shape[0], 8)]
 
 
 def test_residual_gate_raises_with_residual(monkeypatch):
@@ -456,6 +472,62 @@ def test_shift_invert_lu_fill_is_under_default(default_config, coarse_solved, ge
         assert fill <= 0.7 * (default.L.nnz + default.U.nnz)
 
 
+# -- the mode list's loose Arnoldi run ---------------------------------------
+
+@pytest.mark.parametrize("geometry", list(COARSE_GEOMETRIES))
+def test_loose_list_run_passes_the_gate_alone(default_config, coarse_solved, geometry, solves,
+                                              monkeypatch):
+    """On the wired coarse sections every guided pair of the mode list's run
+    at ARPACK tol ``_LIST_TOL`` passes the residual gate, so each operator
+    takes one Arnoldi run, with fewer back-solves than the strict run at tol
+    0 (measured: shipped 165 -> 102, offset 105 -> 73, tm-design 170 -> 106),
+    and returns the strict run's modes at no worse a residual."""
+    cfg = default_config
+    op, _modes = coarse_solved[geometry]
+    operators = _mirror_classes(op) or [(op.matrix, None)]
+    loose = solve_modes(op, cfg.solver)
+    assert solves.runs == [(mat.shape[0], cfg.solver.num_modes) for mat, _lift in operators]
+    loose_backsolves = solves.backsolves
+
+    monkeypatch.setattr("snspdkit.modes._LIST_TOL", 0)
+    solves.backsolves = 0
+    strict = solve_modes(op, cfg.solver)
+    assert loose_backsolves < solves.backsolves
+    assert len(loose) == len(strict) > 0
+    for mode, ref in zip(loose, strict):
+        assert abs(mode.n_eff - ref.n_eff) <= 1e-12 * abs(ref.n_eff)
+        assert mode.polarization == ref.polarization
+    # the bound of test_factorization_matches_default_shift_invert
+    worst = max(mode_residual(op, mode) for mode in loose)
+    assert worst <= max(cfg.solver.tolerance / 100, max(mode_residual(op, m) for m in strict))
+
+
+def test_loose_list_run_that_misses_the_gate_reruns_strictly(solves, monkeypatch):
+    """On a coarse step-index section a guided pair of the loose run misses
+    the gate (measured 3.8e-9): ARPACK reruns at tol 0 from the same start
+    on the same LU, and the list has the bits of the strict run alone."""
+    op = assemble_operator(step_index_grid(3.4, 3.2, 24, 4e-6))
+    unknowns = op.matrix.shape[0]
+    modes = solve_modes(op)
+    assert solves.factored == [unknowns]
+    assert solves.runs == [(unknowns, 8)] * 2
+
+    monkeypatch.setattr("snspdkit.modes._LIST_TOL", 0)
+    strict = solve_modes(op)
+    assert solves.runs[2:] == [(unknowns, 8)]
+    assert [m.n_eff for m in modes] == [m.n_eff for m in strict]
+    assert all(np.array_equal(a.hx, b.hx) for a, b in zip(modes, strict))
+
+
+@pytest.mark.parametrize("kind", ["TE", "TM"])
+def test_queries_ignore_the_list_tolerance(default_config, coarse_solved, kind, monkeypatch):
+    """TE and TM queries run ARPACK at tol 0 whatever ``_LIST_TOL`` is."""
+    op, _modes = coarse_solved["shipped"]
+    ref = solve_fundamental(op, kind, default_config.solver)
+    monkeypatch.setattr("snspdkit.modes._LIST_TOL", 1e-2)
+    assert_same_pick(solve_fundamental(op, kind, default_config.solver), ref)
+
+
 def two_class_pick(op, kind, config):
     """Oracle: the pick of a query that searches both parity classes, every
     class of ``_mirror_classes(op)`` through ``_nearest``, ``_first_of_kind``
@@ -519,6 +591,7 @@ def test_solve_fundamental_failures_are_convergence_errors(solves, monkeypatch):
             solve_fundamental(empty, "TE")
     assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
     assert "(k = 1 of cap 8, " in str(info.value)
+    assert "at tol 0 (k = 1 of cap 8, " in str(info.value)
     assert str(info.value).endswith(
         f"; {empty.matrix.shape[0]} unknowns, {solves.backsolves} back-solves)")
     del info   # its traceback holds the failed operator's LU
@@ -795,27 +868,51 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 import snspdkit as sk
 from snspdkit.config import default_config_path, load_project_config
+from snspdkit.geometry import PermittivityGrid
 from snspdkit.modes import _mirror_classes
 
+tols, eigs = [], spla.eigs
+
+
+def arnoldi(*args, **kwargs):
+    tols.append(kwargs["tol"])
+    return eigs(*args, **kwargs)
+
+
+spla.eigs = arnoldi
 cs = replace(load_project_config(default_config_path()).cross_section, window_width_m=5.2e-6)
 policy = sk.ResolutionPolicy(base_m=50e-9, far_m=125e-9)
-op = sk.assemble_operator(sk.rasterize(cs, policy))
-runs = [sk.solve_modes(op, sk.SolverConfig(num_modes=4)) for _ in range(2)]
-print(json.dumps({
-    "split": _mirror_classes(op) is not None,
-    "n_eff": [[m.n_eff.real, m.n_eff.imag] for m in runs[0]],
-    "repeat_n_eff_identical": [m.n_eff for m in runs[0]] == [m.n_eff for m in runs[1]],
-    "repeat_hx_identical": all(np.array_equal(a.hx, b.hx) for a, b in zip(*runs)),
-}))
+# step_index_grid(3.4, 3.2, 24, 4e-6) of test_modes.py, whose loose list run misses the gate
+edges = np.linspace(-2e-6, 2e-6, 25)
+centers = 0.5 * (edges[1:] + edges[:-1])
+core = (np.abs(centers)[:, None] < 1e-6) & (np.abs(centers)[None, :] < 1e-6)
+step = PermittivityGrid(edges, edges, np.where(core, complex(3.4) ** 2, complex(3.2) ** 2), 1300e-9)
+out = {}
+for name, grid, num_modes in (("wired", sk.rasterize(cs, policy), 4), ("step-index", step, 8)):
+    op = sk.assemble_operator(grid)
+    tols.clear()
+    runs = [sk.solve_modes(op, sk.SolverConfig(num_modes=num_modes)) for _ in range(2)]
+    out[name] = {
+        "split": _mirror_classes(op) is not None,
+        "tols": list(tols),
+        "n_eff": [[m.n_eff.real, m.n_eff.imag] for m in runs[0]],
+        "repeat_n_eff_identical": [m.n_eff for m in runs[0]] == [m.n_eff for m in runs[1]],
+        "repeat_hx_identical": all(np.array_equal(a.hx, b.hx) for a, b in zip(*runs)),
+    }
+print(json.dumps(out))
 """
 
 
 def test_solve_deterministic_across_blas_threads():
-    """Repeated symmetric solves in a fresh interpreter are bit-identical at
-    1 and at 2 BLAS threads; the two thread counts agree to round-off."""
+    """Repeated mode lists in a fresh interpreter are bit-identical at 1 and
+    at 2 BLAS threads, and the two thread counts agree to round-off, both
+    where the loose Arnoldi run passes the gate (a symmetric wired section,
+    one run per class) and where it misses and the strict run follows (a
+    step-index section)."""
     src = str(Path(sk.__file__).resolve().parents[1])
     results = {}
     for threads in ("1", "2"):
@@ -825,11 +922,16 @@ def test_solve_deterministic_across_blas_threads():
                              capture_output=True, text=True, timeout=300)
         results[threads] = json.loads(out.stdout)
     for res in results.values():
-        assert res["split"] and res["n_eff"]
-        assert res["repeat_n_eff_identical"] and res["repeat_hx_identical"]
-    one, two = ([complex(*v) for v in results[t]["n_eff"]] for t in ("1", "2"))
-    assert len(one) == len(two)
-    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(one, two))
+        wired, step = res["wired"], res["step-index"]
+        assert wired["split"] and wired["tols"] == [_LIST_TOL] * 4
+        assert not step["split"] and step["tols"] == [_LIST_TOL, 0] * 2
+        for section in (wired, step):
+            assert section["n_eff"]
+            assert section["repeat_n_eff_identical"] and section["repeat_hx_identical"]
+    for name in ("wired", "step-index"):
+        one, two = ([complex(*v) for v in results[t][name]["n_eff"]] for t in ("1", "2"))
+        assert len(one) == len(two)
+        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(one, two))
 
 
 # -- polarization and absorption --------------------------------------------
