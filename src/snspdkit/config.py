@@ -199,7 +199,7 @@ class ProjectConfig:
     detector: DetectorModel
     counting: CountingSpec
     sweeps: tuple[SweepSpec, ...]
-    targets: ClassVar[dict] = TARGETS   # not a setting; src reads TARGETS, the benchmark cfg.targets
+    targets: ClassVar[dict] = TARGETS   # not a setting; only perfbench/workloads.py reads cfg.targets
 
     def stage_seed(self, stage: str) -> int:
         return stable_seed(self.seed, stage)

@@ -115,6 +115,12 @@ MUTANTS = (
            "for _ in range(_CONTINUE_MAX_BACKSOLVES):",
            "for _ in range(1000):",
            ("tests/test_modes.py::test_tm_thickness_step_falls_back_to_tm0",)),
+    # a mode kind that is not a string is a DomainError, not an AttributeError
+    Mutant("mode-kind-string-check-dropped", MODES,
+           "kind = kind.upper() if isinstance(kind, str) else kind",
+           "kind = kind.upper()",
+           ("tests/test_modes.py::test_select_mode_validation[None]",
+            "tests/test_modes.py::test_select_mode_validation[5]")),
 )
 
 

@@ -525,6 +525,28 @@ def test_reproduce_without_wires_fails_dependents(runner, tmp_path):
     assert stages["pulse"] == "pass"
 
 
+def test_reproduce_without_a_guided_mode_fails_dependents(runner, tmp_path):
+    """A search window that holds no guided mode fails the two solver stages
+    at alpha 0, writes the grid but no field, and blocks the absorptance;
+    the stages that do not depend on a solve still pass."""
+    _write_error_inputs(tmp_path)
+    out = tmp_path / "repro"
+    result = runner.invoke(main, ["reproduce-paper", "--config", str(tmp_path / "unguided.json"),
+                                  "--out", str(out), "--json"])
+    assert result.exit_code == 1, result.output
+    stages = json.loads(result.output)["stages"]
+    assert stages == {"mode-solver": "fail", "tm-design": "fail", "absorptance": "blocked",
+                      "fp-extract": "pass", "efficiency": "pass", "pulse": "pass",
+                      "jitter": "pass", "counting": "pass"}
+    manifest = {s["name"]: s for s in json.loads((out / "run_manifest.json").read_text())["stages"]}
+    solver, tm = manifest["mode-solver"], manifest["tm-design"]
+    assert [(c["name"], c["value"]) for c in solver["checks"]] == [("alpha_per_cm", 0.0)]
+    assert solver["outputs"] == ["grid_eps.txt", "grid_coords.json"]
+    assert "n_eff" not in solver["notes"] and "n_eff" not in tm["notes"]
+    assert [(c["name"], c["value"]) for c in tm["checks"]] == [("tm_alpha_per_cm", 0.0)]
+    assert not list(out.glob("mode_te0_*"))
+
+
 def test_help_lists_subcommands(runner):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == 0
@@ -575,6 +597,12 @@ _ERRORS = [
            3, "error (DomainError): fringe scan {tmp}/missing.csv cannot be read: "),
     _error("fp-extract-garbled-row", "fp-extract --scan-csv {tmp}/garbled.csv",
            3, "error (DomainError): fringe scan {tmp}/garbled.csv line 7: "),
+    _error("fp-extract-one-column-row", "fp-extract --scan-csv {tmp}/one_column.csv",
+           3, "error (DomainError): fringe scan {tmp}/one_column.csv line 2: "),
+    # one infinite transmission in a long scan lies above the 95th
+    # percentile, where a percentile cut would drop it without a word
+    _error("fp-extract-infinite-sample", "fp-extract --scan-csv {tmp}/infinite.csv",
+           3, "error (DomainError): fringe scan {tmp}/infinite.csv line 102: "),
     _error("pulse-rise-above-fall", "pulse --rise-ps 5000 --dump-trace",
            3, "error (DomainError): rise constant must satisfy 0 < tau_rise < tau_fall"),
     _error("pulse-fwhm-unreachable", "pulse --fwhm-target-ns 0.1 --dump-trace",
@@ -598,7 +626,18 @@ _ERRORS = [
            3, "error (DomainError): mode index 99 out of range: "),
     _error("solve-mode-no-guided-mode", "solve-mode --config {tmp}/unguided.json --dump-fields",
            4, "error (ConvergenceError): no guided modes found in the search window"),
+    # a setting ARPACK cannot run with is a config error, not a ValueError
+    # escaping as an unexpected failure; the iteration cap is no setting
+    _error("solve-mode-num_modes-0", "solve-mode --config {tmp}/num_modes.json --json",
+           2, "error (ConfigError): num_modes must be >= 1"),
+    _error("solve-mode-max_iterations-key", "solve-mode --config {tmp}/max_iterations.json --json",
+           2, "error (ConfigError): solver: unknown keys ['max_iterations']"),
     _error("sweep-invalid-config", "sweep --config {tmp}/invalid.json", 2, _INVALID),
+    # so is the sweep's point cap, a fixed constant of the sweep
+    _error("sweep-point_cap-key", "sweep --config {tmp}/point_cap.json --out {tmp}/sweepout --json",
+           2, "error (ConfigError): sweeps[0]: unknown keys ['point_cap']"),
+    _error("sweep-sweeps-not-a-list", "sweep --config {tmp}/sweeps_5.json --json",
+           2, "error (ConfigError): sweeps: must be a list"),
     _error("sweep-index-out-of-range", "sweep --index 5",
            2, "error (ConfigError): sweep index 5 out of range: config has 1 sweeps"),
     _error("optimize-invalid-config", "optimize --config {tmp}/invalid.json", 2, _INVALID),
@@ -612,13 +651,19 @@ _ERRORS = [
 
 def _write_error_inputs(tmp_path):
     """The files the error rows name: a file and a directory in the way of
-    an output, a fringe scan with a garbled row, and coarse configs that are
-    invalid, valid, and without a guided mode."""
+    an output, fringe scans with a garbled row, a one-column row and an
+    infinite sample, and coarse configs that are valid, invalid, without a
+    guided mode, or malformed in the solver or sweep sections."""
     (tmp_path / "taken").write_text("not a directory\n")
     (tmp_path / "counts.csv").mkdir(exist_ok=True)
+    header = "wavelength_nm,transmission\n"
     rows = [f"{1300 + k},{0.02 + 0.004 * k}" for k in range(12)]
-    (tmp_path / "garbled.csv").write_text("wavelength_nm,transmission\n" + "\n".join(rows[:5])
+    (tmp_path / "garbled.csv").write_text(header + "\n".join(rows[:5])
                                           + "\n1320,0.0x5\n" + "\n".join(rows[5:]) + "\n")
+    (tmp_path / "one_column.csv").write_text(header + "1320\n")
+    samples = [f"{1300 + 0.01 * k:.2f},{0.04 + 0.02 * math.sin(0.3 * k):.6f}" for k in range(200)]
+    (tmp_path / "infinite.csv").write_text(header + "\n".join(samples[:100])
+                                           + "\n1301.005,inf\n" + "\n".join(samples[100:]) + "\n")
     _write(tmp_path, _coarse_raw(), "coarse.json")
     invalid = _coarse_raw()
     invalid["layers"][0]["thickness_um"] = -1.0
@@ -626,6 +671,14 @@ def _write_error_inputs(tmp_path):
     unguided = _coarse_raw()
     unguided["solver"].update(target_n_eff=2.0, num_modes=1)
     _write(tmp_path, unguided, "unguided.json")
+    for key, value in (("num_modes", 0), ("max_iterations", 400)):
+        raw = _coarse_raw()
+        raw["solver"][key] = value
+        _write(tmp_path, raw, f"{key}.json")
+    raw = _coarse_raw()
+    raw["sweeps"][0]["point_cap"] = "many"
+    _write(tmp_path, raw, "point_cap.json")
+    _write(tmp_path, _coarse_raw(sweeps=5), "sweeps_5.json")
 
 
 def _tree(root):
@@ -633,76 +686,21 @@ def _tree(root):
     return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
 
 
-def _assert_error_exit(runner, tmp_path, monkeypatch, args, code, message, env=None):
-    """Run one error row: the command exits with ``code``, stderr's last line
-    starts with ``message`` and nothing under the working directory changes,
-    which holds the default ``runs/`` output, every ``--out`` target and
-    every input."""
+@pytest.mark.parametrize("args, code, message, env", _ERRORS)
+def test_errors_exit_with_their_code_and_write_nothing(runner, tmp_path, monkeypatch,
+                                                       args, code, message, env):
+    """Each error exits with its code, and stderr's last line names it:
+    ``error (<Class>): <message>`` for a toolkit error, click's ``Error: ...``
+    for a usage error. Nothing under the working directory changes, which
+    holds the default ``runs/`` output, every ``--out`` target and every
+    input."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("SNSPDKIT_OUT", raising=False)
     _write_error_inputs(tmp_path)
     before = _tree(tmp_path)
     tmp = str(tmp_path)
     result = runner.invoke(main, [arg.format(tmp=tmp) for arg in args.split()],
-                           env={key: value.format(tmp=tmp) for key, value in (env or {}).items()})
+                           env={key: value.format(tmp=tmp) for key, value in env.items()})
     assert result.exit_code == code, result.output
     assert result.stderr.splitlines()[-1].startswith(message.format(tmp=tmp)), result.stderr
     assert _tree(tmp_path) == before
-
-
-@pytest.mark.parametrize("args, code, message, env", _ERRORS)
-def test_errors_exit_with_their_code_and_write_nothing(runner, tmp_path, monkeypatch,
-                                                       args, code, message, env):
-    """Each error exits with its code, and stderr's last line names it:
-    ``error (<Class>): <message>`` for a toolkit error, click's ``Error: ...``
-    for a usage error."""
-    _assert_error_exit(runner, tmp_path, monkeypatch, args, code, message, env)
-
-
-def test_fp_extract_one_column_scan_exit_code(runner, tmp_path, monkeypatch):
-    (tmp_path / "scan.csv").write_text("wavelength_nm,transmission\n1320\n")
-    _assert_error_exit(runner, tmp_path, monkeypatch, "fp-extract --scan-csv {tmp}/scan.csv",
-                       3, "error (DomainError): fringe scan {tmp}/scan.csv line 2: ")
-
-
-def test_fp_extract_out_of_range_scan_sample_exit_code(runner, tmp_path, monkeypatch):
-    """One infinite transmission in a long scan lies above the 95th
-    percentile, so it used to be dropped without a word; it is now a domain
-    error naming its line."""
-    rows = [f"{1300 + 0.01 * k:.2f},{0.04 + 0.02 * math.sin(0.3 * k):.6f}" for k in range(200)]
-    (tmp_path / "scan.csv").write_text("wavelength_nm,transmission\n" + "\n".join(rows[:100])
-                                       + "\n1301.005,inf\n" + "\n".join(rows[100:]) + "\n")
-    _assert_error_exit(runner, tmp_path, monkeypatch, "fp-extract --scan-csv {tmp}/scan.csv",
-                       3, "error (DomainError): fringe scan {tmp}/scan.csv line 102: ")
-
-
-def test_solve_mode_invalid_solver_setting_exit_code(runner, tmp_path, monkeypatch):
-    """num_modes below 1 is a config error (exit 2), not an ARPACK
-    ValueError escaping as an unexpected failure; so is an iteration cap,
-    which is a fixed constant of the solver, not a setting."""
-    for key, value, message in (("num_modes", 0, "error (ConfigError): num_modes must be >= 1"),
-                                ("max_iterations", 400, "error (ConfigError): solver: unknown keys ['max_iterations']")):
-        raw = _coarse_raw()
-        raw["solver"][key] = value
-        _write(tmp_path, raw, f"{key}.json")
-        _assert_error_exit(runner, tmp_path, monkeypatch, f"solve-mode --config {{tmp}}/{key}.json --json",
-                           2, message)
-
-
-def test_sweep_malformed_point_cap_exit_code(runner, tmp_path, monkeypatch):
-    """A point cap is a config error (exit 2): the cap is a fixed constant
-    of the sweep, not a setting."""
-    raw = _coarse_raw()
-    raw["sweeps"][0]["point_cap"] = "many"
-    _write(tmp_path, raw)
-    _assert_error_exit(runner, tmp_path, monkeypatch,
-                       "sweep --config {tmp}/config.json --out {tmp}/sweepout --json",
-                       2, "error (ConfigError): sweeps[0]: unknown keys ['point_cap']")
-
-
-def test_sweeps_not_a_list_exit_code(runner, tmp_path, monkeypatch):
-    """``sweeps: 5`` is a config error (exit 2), not a TypeError escaping as
-    an unexpected failure."""
-    _write(tmp_path, _coarse_raw(sweeps=5))
-    _assert_error_exit(runner, tmp_path, monkeypatch, "sweep --config {tmp}/config.json --json",
-                       2, "error (ConfigError): sweeps: must be a list")

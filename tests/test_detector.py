@@ -25,13 +25,6 @@ def test_absorptance_zero_length():
     assert det.absorptance(0.0, 1.0) == 0.0
 
 
-def test_absorptance_rejects_negative():
-    with pytest.raises(DomainError):
-        det.absorptance(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        det.absorptance(451.0, -1e-4)
-
-
 # box keeps alpha*L <= ~24 so saturation stays resolvable in doubles
 @given(st.floats(0.1, 1000.0), st.floats(1e-6, 0.012), st.floats(1e-6, 0.012))
 @settings(max_examples=200, deadline=None)
@@ -58,11 +51,6 @@ def test_kinetic_inductance_single_square():
 def test_kinetic_inductance_short_device():
     short = replace(REFERENCE, wire_length_m=30e-6)
     assert det.kinetic_inductance(short) == pytest.approx(108e-9, rel=1e-12)
-
-
-def test_zero_width_rejected():
-    with pytest.raises(DomainError):
-        det.DetectorModel(wire_width_m=0.0)
 
 
 def test_recovery_time_constant():
@@ -208,6 +196,8 @@ def test_internal_efficiency_logistic():
 def test_dark_law_flat_when_slope_zero():
     model = replace(REFERENCE, dark_rate_slope=0.0, dark_rate_prefactor_hz=7.0)
     assert det.dark_count_rate(model, 0.5) == det.dark_count_rate(model, 0.9) == 7.0
+    # without a prefactor there are no dark counts at any slope
+    assert det.dark_count_rate(replace(REFERENCE, dark_rate_prefactor_hz=0.0)) == 0.0
 
 
 # -- expected rate and simulation ----------------------------------------------
@@ -255,12 +245,6 @@ def test_simulate_deterministic_per_seed():
     assert np.array_equal(r1.timestamps_s, r2.timestamps_s)
     assert np.array_equal(r1.photon, r2.photon)
     assert not np.array_equal(r1.timestamps_s, r3.timestamps_s)
-
-
-def test_simulate_rejects_negative_seed():
-    src = det.SourceSpec(1e-12, 1300e-9)
-    with pytest.raises(DomainError, match="seed must be >= 0"):
-        det.simulate_counting(REFERENCE, _budget(), src, 0.01, seed=-1)
 
 
 def test_simulate_low_flux_poisson_counts():
@@ -376,6 +360,10 @@ _TIMES = np.array([0.0, 1e-6])
 
 @pytest.mark.parametrize("call, message", [
     (lambda: det.DetectorModel(wire_count=0), "wire count must be >= 1"),
+    (lambda: det.DetectorModel(wire_width_m=0.0), "wire width must be > 0"),
+    (lambda: det.DetectorModel(dark_rate_prefactor_hz=-1000.0), "dark-count prefactor must be >= 0"),
+    (lambda: det.absorptance(-1.0, 1.0), "absorptance requires alpha >= 0 and L >= 0"),
+    (lambda: det.absorptance(451.0, -1e-4), "absorptance requires alpha >= 0 and L >= 0"),
     (lambda: det.DetectorModel(wire_length_m=0.0), "wire length must be > 0"),
     (lambda: det.DetectorModel(sheet_inductance_H=0.0), "sheet kinetic inductance must be > 0"),
     (lambda: det.DetectorModel(load_resistance_ohm=0.0), "load resistance must be > 0"),
@@ -393,21 +381,18 @@ _TIMES = np.array([0.0, 1e-6])
      "detection gaps below the dead time"),
     (lambda: det.simulate_counting(REFERENCE, _budget(), det.SourceSpec(1e-12, 1300e-9), 0.0, seed=1),
      "duration must be > 0"),
+    (lambda: det.simulate_counting(REFERENCE, _budget(), det.SourceSpec(1e-12, 1300e-9), 0.01, seed=-1),
+     "seed must be >= 0, got -1"),
     (lambda: det.simulate_counting(REFERENCE, _budget(), det.SourceSpec(1e-7, 1300e-9), 0.2, seed=1),
      r"^counting run would draw 4\.49e\+09 arrivals, above the cap 10000000$"),
     (lambda: det.jitter_deconvolve(-1e-12, 0.0), "jitter values must be >= 0"),
     (lambda: det.jitter_deconvolve(73e-12, -1e-12), "jitter values must be >= 0"),
-], ids=["wire_count-0", "length-0", "sheet_inductance-0", "load-0", "dqe-1.2", "absorptance-0", "recovery-negative-time", "rate-negative-power",
-        "source-negative-power", "source-wavelength-0", "source-negative-jitter",
-        "record-length-mismatch", "record-decreasing", "record-dead-time", "duration-0",
+], ids=["wire_count-0", "wire_width-0", "dark-prefactor-negative", "absorptance-negative-alpha",
+        "absorptance-negative-length", "length-0", "sheet_inductance-0", "load-0", "dqe-1.2",
+        "absorptance-0", "recovery-negative-time", "rate-negative-power", "source-negative-power", "source-wavelength-0", "source-negative-jitter",
+        "record-length-mismatch", "record-decreasing", "record-dead-time", "duration-0", "seed-negative",
         "arrivals-above-cap", "jitter-negative-total", "jitter-negative-source"])
 def test_out_of_domain_arguments_rejected(call, message):
     """Each argument outside its model's domain is a DomainError naming it."""
     with pytest.raises(DomainError, match=message):
         call()
-
-
-def test_model_dark_prefactor_nonnegative():
-    with pytest.raises(DomainError, match="dark-count prefactor must be >= 0"):
-        det.DetectorModel(dark_rate_prefactor_hz=-1000.0)
-    assert det.dark_count_rate(det.DetectorModel(dark_rate_prefactor_hz=0.0)) == 0.0

@@ -35,6 +35,9 @@ def test_alignment_margin_reference_geometry():
     wires = sk.NanowireArray(4, 100e-9, 250e-9, 4.3e-9)
     # extent = 3*250 + 100 = 850 nm -> margin (1850 - 850)/2 = 500 nm
     assert sk.alignment_margin(ridge, wires) == pytest.approx(0.5e-6, rel=1e-12)
+    # a single wire leaves its pitch unused: (1850 - 100)/2 = 875 nm
+    single = sk.NanowireArray(1, 100e-9, 0.0, 4.3e-9)
+    assert sk.alignment_margin(ridge, single) == pytest.approx(0.875e-6, rel=1e-12)
 
 
 def test_alignment_margin_zero_when_array_fills_ridge():
@@ -181,18 +184,6 @@ def test_clipped_window_bottom_is_the_lowest_interface(clipped_four_layer_case):
 
 # -- construction validation ----------------------------------------------
 
-def test_window_clearance_enforced(mats):
-    stack = sk.LayerStack((
-        sk.Layer("AlGaAs", 1.5e-6),
-        sk.Layer("GaAs", 300e-9),
-    ), "GaAs")
-    ridge = sk.RidgeSpec(width_m=1.85e-6, etch_depth_m=250e-9)
-    with pytest.raises(ConfigError, match="lateral clearance"):
-        sk.CrossSection(stack, ridge, None, 4.0e-6, 3.6e-6, 1300e-9, mats)
-    with pytest.raises(ConfigError, match="vertical clearance"):
-        sk.CrossSection(stack, ridge, None, 6.0e-6, 2.0e-6, 1300e-9, mats)
-
-
 def test_window_never_reaches_substrate(reference_cs):
     from dataclasses import replace
 
@@ -200,31 +191,6 @@ def test_window_never_reaches_substrate(reference_cs):
     tall = replace(reference_cs, window_height_m=6.0e-6)
     assert tall.window_bottom_m == pytest.approx(tall.stack.stack_bottom_m)
     assert tall.window_top_m - tall.window_bottom_m == pytest.approx(6.0e-6)
-
-
-def test_etch_depth_budget(mats):
-    stack = sk.LayerStack((
-        sk.Layer("AlGaAs", 1.5e-6),
-        sk.Layer("GaAs", 300e-9),
-    ), "GaAs")
-    with pytest.raises(ConfigError, match="etch depth"):
-        sk.CrossSection(stack, sk.RidgeSpec(1.85e-6, 400e-9), None, 6e-6, 3.6e-6, 1300e-9, mats)
-
-
-def test_overhanging_array_rejected(mats):
-    stack = sk.LayerStack((
-        sk.Layer("AlGaAs", 1.5e-6),
-        sk.Layer("GaAs", 300e-9),
-    ), "GaAs")
-    wires = sk.NanowireArray(4, 100e-9, 250e-9, 4.3e-9, offset_m=600e-9)
-    with pytest.raises(ConfigError, match="alignment margin"):
-        sk.CrossSection(stack, sk.RidgeSpec(1.85e-6, 250e-9), wires, 6e-6, 3.6e-6, 1300e-9, mats)
-
-
-def test_wire_pitch_validation():
-    with pytest.raises(ConfigError, match="pitch"):
-        sk.NanowireArray(4, 100e-9, 80e-9, 4.3e-9)
-    sk.NanowireArray(1, 100e-9, 0.0, 4.3e-9)  # single wire: pitch unused
 
 
 def test_stack_substrate_is_a_named_half_space(mats):
@@ -273,6 +239,12 @@ def test_undefined_cap_material_without_cap_thickness_accepted(reference_cs):
     assert "Al2O3" not in [mat for mat, *_ in cs._boxes()]
 
 
+# a valid section without wires, which the cross-section rows below break one
+# value at a time
+_SECTION = sk.CrossSection(sk.LayerStack((sk.Layer("AlGaAs", 1.5e-6), sk.Layer("GaAs", 300e-9)), "GaAs"),
+                           sk.RidgeSpec(1.85e-6, 250e-9), None, 6e-6, 3.6e-6, 1300e-9, sk.default_materials())
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: sk.LayerStack((), "GaAs"), "layer stack is empty"),
     (lambda: sk.RidgeSpec(0.0, 250e-9), "ridge width must be > 0"),
@@ -290,8 +262,19 @@ def test_undefined_cap_material_without_cap_thickness_accepted(reference_cs):
      "material 'vacuum' referenced but not defined"),
     (lambda: PermittivityGrid(np.linspace(0, 1, 4), np.linspace(0, 1, 5), np.ones((3, 3), complex), 1300e-9),
      "eps array shape does not match"),
+    (lambda: sk.NanowireArray(4, 100e-9, 80e-9, 4.3e-9),
+     r"wire pitch must be >= wire width \(non-overlapping wires\)"),
+    (lambda: replace(_SECTION, ridge=sk.RidgeSpec(1.85e-6, 400e-9)),
+     "etch depth 400 nm exceeds the top-layer thickness 300 nm"),
+    (lambda: replace(_SECTION, wires=sk.NanowireArray(4, 100e-9, 250e-9, 4.3e-9, offset_m=600e-9)),
+     r"nanowire array extends past the ridge edge \(negative alignment margin\)"),
+    (lambda: replace(_SECTION, window_width_m=4.0e-6),
+     "window leaves only 1.07 um lateral clearance; >= 1.5 um required"),
+    (lambda: replace(_SECTION, window_height_m=2.0e-6),
+     "window leaves only 0.87 um vertical clearance; >= 1.5 um required"),
 ], ids=["empty-stack", "ridge-width-0", "etch-negative", "count-0", "width-0", "thickness-negative",
-        "cap-negative", "cap-without-material", "undefined-material", "eps-shape"])
+        "cap-negative", "cap-without-material", "undefined-material", "eps-shape", "pitch-below-width",
+        "etch-through-top-layer", "array-overhangs-ridge", "lateral-clearance", "vertical-clearance"])
 def test_construction_validation_raises(build, message):
     with pytest.raises(ConfigError, match=message):
         build()

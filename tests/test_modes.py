@@ -967,10 +967,12 @@ def test_te_fraction_is_energy_share(reference_solve):
         assert m.polarization == ("TE" if m.te_fraction >= 0.5 else "TM")
 
 
-def test_select_mode_validation(reference_solve):
-    modes, _seconds = reference_solve
-    with pytest.raises(DomainError):
-        select_mode(modes, "TEM")
+@pytest.mark.parametrize("kind", ["TEM", None, 5])
+def test_select_mode_validation(kind):
+    """A kind other than the strings TE and TM, in either case, is a
+    DomainError, not an AttributeError of a non-string."""
+    with pytest.raises(DomainError, match=f"^mode kind must be 'TE' or 'TM', got {kind!r}$"):
+        select_mode([], kind)
 
 
 # -- convergence ladders ------------------------------------------------------
